@@ -367,10 +367,12 @@ def persist_results(records: Sequence[ResultRecord], path: str) -> None:
 
 
 def load_results(*paths: str) -> tuple[list[ResultRecord], int]:
-    """Load and merge result files, deduplicating by signature (first record
-    wins); returns (records, skipped line count)."""
+    """Load and merge result files, dropping records whose exact function
+    (n, m and table) an earlier record already holds (first record wins);
+    functions that differ but share a signature are all kept. Returns
+    (records, skipped line count)."""
     out: list[ResultRecord] = []
-    seen: set[str] = set()
+    seen: set[VBF] = set()
     skipped = 0
     for path in paths:
         with open(path, encoding="utf-8") as fh:
@@ -385,13 +387,13 @@ def load_results(*paths: str) -> tuple[list[ResultRecord], int]:
                                        d["lut"], d["signature"],
                                        d.get("provenance", ""),
                                        d.get("timestamp", ""))
-                    rec.to_vbf()
+                    f = rec.to_vbf()
                 except (ValueError, KeyError, TypeError):
                     skipped += 1
                     continue
-                if rec.signature in seen:
+                if f in seen:
                     continue
-                seen.add(rec.signature)
+                seen.add(f)
                 out.append(rec)
     return out, skipped
 

@@ -55,16 +55,14 @@ def cmd_analyze(args) -> int:
 
 
 def _spectrum_parallel(f: VBF, reduced: bool, workers: int) -> trimming.TrimSpectrum:
-    sides = ("linear",) if reduced else trimming.SIDES
-    if reduced and f.degree > 2:
-        raise ValueError("quadratic-reduced trim spectrum needs degree <= 2")
-    pairs = [(alpha, side) for alpha in range(1, 1 << f.n) for side in sides]
-    chunks = [pairs[i::workers] for i in range(workers)]
+    trimming.check_trimmable(f, reduced)
+    alphas = list(range(1, 1 << f.n))
+    chunks = [alphas[i::workers] for i in range(workers)]
     table = [int(v) for v in f.table]
     counts: Counter = Counter()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for items in pool.map(trimming.spectrum_chunk,
-                              [table] * workers, [f.n] * workers, chunks):
+        for items in pool.map(trimming.spectrum_chunk, [table] * workers,
+                              [f.n] * workers, chunks, [reduced] * workers):
             for sig, c in items:
                 counts[sig] += c
     return trimming.TrimSpectrum(f.n, reduced, dict(counts))
@@ -170,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="apnkit",
         description="Analyze vectorial Boolean functions and construct APN "
                     "functions by trimming and one-dimension extension.")
-    default_par = int(os.environ.get("APNKIT_PARALLELISM", "1"))
+    raw_par = os.environ.get("APNKIT_PARALLELISM", "1")
+    try:
+        default_par = int(raw_par)
+    except ValueError:
+        raise ValueError(
+            f"APNKIT_PARALLELISM must be an integer, got {raw_par!r}") from None
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="degree/APN/linearity/spectra report")
@@ -219,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError, catalog.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .gf2 import inner_product, lowest_set_bit
-from .ortho import InvariantSignature, invariant_signature, signatures_of_tables
-from .vbf import _PAR16, VBF, is_apn
+from .ortho import (InvariantSignature, Spectrum, invariant_signature,
+                    signatures_of_tables)
+from .vbf import _PAR16, VBF, _fwht, _xor_index, is_apn
 
 SIDES = ("linear", "affine")
 
@@ -129,14 +130,15 @@ def trim(f: VBF, d: TrimDescriptor) -> VBF:
     return VBF(n - 1, n - 1, _drop_bit(vals, ig))
 
 
-def _tables_for_alpha(f: VBF, alpha: int, side: str) -> np.ndarray:
-    """Trim tables for all beta = 1 .. 2^n - 1 under canonical epsilon and
-    gamma, stacked as one (2^n - 1, 2^(n-1)) matrix."""
+def _tables_for_alpha(f: VBF, alpha: int, side: str,
+                      betas: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Trim tables for the given betas (all of 1 .. 2^n - 1 by default) under
+    canonical epsilon and gamma, stacked as one (len(betas), 2^(n-1)) matrix."""
     n = f.n
     eps = 0 if side == "linear" else lowest_set_bit(alpha)
     x = _embedded_points(alpha, n)
     vals = f.table[x ^ np.uint32(eps)].astype(np.uint32)
-    betas = np.arange(1, 1 << n, dtype=np.int64)
+    betas = np.asarray(range(1, 1 << n) if betas is None else betas, dtype=np.int64)
     gammas = (betas & -betas).astype(np.uint32)
     betas = betas.astype(np.uint32)
     par = _PAR16[vals[None, :] & gammas[:, None]].astype(np.uint32)
@@ -149,6 +151,140 @@ def _tables_for_alpha(f: VBF, alpha: int, side: str) -> np.ndarray:
         if rows.any():
             res[rows] = _drop_bit(out[rows], i)
     return res.astype(np.uint16)
+
+
+# ---------------------------------------------------------------------------
+# trims of functions of degree <= 2, read off the parent's derivative table
+# ---------------------------------------------------------------------------
+#
+# For deg(F) <= 2 and H = alpha-orthogonal (k = n - 1), the table
+# D[x, y] = F(x) + F(y) + F(x + y) + F(0) over x, y in H is bilinear, and the
+# linear-side trim T = P o F|H (P linear with kernel {0, beta}) satisfies
+# T(x) + T(x + a) = P(D[a, x]) + const. Hence, with c_a(v) = #{x : D[a, x] = v}:
+#   - DDT row a of T holds 2^k / K entries equal to K = c_a(0) + c_a(beta)
+#     and zeros elsewhere; T is APN iff K = 2 for every a != 0, i.e. every
+#     row a != 0 of D has exactly two zeros and beta occurs nowhere in D.
+#   - The components of T are v.F|H for v != 0 orthogonal to beta. The
+#     alternating form v.D has a radical of size 2^(k - rho), and the
+#     component has |Walsh| 2^(k - rho/2) on 2^rho points, 0 elsewhere.
+#     T has degree 2 iff some such v has rho > 0.
+#   - The affine-side trim equals the linear one plus an affine map, so the
+#     two share a signature whenever T has degree 2.
+# Trims that are APN (ortho spectra) or of degree <= 1 (0 and 1 are not told
+# apart here) are still built and classified by table.
+
+def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
+    """D[x, y] over x, y in alpha-orthogonal, both in the coordinates of
+    hyperplane_basis(alpha)."""
+    v = f.table[_embedded_points(alpha, f.n)]
+    return v[_xor_index(f.n - 1)] ^ v[:, None] ^ v[None, :] ^ f.table[0]
+
+
+def _apn_betas(d: np.ndarray, n: int) -> list[int]:
+    """The betas whose linear-side trim is APN."""
+    if ((d[1:] == 0).sum(axis=1) != 2).any():
+        return []
+    absent = np.bincount(d.ravel(), minlength=1 << n)[1:] == 0
+    return (np.nonzero(absent)[0] + 1).tolist()
+
+
+def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per beta = 1 .. 2^n - 1: ddt[b, j - 1] rows a != 0 of the trim's DDT
+    with K = 2^j (j = 1 .. k), and walsh[b, r] components with rho = 2r."""
+    k = n - 1
+    size = 1 << k
+    keys = (np.arange(size, dtype=np.int64)[:, None] << n) | d
+    c = np.bincount(keys.ravel(), minlength=size << n).reshape(size, 1 << n)
+    kern = c[1:, :1] + c[1:, 1:]                       # (a != 0, beta)
+    j = np.log2(kern).astype(np.int64)
+    bidx = np.arange((1 << n) - 1, dtype=np.int64) * (k + 1)
+    ddt = np.bincount((bidx[None, :] + j).ravel(), minlength=((1 << n) - 1) * (k + 1))
+    ddt = ddt.reshape(-1, k + 1)[:, 1:]
+
+    # rows[v, i] = row i of the Gram matrix of v.D on the coordinate basis;
+    # the radical is the set of x with sum_i x_i rows[v, i] = 0
+    unit = 1 << np.arange(k)
+    gram = d[np.ix_(unit, unit)]
+    vs = np.arange(1 << n, dtype=np.uint16)
+    bits = _PAR16[vs[:, None, None] & gram[None, :, :]].astype(np.uint16)
+    rows = (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
+    span = np.zeros((1 << n, 1), dtype=np.uint16)
+    for i in range(k):
+        span = np.concatenate([span, span ^ rows[:, i:i + 1]], axis=1)
+    half = (k - np.log2((span == 0).sum(axis=1)).astype(np.int64)) // 2
+    # walsh[b, r] = #{v != 0, v.b = 0, rho_v = 2r}, by one Hadamard transform
+    onehot = (half[None, :] == np.arange(k // 2 + 1)[:, None]).astype(np.int64)
+    onehot[:, 0] = 0
+    total = onehot.sum(axis=1, keepdims=True)
+    walsh = ((total + _fwht(onehot)) // 2)[:, 1:].T
+    return ddt, walsh
+
+
+def _spectra_from_counts(k: int, ddt: np.ndarray,
+                         walsh: np.ndarray) -> tuple[Spectrum, Spectrum]:
+    size = 1 << k
+    ds = {0: 0}
+    for j, cnt in enumerate(ddt.tolist(), 1):
+        if cnt:
+            ds[0] += cnt * (size - (size >> j))
+            ds[1 << j] = cnt * (size >> j)
+    ews = {0: 0}
+    for r, cnt in enumerate(walsh.tolist()):
+        if cnt:
+            ews[0] += cnt * (size - (1 << 2 * r))
+            ews[size >> r] = cnt << 2 * r
+    return (tuple((v, c) for v, c in sorted(ds.items()) if c),
+            tuple((v, c) for v, c in sorted(ews.items()) if c))
+
+
+def _quadratic_signatures(f: VBF, alpha: int) -> list[InvariantSignature]:
+    """Signatures of the linear-side trims of alpha, beta = 1 .. 2^n - 1, of
+    a function of degree <= 2."""
+    n, k = f.n, f.n - 1
+    ddt, walsh = _quadratic_counts(_derivative_table(f, alpha), n)
+    memo: dict[bytes, tuple] = {}
+    spectra: list[tuple[Spectrum, Spectrum]] = []
+    sigs: list[Optional[InvariantSignature]] = []
+    for row in np.concatenate([ddt, walsh], axis=1):
+        key = row.tobytes()
+        if key not in memo:
+            ds, ews = _spectra_from_counts(k, row[:k], row[k:])
+            apn = row[0] == (1 << k) - 1
+            flat = not row[k + 1:].any()
+            memo[key] = ((ds, ews), None if apn or flat
+                         else InvariantSignature(2, False, ds, ews, None, None))
+        spectra.append(memo[key][0])
+        sigs.append(memo[key][1])
+    by_table = [b for b, s in enumerate(sigs, 1) if s is None]
+    if by_table:
+        tabs = _tables_for_alpha(f, alpha, "linear", by_table)
+        for beta, sig in zip(by_table, signatures_of_tables(tabs, k)):
+            if (sig.diff_spectrum, sig.walsh_spectrum) != spectra[beta - 1]:
+                raise RuntimeError(
+                    f"derivative-table classification of trim (alpha={alpha}, "
+                    f"beta={beta}) disagrees with its DDT and Walsh tables")
+            sigs[beta - 1] = sig
+    return sigs
+
+
+def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
+    """APN trims of alpha for a function of degree <= 2, in (side, beta)
+    order. The affine side is visited only for trims of degree <= 1: every
+    other affine trim repeats the signature of its linear twin."""
+    n = f.n
+    betas = _apn_betas(_derivative_table(f, alpha), n)
+    for side in SIDES:
+        if not betas:
+            return
+        tabs = _tables_for_alpha(f, alpha, side, betas)
+        sigs = signatures_of_tables(tabs, n - 1)
+        for beta, tab, sig in zip(betas, tabs, sigs):
+            if not sig.apn:
+                raise RuntimeError(
+                    f"trim (alpha={alpha}, {side}, beta={beta}) passed the "
+                    "derivative-table APN test but its DDT says not APN")
+            yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
+        betas = [b for b, s in zip(betas, sigs) if s.degree <= 1]
 
 
 def descriptor_count(n: int, quadratic_reduced: bool = False) -> int:
@@ -176,40 +312,67 @@ class TrimSpectrum:
                       key=lambda s: s.canonical())
 
 
-def _sides_for(f: VBF, quadratic_reduced: bool) -> tuple[str, ...]:
-    if quadratic_reduced:
-        if f.degree > 2:
-            raise ValueError(
-                "quadratic-reduced trim spectrum needs degree <= 2")
-        return ("linear",)
-    return SIDES
+def check_trimmable(f: VBF, quadratic_reduced: bool = False) -> None:
+    """Raise ValueError unless f has trim spectra (of the requested kind)."""
+    if f.n != f.m:
+        raise ValueError("trims are defined for n = m")
+    if f.n < 2:
+        raise ValueError("trims need n >= 2")
+    if quadratic_reduced and f.degree > 2:
+        raise ValueError("quadratic-reduced trim spectrum needs degree <= 2")
+
+
+def _hyperplane_counts(f: VBF, alpha: int, quadratic_reduced: bool) -> Counter:
+    """Signature counts of the trims on alpha-orthogonal and, unless
+    quadratic_reduced, on its complement."""
+    k = f.n - 1
+    if f.degree > 2:
+        counts: Counter = Counter()
+        for side in ("linear",) if quadratic_reduced else SIDES:
+            counts.update(signatures_of_tables(_tables_for_alpha(f, alpha, side), k))
+        return counts
+    sigs = _quadratic_signatures(f, alpha)
+    counts = Counter(sigs)
+    if not quadratic_reduced:
+        # affine twins of degree-2 trims repeat their signatures
+        for sig in counts:
+            if sig.degree > 1:
+                counts[sig] *= 2
+        flat = [b for b, s in enumerate(sigs, 1) if s.degree <= 1]
+        if flat:
+            counts.update(signatures_of_tables(
+                _tables_for_alpha(f, alpha, "affine", flat), k))
+    return counts
 
 
 def trim_spectrum(f: VBF, quadratic_reduced: bool = False) -> TrimSpectrum:
-    sides = _sides_for(f, quadratic_reduced)
+    check_trimmable(f, quadratic_reduced)
     counts: Counter = Counter()
     for alpha in range(1, 1 << f.n):
-        for side in sides:
-            tabs = _tables_for_alpha(f, alpha, side)
-            counts.update(signatures_of_tables(tabs, f.n - 1))
+        counts.update(_hyperplane_counts(f, alpha, quadratic_reduced))
     return TrimSpectrum(f.n, quadratic_reduced, dict(counts))
 
 
-def spectrum_chunk(table: Sequence[int], n: int,
-                   pairs: Sequence[tuple[int, str]]) -> list[tuple[InvariantSignature, int]]:
-    """Signature counts for the (alpha, side) work items in ``pairs``;
-    picklable worker behind parallel spectrum computation."""
+def spectrum_chunk(table: Sequence[int], n: int, alphas: Sequence[int],
+                   quadratic_reduced: bool = False) -> list[tuple[InvariantSignature, int]]:
+    """Signature counts for the hyperplanes ``alphas``; picklable worker
+    behind parallel spectrum computation."""
     f = VBF(n, n, table)
     counts: Counter = Counter()
-    for alpha, side in pairs:
-        counts.update(signatures_of_tables(_tables_for_alpha(f, alpha, side), n - 1))
+    for alpha in alphas:
+        counts.update(_hyperplane_counts(f, alpha, quadratic_reduced))
     return list(counts.items())
 
 
 def _iter_apn_trims(f: VBF) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
-    """APN trims in ascending (alpha, side, beta) order, with signatures."""
+    """APN trims in ascending (alpha, side, beta) order, with signatures;
+    for deg(F) <= 2, affine-side trims that repeat the signature of their
+    linear twin are skipped."""
     n = f.n
     for alpha in range(1, 1 << n):
+        if f.degree <= 2:
+            yield from _quadratic_apn_trims(f, alpha)
+            continue
         for side in SIDES:
             tabs = _tables_for_alpha(f, alpha, side)
             sigs = signatures_of_tables(tabs, n - 1, only_apn=True)

@@ -11,7 +11,7 @@ from apnkit.catalog import (
 )
 from apnkit.ortho import invariant_signature
 from apnkit.trimming import recursive_witness, trimming_graph
-from apnkit.vbf import is_apn, linearity, random_function
+from apnkit.vbf import VBF, is_apn, linearity, random_function
 
 
 def test_parse_lut_example():
@@ -122,6 +122,21 @@ def test_load_deduplicates_by_signature(tmp_path):
     persist_results([rec, rec2], str(path))
     loaded, skipped = load_results(str(path))
     assert len(loaded) == 1 and skipped == 0
+
+
+def test_load_keeps_distinct_functions_sharing_a_signature(tmp_path):
+    # x^3 and x^5 over F_32 differ but share one signature
+    spec = catalog.default_field(5)
+    x3 = VBF.from_univariate(spec, [(1, 3)])
+    x5 = VBF.from_univariate(spec, [(1, 5)])
+    assert x3 != x5 and invariant_signature(x3) == invariant_signature(x5)
+    path = tmp_path / "collision.jsonl"
+    persist_results([result_record(x3, "x3", "test"),
+                     result_record(x5, "x5", "test")], str(path))
+    loaded, skipped = load_results(str(path))
+    assert skipped == 0
+    assert [rec.id for rec in loaded] == ["x3", "x5"]
+    assert [rec.to_vbf() for rec in loaded] == [x3, x5]
 
 
 def test_load_merges_multiple_files(tmp_path):

@@ -73,11 +73,16 @@ def test_trim_spectrum_reduced_rejects_cubic(capsys, tmp_path):
     assert code == 1 and "degree" in err
 
 
-def test_trim_spectrum_parallel_matches_serial(capsys):
-    code, serial, _ = run(capsys, "trim-spectrum", "fixture:gold5", "-j", "1")
-    assert code == 0
-    code, par, _ = run(capsys, "trim-spectrum", "fixture:gold5", "-j", "2")
-    assert code == 0 and par == serial
+def test_trim_spectrum_parallel_matches_serial(capsys, tmp_path):
+    cubic = VBF.from_univariate(catalog.default_field(5), [(1, 7)])
+    p = tmp_path / "cubic.lut"
+    p.write_text(catalog.serialize_record(catalog.record_from_vbf(cubic, "c")))
+    for argv in (["fixture:gold5"], ["fixture:gold5", "--quadratic-reduced"],
+                 [str(p)]):
+        code, serial, _ = run(capsys, "trim-spectrum", *argv, "-j", "1")
+        assert code == 0
+        code, par, _ = run(capsys, "trim-spectrum", *argv, "-j", "2")
+        assert code == 0 and par == serial
 
 
 def test_trim_graph_command(capsys, tmp_path):
@@ -99,7 +104,7 @@ def test_recursive_gold6_no_chain(capsys):
 
 
 def test_recursive_appendix_chain_emits_reverifiable_functions(capsys):
-    # slow (about half a minute): full witness search on the 8-bit fixture
+    # full witness search on the 8-bit fixture (under a second: quadratic)
     from apnkit.vbf import is_apn
     code, out, _ = run(capsys, "recursive", "fixture:appendixA_R")
     assert code == 0
@@ -116,6 +121,13 @@ def test_parallelism_env_default(capsys, monkeypatch):
     monkeypatch.setenv("APNKIT_PARALLELISM", "3")
     args = build_parser().parse_args(["trim-spectrum", "fixture:gold5"])
     assert args.parallelism == 3
+
+
+def test_parallelism_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("APNKIT_PARALLELISM", "abc")
+    code, out, err = run(capsys, "analyze", "fixture:gold3")
+    assert code == 1 and out == ""
+    assert "APNKIT_PARALLELISM" in err and "Traceback" not in err
 
 
 def test_convert_to_uni_unsupported(capsys, tmp_path):

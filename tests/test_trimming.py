@@ -1,16 +1,20 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from apnkit import catalog, gf2
+from apnkit import catalog, gf2, trimming, vbf
 from apnkit.gf2 import inner_product
-from apnkit.ortho import invariant_signature
+from apnkit.ortho import invariant_signature, signatures_of_tables
 from apnkit.trimming import (
-    SIDES, Hyperplane, TrimDescriptor, apn_trims, descriptor_count,
-    hyperplane_basis, project, recursive_witness, trim, trim_spectrum,
-    trimming_graph,
+    SIDES, Hyperplane, TrimDescriptor, _quadratic_signatures, _tables_for_alpha,
+    apn_trims, descriptor_count, hyperplane_basis, project, recursive_witness,
+    trim, trim_spectrum, trimming_graph,
 )
-from apnkit.vbf import VBF, is_apn, random_ea_transform, random_function
+from apnkit.vbf import (
+    VBF, is_apn, random_ea_transform, random_function, random_quadratic,
+)
 
 
 def test_project_examples():
@@ -218,9 +222,10 @@ def test_recursive_witness_chain_links_are_trims():
 
 
 def test_trimming_graph_of_appendix_chain():
-    # slow (about a minute): full trim enumeration at dims 8..3. The chain
-    # path is contained in the graph; the exhaustively derived totals are
-    # larger because the 7-bit chain member has four APN trim classes.
+    # full APN-trim enumeration at dims 8..3 (under a second: every chain
+    # member is quadratic). The chain path is contained in the graph; the
+    # exhaustively derived totals are larger because the 7-bit chain member
+    # has four APN trim classes.
     chain = recursive_witness(catalog.appendix_r())
     graph = trimming_graph(chain[:-1])
     keys = {(g.n, invariant_signature(g)) for g in chain}
@@ -249,3 +254,132 @@ def test_trimming_graph_isolated_and_edges():
 
     with pytest.raises(ValueError):
         trimming_graph([VBF.identity(4)])
+
+
+# ---------------------------------------------------------------------------
+# functions of degree <= 2: derivative-table kernel against the table path
+# ---------------------------------------------------------------------------
+
+def _table_signatures(f, alpha, side):
+    return signatures_of_tables(_tables_for_alpha(f, alpha, side), f.n - 1)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_quadratic_kernel_matches_tables_per_hyperplane(n):
+    rng = random.Random(100 + n)
+    f = random_quadratic(n, n, rng)
+    for _ in range(1 if n == 9 else 3):
+        alpha = rng.randrange(1, 1 << n)
+        assert _quadratic_signatures(f, alpha) == _table_signatures(f, alpha, "linear")
+
+
+QUADRATIC_INPUTS = {
+    "random_quadratic(5, 5)": lambda rng: random_quadratic(5, 5, rng),
+    "random_quadratic(6, 6) homogeneous":
+        lambda rng: random_quadratic(6, 6, rng, homogeneous=True),
+    "random_quadratic(6, 3) padded": lambda rng: VBF(6, 6, random_quadratic(6, 3, rng).table),
+    "random_quadratic(5, 1) padded": lambda rng: VBF(5, 5, random_quadratic(5, 1, rng).table),
+    "random_quadratic(2, 2)": lambda rng: random_quadratic(2, 2, rng),
+    # every trim on 1-orthogonal is constant and its first trim of degree 1
+    # is on the affine side
+    "x0*x1 on 2 bits": lambda rng: VBF(2, 2, [0, 0, 0, 1]),
+    "identity": lambda rng: VBF.identity(5),
+    "constant": lambda rng: VBF.constant(5, 5, 6),
+    "gold4 copy": lambda rng: random_ea_transform(catalog.gold(4), rng),
+    "T6 copy": lambda rng: random_ea_transform(catalog.t6(), rng),
+    "G1 copy": lambda rng: random_ea_transform(catalog.g7(1), rng),
+}
+
+
+def _quadratic_input(name):
+    return QUADRATIC_INPUTS[name](random.Random(name))
+
+
+@pytest.fixture
+def by_table(monkeypatch):
+    """Counts the trim tables classified by table, and the tables that go
+    through the DDT histogram: those trims, plus one ortho-derivative for
+    each quadratic APN trim."""
+    seen = Counter()
+    classify, ddt_hist = trimming.signatures_of_tables, vbf._diff_counts_batch
+
+    def counting_classify(tabs, k, only_apn=False):
+        seen["trims"] += tabs.shape[0]
+        return classify(tabs, k, only_apn)
+
+    def counting_ddt_hist(tabs, n, m):
+        seen["ddt"] += tabs.shape[0]
+        return ddt_hist(tabs, n, m)
+
+    monkeypatch.setattr(trimming, "signatures_of_tables", counting_classify)
+    monkeypatch.setattr(vbf, "_diff_counts_batch", counting_ddt_hist)
+    return seen
+
+
+def _assert_table_work(seen, counts):
+    """At most the APN trims and the trims of degree <= 1 in ``counts`` were
+    built and classified by table."""
+    apn = sum(c for s, c in counts.items() if s.apn)
+    flat = sum(c for s, c in counts.items() if s.degree <= 1)
+    assert seen["trims"] <= apn + flat
+    assert seen["ddt"] <= 2 * apn + flat
+    seen.clear()
+
+
+@pytest.mark.parametrize("name", QUADRATIC_INPUTS)
+def test_quadratic_trim_spectrum_matches_tables(name, by_table):
+    f = _quadratic_input(name)
+    assert f.degree <= 2
+    want = {side: Counter() for side in SIDES}
+    for alpha in range(1, 1 << f.n):
+        for side in SIDES:
+            want[side].update(_table_signatures(f, alpha, side))
+    full = want["linear"] + want["affine"]
+    by_table.clear()
+    assert trim_spectrum(f).counts == dict(full)
+    _assert_table_work(by_table, full)
+    assert trim_spectrum(f, quadratic_reduced=True).counts == dict(want["linear"])
+    _assert_table_work(by_table, want["linear"])
+
+
+@pytest.mark.parametrize("name", QUADRATIC_INPUTS)
+def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatch):
+    f = _quadratic_input(name)
+    spectrum = trim_spectrum(f)
+    by_table.clear()
+    fast = apn_trims(f)
+    _assert_table_work(by_table, spectrum.counts)
+    apn = is_apn(f)
+    fast_chain = recursive_witness(f) if apn else None
+    with monkeypatch.context() as m:
+        # every function now takes the table path, as for degree > 2
+        m.setattr(VBF, "degree", property(lambda self: 3))
+        slow = apn_trims(f)
+        slow_chain = recursive_witness(f) if apn else None
+    assert fast == slow
+    assert fast_chain == slow_chain
+
+
+def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
+    f = catalog.gold(5)
+    monkeypatch.setattr(trimming, "_apn_betas", lambda d, n: list(range(1, 1 << n)))
+    with pytest.raises(RuntimeError):
+        apn_trims(f)
+    monkeypatch.undo()
+
+    def all_apn(d, n):
+        k = n - 1
+        ddt = np.zeros(((1 << n) - 1, k), dtype=np.int64)
+        ddt[:, 0] = (1 << k) - 1
+        walsh = np.zeros(((1 << n) - 1, k // 2 + 1), dtype=np.int64)
+        walsh[:, 1] = (1 << n) - 1
+        return ddt, walsh
+
+    monkeypatch.setattr(trimming, "_quadratic_counts", all_apn)
+    with pytest.raises(RuntimeError):
+        trim_spectrum(f)
+
+
+def test_trim_spectrum_needs_square_functions():
+    with pytest.raises(ValueError):
+        trim_spectrum(random_function(4, 3, random.Random(12)))
