@@ -308,8 +308,7 @@ _FIXTURES = {
     "EP6_2_6": lambda: edelpott6("2.6"),
 }
 for _n in range(3, 9):
-    if math.gcd(1, _n) == 1:
-        _FIXTURES[f"gold{_n}"] = (lambda k: lambda: gold(k))(_n)
+    _FIXTURES[f"gold{_n}"] = (lambda k: lambda: gold(k))(_n)
 
 
 def fixture_names() -> list[str]:

@@ -26,13 +26,6 @@ def lowest_set_bit(x: int) -> int:
     return x & -x
 
 
-def bit_index(x: int) -> int:
-    """Index of the single set bit of ``x`` (x must be a power of two)."""
-    if x <= 0 or x & (x - 1):
-        raise ValueError(f"not a single bit: {x}")
-    return x.bit_length() - 1
-
-
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over GF(2), coefficients packed in ints
 # ---------------------------------------------------------------------------

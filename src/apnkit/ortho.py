@@ -162,7 +162,7 @@ def signatures_of_tables(tabs: np.ndarray, k: int,
     if not keep:
         return [None] * B
     sel = tabs[keep] if len(keep) != B else tabs
-    degs = _batch_degrees(sel, k)
+    degs = vbf_mod._degree_of_tables(sel, k)
     ews_hists = _batch_walsh_hists(sel, k)
 
     out: list[Optional[InvariantSignature]] = [None] * B
@@ -173,14 +173,10 @@ def signatures_of_tables(tabs: np.ndarray, k: int,
         ods = oews = None
         if apn_flags[b] and deg == 2:
             pi = _ortho_cached(VBF(k, k, tabs[b]), None)
-            ods = differential_spectrum_of(pi)
-            oews = extended_walsh_spectrum_of(pi)
+            ods = vbf_mod.differential_spectrum(pi)
+            oews = vbf_mod.extended_walsh_spectrum(pi)
         out[b] = InvariantSignature(deg, apn_flags[b], ds, ews, ods, oews)
     return out
-
-
-def _batch_degrees(tabs: np.ndarray, k: int) -> np.ndarray:
-    return vbf_mod._degree_of_tables(tabs, k)
 
 
 def _batch_walsh_hists(tabs: np.ndarray, k: int) -> np.ndarray:
@@ -193,14 +189,6 @@ def _batch_walsh_hists(tabs: np.ndarray, k: int) -> np.ndarray:
     keys = (np.arange(B, dtype=np.int64)[:, None, None] * (size + 1) + w)
     hists = np.bincount(keys.ravel(), minlength=B * (size + 1))
     return hists.reshape(B, size + 1)
-
-
-def differential_spectrum_of(f: VBF) -> Spectrum:
-    return vbf_mod.differential_spectrum(f)
-
-
-def extended_walsh_spectrum_of(f: VBF) -> Spectrum:
-    return vbf_mod.extended_walsh_spectrum(f)
 
 
 def invariant_signature(f: VBF) -> InvariantSignature:

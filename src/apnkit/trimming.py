@@ -19,7 +19,8 @@ import numpy as np
 from .gf2 import inner_product, lowest_set_bit
 from .ortho import (InvariantSignature, Spectrum, invariant_signature,
                     signatures_of_tables)
-from .vbf import _PAR16, VBF, _fwht, _xor_index, is_apn
+from . import vbf as vbf_mod
+from .vbf import _POP16, _PAR16, VBF, _fwht, _mobius, _xor_index, is_apn
 
 SIDES = ("linear", "affine")
 
@@ -130,14 +131,19 @@ def trim(f: VBF, d: TrimDescriptor) -> VBF:
     return VBF(n - 1, n - 1, _drop_bit(vals, ig))
 
 
+def _restricted_values(f: VBF, alpha: int, side: str) -> np.ndarray:
+    """F on the hyperplane (alpha, side) under canonical epsilon, in the
+    coordinates of hyperplane_basis(alpha)."""
+    eps = 0 if side == "linear" else lowest_set_bit(alpha)
+    return f.table[_embedded_points(alpha, f.n) ^ np.uint32(eps)]
+
+
 def _tables_for_alpha(f: VBF, alpha: int, side: str,
                       betas: Optional[Sequence[int]] = None) -> np.ndarray:
     """Trim tables for the given betas (all of 1 .. 2^n - 1 by default) under
     canonical epsilon and gamma, stacked as one (len(betas), 2^(n-1)) matrix."""
     n = f.n
-    eps = 0 if side == "linear" else lowest_set_bit(alpha)
-    x = _embedded_points(alpha, n)
-    vals = f.table[x ^ np.uint32(eps)].astype(np.uint32)
+    vals = _restricted_values(f, alpha, side).astype(np.uint32)
     betas = np.asarray(range(1, 1 << n) if betas is None else betas, dtype=np.int64)
     gammas = (betas & -betas).astype(np.uint32)
     betas = betas.astype(np.uint32)
@@ -151,6 +157,29 @@ def _tables_for_alpha(f: VBF, alpha: int, side: str,
         if rows.any():
             res[rows] = _drop_bit(out[rows], i)
     return res.astype(np.uint16)
+
+
+def _signatures_by_table(f: VBF, alpha: int, side: str, betas: Sequence[int],
+                         spectra: Sequence[tuple[Spectrum, Spectrum]]
+                         ) -> list[InvariantSignature]:
+    """Build and classify the trims ``betas`` by table. A kernel gave each
+    one its (DDT, Walsh) spectra; the tables must agree."""
+    tabs = _tables_for_alpha(f, alpha, side, betas)
+    sigs = signatures_of_tables(tabs, f.n - 1)
+    for beta, sig, want in zip(betas, sigs, spectra):
+        if (sig.diff_spectrum, sig.walsh_spectrum) != want:
+            raise RuntimeError(
+                f"kernel classification of trim (alpha={alpha}, {side}, "
+                f"beta={beta}) disagrees with its DDT and Walsh tables")
+    return sigs
+
+
+def _sums_over_orthogonal(h: np.ndarray) -> np.ndarray:
+    """s[:, beta] = sum of h[:, v] over v != 0 orthogonal to beta, for every
+    beta at once, by one Hadamard transform along the last axis."""
+    h = h.astype(np.int64)
+    h[:, 0] = 0
+    return (h.sum(axis=1, keepdims=True) + _fwht(h)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +242,8 @@ def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         span = np.concatenate([span, span ^ rows[:, i:i + 1]], axis=1)
     half = (k - np.log2((span == 0).sum(axis=1)).astype(np.int64)) // 2
     # walsh[b, r] = #{v != 0, v.b = 0, rho_v = 2r}, by one Hadamard transform
-    onehot = (half[None, :] == np.arange(k // 2 + 1)[:, None]).astype(np.int64)
-    onehot[:, 0] = 0
-    total = onehot.sum(axis=1, keepdims=True)
-    walsh = ((total + _fwht(onehot)) // 2)[:, 1:].T
-    return ddt, walsh
+    onehot = half[None, :] == np.arange(k // 2 + 1)[:, None]
+    return ddt, _sums_over_orthogonal(onehot)[:, 1:].T
 
 
 def _spectra_from_counts(k: int, ddt: np.ndarray,
@@ -257,12 +283,9 @@ def _quadratic_signatures(f: VBF, alpha: int) -> list[InvariantSignature]:
         sigs.append(memo[key][1])
     by_table = [b for b, s in enumerate(sigs, 1) if s is None]
     if by_table:
-        tabs = _tables_for_alpha(f, alpha, "linear", by_table)
-        for beta, sig in zip(by_table, signatures_of_tables(tabs, k)):
-            if (sig.diff_spectrum, sig.walsh_spectrum) != spectra[beta - 1]:
-                raise RuntimeError(
-                    f"derivative-table classification of trim (alpha={alpha}, "
-                    f"beta={beta}) disagrees with its DDT and Walsh tables")
+        table_sigs = _signatures_by_table(f, alpha, "linear", by_table,
+                                          [spectra[b - 1] for b in by_table])
+        for beta, sig in zip(by_table, table_sigs):
             sigs[beta - 1] = sig
     return sigs
 
@@ -285,6 +308,147 @@ def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, V
                     "derivative-table APN test but its DDT says not APN")
             yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
         betas = [b for b, s in zip(betas, sigs) if s.degree <= 1]
+
+
+# ---------------------------------------------------------------------------
+# trims of any function, read off F restricted to the hyperplane
+# ---------------------------------------------------------------------------
+#
+# Let H = epsilon + alpha-orthogonal (k = n - 1) and T = P o F|H, where P is
+# linear with kernel {0, beta}. With delta[a, c] = #{x in H : F(x + a) +
+# F(x) = c} for a != 0 in alpha-orthogonal and c in F_2^n:
+#   - DDT cell (a, b) of T is delta[a, c] + delta[a, c + beta], where
+#     {c, c + beta} = P^-1(b); the DDT histogram of T is half the histogram
+#     of delta[a, c] + delta[a, c + beta] over all (a, c). The number of
+#     (a, c) with delta[a, c] = s and delta[a, c + beta] = t is an XOR
+#     correlation, 2^-n WHT(sum_a WHT(S_a) WHT(T_a)) at beta, where S_a and
+#     T_a are the indicators of delta[a, .] = s and = t. Every partial sum
+#     stays below 2^(3n - 1), so int64 is exact.
+#   - The components of T are v.F|H for v != 0 orthogonal to beta, each
+#     once, so its |Walsh| histogram is the sum of the histograms of rows v
+#     of the Walsh matrix of F|H.
+#   - The ANF of T is P applied to the ANF words of F|H, so deg T is the
+#     largest weight of a monomial whose word is neither 0 nor beta.
+#   - T is APN iff no DDT value exceeds 2.
+# Only APN trims of degree 2 are built as tables, for their ortho spectra.
+
+def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int, int]]:
+    """Row ranges covering start .. stop - 1 that keep a temporary of
+    cells_per_row cells per row under vbf._BATCH_CELL_LIMIT."""
+    step = max(1, vbf_mod._BATCH_CELL_LIMIT // cells_per_row)
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+def _restricted_ddt(v: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """delta[a, c] for a = lo .. hi - 1, as a (hi - lo, 2^n) matrix."""
+    a = np.arange(lo, hi, dtype=np.uint32)
+    x = np.arange(v.size, dtype=np.uint32)
+    d = v[a[:, None] ^ x[None, :]] ^ v[None, :]
+    keys = (np.arange(hi - lo, dtype=np.int64)[:, None] << n) | d
+    return np.bincount(keys.ravel(), minlength=(hi - lo) << n).reshape(hi - lo, 1 << n)
+
+
+def _trim_ddt_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts): counts[beta - 1, j] DDT cells a != 0 of trim beta
+    equal values[j], for beta = 1 .. 2^n - 1."""
+    size = v.size
+    seen = np.zeros(size + 1, dtype=bool)
+    for lo, hi in _row_chunks(1, size, 1 << n):
+        seen[_restricted_ddt(v, n, lo, hi)] = True
+    vals = np.flatnonzero(seen)                   # vals[0] = 0: rows have zeros
+    sums, pair = np.unique(vals[:, None] + vals[None, :], return_inverse=True)
+    to_sum = (pair.reshape(-1, 1) == np.arange(sums.size)).astype(np.int64)
+    acc = np.zeros((1 << n, sums.size), dtype=np.int64)
+    for lo, hi in _row_chunks(1, size, vals.size << n):
+        delta = _restricted_ddt(v, n, lo, hi)
+        spec = np.empty((hi - lo, vals.size, 1 << n), dtype=np.int64)
+        spec[:, 1:] = _fwht((delta[:, None, :] == vals[1:, None]).astype(np.int64))
+        # the indicators of all values sum to 1, whose transform is 2^n at 0
+        spec[:, 0] = -spec[:, 1:].sum(axis=1)
+        spec[:, 0, 0] += 1 << n
+        spec = spec.transpose(2, 0, 1)                   # (c, a, s)
+        prod = np.matmul(spec.transpose(0, 2, 1), spec)  # (c, s, t)
+        acc += prod.reshape(1 << n, -1) @ to_sum
+    counts = _fwht(np.ascontiguousarray(acc.T)) >> (n + 1)
+    return sums, counts[:, 1:].T
+
+
+def _trim_walsh_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts): counts[beta - 1, j] |Walsh| values of trim beta
+    equal to values[j], for beta = 1 .. 2^n - 1."""
+    size = v.size
+    cols: dict[int, np.ndarray] = {}
+    for lo, hi in _row_chunks(1, 1 << n, size + 1):
+        vs = np.arange(lo, hi, dtype=np.uint16)
+        signs = 1 - 2 * _PAR16[vs[:, None] & v[None, :]].astype(np.int32)
+        keys = (np.arange(hi - lo)[:, None] * (size + 1)) + np.abs(_fwht(signs))
+        h = np.bincount(keys.ravel(), minlength=(hi - lo) * (size + 1))
+        h = h.reshape(hi - lo, size + 1)
+        for val in np.flatnonzero(h.any(axis=0)).tolist():
+            cols.setdefault(val, np.zeros(1 << n, dtype=np.int64))[lo:hi] = h[:, val]
+    vals = sorted(cols)
+    counts = _sums_over_orthogonal(np.array([cols[x] for x in vals]))
+    return np.array(vals), counts[:, 1:].T
+
+
+def _trim_degrees(v: np.ndarray, n: int) -> np.ndarray:
+    """Degree of trim beta, for beta = 1 .. 2^n - 1."""
+    top = np.zeros(1 << n, dtype=np.int64)       # top weight per ANF word
+    np.maximum.at(top, _mobius(v), _POP16[:v.size])
+    top[0] = 0
+    word = int(np.argmax(top))
+    deg = np.full(1 << n, top[word])
+    top[word] = 0
+    deg[word] = top.max()
+    return deg[1:]
+
+
+def _pairs(values: np.ndarray, counts: np.ndarray) -> Spectrum:
+    return tuple((x, c) for x, c in zip(values.tolist(), counts.tolist()) if c)
+
+
+def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignature]:
+    """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, of
+    a function of any degree."""
+    n = f.n
+    v = _restricted_values(f, alpha, side)
+    dvals, dcounts = _trim_ddt_counts(v, n)
+    wvals, wcounts = _trim_walsh_counts(v, n)
+    rows = np.concatenate([dcounts, wcounts, _trim_degrees(v, n)[:, None]], axis=1)
+    memo: dict[bytes, InvariantSignature] = {}
+    sigs = []
+    for row in rows:
+        key = row.tobytes()
+        if key not in memo:
+            ds = _pairs(dvals, row[:dvals.size])
+            ews = _pairs(wvals, row[dvals.size:-1])
+            memo[key] = InvariantSignature(int(row[-1]), ds[-1][0] <= 2, ds, ews, None, None)
+        sigs.append(memo[key])
+    # ortho spectra of the APN trims of degree 2
+    betas = [b for b, s in enumerate(sigs, 1) if s.apn and s.degree == 2]
+    if betas:
+        spectra = [(sigs[b - 1].diff_spectrum, sigs[b - 1].walsh_spectrum) for b in betas]
+        for beta, sig in zip(betas, _signatures_by_table(f, alpha, side, betas, spectra)):
+            sigs[beta - 1] = sig
+    return sigs
+
+
+def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
+    """APN trims of alpha for any function, in (side, beta) order."""
+    n = f.n
+    for side in SIDES:
+        vals, counts = _trim_ddt_counts(_restricted_values(f, alpha, side), n)
+        betas = (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist()
+        if not betas:
+            continue
+        tabs = _tables_for_alpha(f, alpha, side, betas)
+        for beta, tab, sig in zip(betas, tabs, signatures_of_tables(tabs, n - 1)):
+            if not sig.apn:
+                raise RuntimeError(
+                    f"trim (alpha={alpha}, {side}, beta={beta}) passed the "
+                    "restricted-DDT APN test but its DDT says not APN")
+            yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
 
 
 def descriptor_count(n: int, quadratic_reduced: bool = False) -> int:
@@ -329,7 +493,7 @@ def _hyperplane_counts(f: VBF, alpha: int, quadratic_reduced: bool) -> Counter:
     if f.degree > 2:
         counts: Counter = Counter()
         for side in ("linear",) if quadratic_reduced else SIDES:
-            counts.update(signatures_of_tables(_tables_for_alpha(f, alpha, side), k))
+            counts.update(_general_signatures(f, alpha, side))
         return counts
     sigs = _quadratic_signatures(f, alpha)
     counts = Counter(sigs)
@@ -368,19 +532,9 @@ def _iter_apn_trims(f: VBF) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSign
     """APN trims in ascending (alpha, side, beta) order, with signatures;
     for deg(F) <= 2, affine-side trims that repeat the signature of their
     linear twin are skipped."""
-    n = f.n
-    for alpha in range(1, 1 << n):
-        if f.degree <= 2:
-            yield from _quadratic_apn_trims(f, alpha)
-            continue
-        for side in SIDES:
-            tabs = _tables_for_alpha(f, alpha, side)
-            sigs = signatures_of_tables(tabs, n - 1, only_apn=True)
-            for beta0, sig in enumerate(sigs):
-                if sig is None:
-                    continue
-                d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
-                yield d, VBF(n - 1, n - 1, tabs[beta0]), sig
+    kernel = _quadratic_apn_trims if f.degree <= 2 else _general_apn_trims
+    for alpha in range(1, 1 << f.n):
+        yield from kernel(f, alpha)
 
 
 def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:

@@ -11,7 +11,6 @@ use exact integer arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -162,10 +161,6 @@ def anf_and_degree(f: VBF) -> tuple[ANF, int]:
     nz = np.nonzero(coeffs)[0]
     deg = int(weights[nz].max()) if nz.size else 0
     return ANF(f.n, f.m, tuple(int(c) for c in coeffs)), deg
-
-
-def algebraic_degree(f: VBF) -> int:
-    return f.degree
 
 
 def vbf_from_anf(n: int, m: int, coeffs: Sequence[int]) -> VBF:
@@ -427,12 +422,3 @@ def random_ea_transform(f: VBF, rng, with_affine_part: bool = True) -> VBF:
     C = gf2.random_matrix(f.m, f.n, rng) if with_affine_part else None
     c = rng.getrandbits(f.m) if with_affine_part else 0
     return affine_transform(f, B, b, A, a, C, c)
-
-
-def components(f: VBF, beta: int) -> np.ndarray:
-    """Truth table of the component x -> <beta, F(x)> as a 0/1 array."""
-    return _PAR16[np.uint16(beta) & f.table]
-
-
-def spectrum_counter(pairs: tuple[tuple[int, int], ...]) -> Counter:
-    return Counter(dict(pairs))

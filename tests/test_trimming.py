@@ -8,9 +8,10 @@ from apnkit import catalog, gf2, trimming, vbf
 from apnkit.gf2 import inner_product
 from apnkit.ortho import invariant_signature, signatures_of_tables
 from apnkit.trimming import (
-    SIDES, Hyperplane, TrimDescriptor, _quadratic_signatures, _tables_for_alpha,
-    apn_trims, descriptor_count, hyperplane_basis, project, recursive_witness,
-    trim, trim_spectrum, trimming_graph,
+    SIDES, Hyperplane, TrimDescriptor, _general_signatures,
+    _quadratic_signatures, _tables_for_alpha, apn_trims, descriptor_count,
+    hyperplane_basis, project, recursive_witness, trim, trim_spectrum,
+    trimming_graph,
 )
 from apnkit.vbf import (
     VBF, is_apn, random_ea_transform, random_function, random_quadratic,
@@ -264,6 +265,29 @@ def _table_signatures(f, alpha, side):
     return signatures_of_tables(_tables_for_alpha(f, alpha, side), f.n - 1)
 
 
+def _table_spectra(f):
+    """Trim spectrum counts per side, every trim classified by table."""
+    want = {side: Counter() for side in SIDES}
+    for alpha in range(1, 1 << f.n):
+        for side in SIDES:
+            want[side].update(_table_signatures(f, alpha, side))
+    return want
+
+
+def _iter_apn_trims_by_table(f):
+    """Every trim built and classified by table, in (alpha, side, beta)
+    order; the reference for trimming._iter_apn_trims."""
+    n = f.n
+    for alpha in range(1, 1 << n):
+        for side in SIDES:
+            tabs = _tables_for_alpha(f, alpha, side)
+            sigs = signatures_of_tables(tabs, n - 1, only_apn=True)
+            for beta0, sig in enumerate(sigs):
+                if sig is not None:
+                    d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
+                    yield d, VBF(n - 1, n - 1, tabs[beta0]), sig
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_quadratic_kernel_matches_tables_per_hyperplane(n):
     rng = random.Random(100 + n)
@@ -330,10 +354,7 @@ def _assert_table_work(seen, counts):
 def test_quadratic_trim_spectrum_matches_tables(name, by_table):
     f = _quadratic_input(name)
     assert f.degree <= 2
-    want = {side: Counter() for side in SIDES}
-    for alpha in range(1, 1 << f.n):
-        for side in SIDES:
-            want[side].update(_table_signatures(f, alpha, side))
+    want = _table_spectra(f)
     full = want["linear"] + want["affine"]
     by_table.clear()
     assert trim_spectrum(f).counts == dict(full)
@@ -352,8 +373,7 @@ def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatc
     apn = is_apn(f)
     fast_chain = recursive_witness(f) if apn else None
     with monkeypatch.context() as m:
-        # every function now takes the table path, as for degree > 2
-        m.setattr(VBF, "degree", property(lambda self: 3))
+        m.setattr(trimming, "_iter_apn_trims", _iter_apn_trims_by_table)
         slow = apn_trims(f)
         slow_chain = recursive_witness(f) if apn else None
     assert fast == slow
@@ -383,3 +403,113 @@ def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
 def test_trim_spectrum_needs_square_functions():
     with pytest.raises(ValueError):
         trim_spectrum(random_function(4, 3, random.Random(12)))
+
+
+# ---------------------------------------------------------------------------
+# functions of any degree: restricted-DDT, Walsh-matrix and ANF kernel against
+# the table path
+# ---------------------------------------------------------------------------
+
+def _field_power(n, e):
+    return VBF.from_univariate(gf2.default_field(n), [(1, e)])
+
+
+def _gold5_plus_cubic():
+    # degree 3, 82 APN trims of degree 2 (ortho spectra by table), 2 APN
+    # trim classes
+    x = np.arange(32)
+    return VBF(5, 5, catalog.gold(5).table ^ ((x & 7) == 7).astype(np.uint16))
+
+
+GENERAL_INPUTS = {
+    **{f"random_function({n}, {n})": (lambda n: lambda rng: random_function(n, n, rng))(n)
+       for n in range(3, 9)},
+    "x^126 copy": lambda rng: random_ea_transform(_field_power(7, 126), rng),
+    "x^7 over F_64": lambda rng: _field_power(6, 7),
+    "x^30 over F_32": lambda rng: _field_power(5, 30),
+    "gold5 + x0*x1*x2": lambda rng: _gold5_plus_cubic(),
+}
+SMALL_GENERAL_INPUTS = [name for name in GENERAL_INPUTS
+                        if GENERAL_INPUTS[name](random.Random(name)).n <= 6]
+
+
+def _general_input(name):
+    f = GENERAL_INPUTS[name](random.Random(name))
+    assert f.degree > 2
+    return f
+
+
+@pytest.mark.parametrize("name", GENERAL_INPUTS)
+def test_general_kernel_matches_tables_per_hyperplane(name):
+    f = _general_input(name)
+    rng = random.Random(name)
+    for _ in range(1 if f.n == 8 else 3):
+        alpha = rng.randrange(1, 1 << f.n)
+        for side in SIDES:
+            assert _general_signatures(f, alpha, side) == _table_signatures(f, alpha, side)
+
+
+@pytest.mark.parametrize("name", SMALL_GENERAL_INPUTS)
+def test_general_trim_spectrum_matches_tables(name, by_table):
+    f = _general_input(name)
+    want = _table_spectra(f)
+    full = want["linear"] + want["affine"]
+    by_table.clear()
+    assert trim_spectrum(f).counts == dict(full)
+    # only APN trims of degree 2 are built, each with one ortho-derivative
+    apn2 = sum(c for s, c in full.items() if s.apn and s.degree == 2)
+    assert by_table["trims"] <= apn2
+    assert by_table["ddt"] <= 2 * apn2
+    alphas = range(1, 1 << f.n)
+    chunks = Counter()
+    for part in (alphas[::2], alphas[1::2]):
+        chunks.update(dict(trimming.spectrum_chunk(f.table.tolist(), f.n, part)))
+    assert chunks == full
+
+
+@pytest.mark.parametrize("name", SMALL_GENERAL_INPUTS)
+def test_general_apn_trims_and_witness_match_tables(name, by_table, monkeypatch):
+    f = _general_input(name)
+    apn = sum(c for s, c in trim_spectrum(f).counts.items() if s.apn)
+    by_table.clear()
+    fast = apn_trims(f)
+    assert by_table["trims"] <= apn
+    fast_chain = recursive_witness(f) if is_apn(f) else None
+    with monkeypatch.context() as m:
+        m.setattr(trimming, "_iter_apn_trims", _iter_apn_trims_by_table)
+        slow = apn_trims(f)
+        slow_chain = recursive_witness(f) if is_apn(f) else None
+    assert fast == slow
+    assert fast_chain == slow_chain
+
+
+def test_general_kernel_chunked_path(monkeypatch):
+    inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
+              _gold5_plus_cubic()]
+    want = [[_general_signatures(f, alpha, side) for alpha in (1, 6, 29)
+             for side in SIDES] for f in inputs]
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 200)
+    got = [[_general_signatures(f, alpha, side) for alpha in (1, 6, 29)
+            for side in SIDES] for f in inputs]
+    assert got == want
+
+
+def test_general_kernel_disagreement_is_an_internal_error(monkeypatch):
+    f = _gold5_plus_cubic()
+    walsh_counts = trimming._trim_walsh_counts
+
+    def reversed_walsh(v, n):
+        vals, counts = walsh_counts(v, n)
+        return vals, counts[:, ::-1]
+
+    monkeypatch.setattr(trimming, "_trim_walsh_counts", reversed_walsh)
+    with pytest.raises(RuntimeError):
+        trim_spectrum(f)
+    monkeypatch.undo()
+
+    def all_apn(v, n):
+        return np.array([0, 2]), np.ones(((1 << n) - 1, 2), dtype=np.int64)
+
+    monkeypatch.setattr(trimming, "_trim_ddt_counts", all_apn)
+    with pytest.raises(RuntimeError):
+        apn_trims(f)
