@@ -22,7 +22,7 @@ import numpy as np
 from . import gf2
 from .gf2 import AffineSolutionSpace, GF2Matrix, inner_product
 from .ortho import ortho_derivative
-from .vbf import _PAR16, VBF, is_apn, linearity, walsh
+from .vbf import _PAR16, VBF, _fwht, _row_chunks, is_apn, linearity, walsh
 
 __all__ = [
     "ExtensionSpec", "GammaSpace", "build_extension", "zero_ext_apn_test",
@@ -159,6 +159,19 @@ def gamma_space(g: VBF, ell: int) -> GammaSpace:
     if ell == 0 or ell >> n:
         raise ValueError("ell must be a nonzero linear form on n bits")
     _require_quadratic_apn(g, "gamma_space")
+    return _gamma_space(g, ell, _derivative_words(g))
+
+
+def _derivative_words(g: VBF) -> tuple[int, ...]:
+    """The matrices of B_{e_k}, k < n, as n^2-bit words."""
+    return tuple(vec_from_matrix(derivative_matrix(g, 1 << k))
+                 for k in range(g.n))
+
+
+def _gamma_space(g: VBF, ell: int, derivative_words: tuple[int, ...]) -> GammaSpace:
+    """gamma_space for a quadratic APN g with n >= 3 and a nonzero n-bit
+    ell, which the caller has checked."""
+    n = g.n
     pi = ortho_derivative(g).table
     rows = []
     for a in range(1, 1 << n):
@@ -172,9 +185,7 @@ def gamma_space(g: VBF, ell: int) -> GammaSpace:
             rows.append(row)
     mat = GF2Matrix(len(rows), n * n, tuple(rows))
     space = gf2.solve_affine(mat, (1 << len(rows)) - 1)
-    j_basis = tuple(vec_from_matrix(derivative_matrix(g, 1 << k))
-                    for k in range(n))
-    j_basis += tuple(ell << (k * n) for k in range(n))
+    j_basis = derivative_words + tuple(ell << (k * n) for k in range(n))
     return GammaSpace(n, g, ell, space, j_basis)
 
 
@@ -236,10 +247,13 @@ def zero_extensions(g: VBF) -> list[tuple[VBF, "InvariantSignature"]]:
 
     _require_quadratic_apn(g, "zero_extensions")
     n = g.n
+    if n < 3:
+        raise ValueError("Gamma machinery requires n >= 3")
+    words = _derivative_words(g)
     out: list[tuple[VBF, "InvariantSignature"]] = []
     seen = set()
     for gamma in range(1, 1 << n):
-        gs = gamma_space(g, gamma)
+        gs = _gamma_space(g, gamma, words)
         if gs.empty:
             continue
         for lin in gamma_representatives(gs):
@@ -356,66 +370,85 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _level_chunks(k: int, n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """What the APN test of level k needs besides the outputs, per chunk of
+    differences w: the partner p + w of every point p, each pair's
+    bincount offset (its row, and whether it carries c once), and the
+    first row whose B_w can be nonempty. The differences inside the
+    assigned span without y come first: they never carry c."""
+    values = 2 << n
+    h = 2 << k
+    points = np.arange(2 * h, dtype=np.int32)
+    carries = (points >= h) & (points & 1 == 1)
+    ws = np.concatenate([points[2:h:2], points[1:h:2], points[h:]])
+    chunks = []
+    for lo, hi in _row_chunks(0, ws.size, 2 * values):
+        part = ws[lo:hi, None] ^ points
+        row = np.arange(hi - lo, dtype=np.int32)[:, None]
+        offset = (2 * row + (carries[part] ^ carries)) * values
+        chunks.append((part, offset, max(h // 2 - 1 - lo, 0)))
+    return chunks
+
+
+def _passing_candidates(free: np.ndarray, values: int,
+                        chunks: list[tuple[np.ndarray, np.ndarray, int]]) -> np.ndarray:
+    """Which of the 2^(n+1) = values images c of e_k keep the extension APN
+    on the span of e_0 .. e_k and y, as a bool vector indexed by c.
+
+    Points are p = 2x + y, so the assigned span is p < h = 2^(k+1) and the
+    new coset is h <= p < 2h. free[p] is the output at p for c = 0; c adds
+    itself to the outputs at the odd points of the new coset. For a
+    difference w, the values of the pairs {p, p + w} split into F_w (no c,
+    or c twice) and B_w (c once); c passes iff F_w and B_w have no repeat
+    and no f in F_w, b in B_w has f + b = c. The number of such (f, b) over
+    all w is an XOR correlation, counted for every c at once by
+    Walsh-Hadamard transforms; every pair is seen from both ends, so the
+    counts are doubled, and every sum is at most 2^(4n+2).
+    """
+    acc = np.zeros(values, dtype=np.int64)
+    for part, offset, first in chunks:
+        keys = offset + (np.take(free, part) ^ free)
+        counts = np.bincount(keys.ravel(), minlength=len(part) * 2 * values)
+        counts = counts.reshape(-1, 2, values)
+        if counts.max() > 2:
+            # a value repeats in some F_w or B_w, whatever c is
+            return np.zeros(values, dtype=bool)
+        if first < len(part):
+            spec = _fwht(counts[first:])
+            acc += (spec[:, 0] * spec[:, 1]).sum(axis=0)
+    return _fwht(acc) == 0
+
+
 def _search_one_r(g_tab: list[int], n: int, r_tab: list[int], budget: int,
                   mask: int, fixed_ell: Optional[int],
                   find_all: bool, sink: list) -> tuple[Optional[tuple], int, list[int]]:
     """Depth-first construction of (L, l) by basis images; returns
-    (first solution or None, nodes used, assignment at stop)."""
+    (first solution or None, nodes used, assignment at stop).
+
+    Level k tries the images c = t ^ mask of e_k for t = 0, 1, ..., one node
+    each (skipping those whose l-bit differs from fixed_ell's), and descends
+    into those that keep the extension APN on the span assigned so far."""
     size = 1 << n
-    ymask = 1 << n
-    out0 = [g_tab[x] | (r_tab[x] << n) for x in range(size)]
-    val = [0] * size
-    out = [0] * (size << 1)
-    out[0] = out0[0]
-    out[ymask] = out0[0]
-    points = [x | yh for x in range(size) for yh in (0, ymask)]
-    sets: dict[int, set] = {ymask: {0}}
+    values = size << 1
+    out0 = np.array(g_tab, dtype=np.int32) | (np.array(r_tab, dtype=np.int32) << n)
+    # T at the points p = 2x + y, filled one level at a time
+    o = np.zeros(values, dtype=np.int32)
+    o[:2] = out0[0]
+    steps = [np.repeat(out0[: 1 << k] ^ out0[1 << k: 2 << k], 2) for k in range(n)]
+    order = np.arange(values) ^ mask
+    orders = {None: order}
+    for bit in (0, 1):
+        orders[bit] = order[(order >> n) & 1 == bit]
+    levels: dict[int, list] = {}
     imgs: list[int] = []
     nodes = 0
-    n_candidates = 1 << (n + 1)
 
-    def try_extend(k: int, cand: int):
-        half = 1 << k
-        for x in range(half, half << 1):
-            v = val[x ^ half] ^ cand
-            val[x] = v
-            o = out0[x]
-            out[x] = o
-            out[x | ymask] = o ^ v
-        trail = []
-        created = []
-        newz = points[half << 1: half << 2]
-        for w, s in list(sets.items()):
-            add = s.add
-            for z in newz:
-                z2 = z ^ w
-                if z2 < z:
-                    continue
-                v = out[z] ^ out[z2]
-                if v in s:
-                    return False, trail, created
-                add(v)
-                trail.append((s, v))
-        oldz = points[: half << 1]
-        for alpha in range(half, half << 1):
-            for ah in (0, ymask):
-                w = alpha | ah
-                s = set()
-                add = s.add
-                for z in oldz:
-                    v = out[z] ^ out[z ^ w]
-                    if v in s:
-                        return False, trail, created
-                    add(v)
-                sets[w] = s
-                created.append(w)
-        return True, trail, created
-
-    def rollback(trail, created):
-        for s, v in trail:
-            s.discard(v)
-        for w in created:
-            del sets[w]
+    def take(count: int) -> None:
+        nonlocal nodes
+        if nodes + count > budget:
+            nodes = budget
+            raise _BudgetExhausted
+        nodes += count
 
     def leaf() -> tuple:
         cols = [c & (size - 1) for c in imgs]
@@ -425,29 +458,32 @@ def _search_one_r(g_tab: list[int], n: int, r_tab: list[int], budget: int,
         return GF2Matrix.from_columns(cols, n), ell
 
     def dfs(k: int) -> Optional[tuple]:
-        nonlocal nodes
-        if k == n:
-            sol = leaf()
-            if find_all:
+        h = 2 << k
+        cands = orders[None if fixed_ell is None else (fixed_ell >> k) & 1]
+        if k not in levels:
+            levels[k] = _level_chunks(k, n)
+        o[h: 2 * h] = o[:h] ^ steps[k]
+        passes = _passing_candidates(o[: 2 * h], values, levels[k])[cands]
+        done = 0
+        for i in np.flatnonzero(passes).tolist():
+            # a node for cand and for each failing candidate before it
+            take(i + 1 - done)
+            done = i + 1
+            cand = int(cands[i])
+            imgs.append(cand)
+            if k + 1 == n:
+                sol = leaf()
+                if not find_all:
+                    return sol
                 sink.append(sol)
-                return None
-            return sol
-        want = None if fixed_ell is None else (fixed_ell >> k) & 1
-        for t in range(n_candidates):
-            cand = t ^ mask
-            if want is not None and ((cand >> n) & 1) != want:
-                continue
-            if nodes >= budget:
-                raise _BudgetExhausted
-            nodes += 1
-            ok, trail, created = try_extend(k, cand)
-            if ok:
-                imgs.append(cand)
+            else:
+                o[h: 2 * h] = o[:h] ^ steps[k]
+                o[h + 1: 2 * h: 2] ^= cand
                 found = dfs(k + 1)
                 if found is not None:
                     return found
-                imgs.pop()
-            rollback(trail, created)
+            imgs.pop()
+        take(len(cands) - done)
         return None
 
     try:
@@ -469,9 +505,9 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
     """Search for an (n+1)-bit quadratic APN extension of g.
 
     Guesses r (homogeneous quadratic modulo g's coordinates) unless one is
-    given, then assigns the images (L, l)(e_k) depth-first, maintaining
-    the set of output differences for every difference vector inside the
-    assigned span and backtracking on any repeat. Aborting at the node
+    given, then assigns the images (L, l)(e_k) depth-first, descending only
+    into images under which no difference vector inside the assigned span
+    repeats an output difference. Aborting at the node
     budget returns None. With ``find_all`` the full list of (L, ell)
     assignments for the (then mandatory) fixed r is returned instead.
     """

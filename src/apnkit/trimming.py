@@ -19,8 +19,7 @@ import numpy as np
 from .gf2 import inner_product, lowest_set_bit
 from .ortho import (InvariantSignature, Spectrum, invariant_signature,
                     signatures_of_tables)
-from . import vbf as vbf_mod
-from .vbf import _POP16, _PAR16, VBF, _fwht, _mobius, _xor_index, is_apn
+from .vbf import _POP16, _PAR16, VBF, _fwht, _mobius, _row_chunks, _xor_index, is_apn
 
 SIDES = ("linear", "affine")
 
@@ -332,14 +331,6 @@ def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, V
 #   - T is APN iff no DDT value exceeds 2.
 # Only APN trims of degree 2 are built as tables, for their ortho spectra.
 
-def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int, int]]:
-    """Row ranges covering start .. stop - 1 that keep a temporary of
-    cells_per_row cells per row under vbf._BATCH_CELL_LIMIT."""
-    step = max(1, vbf_mod._BATCH_CELL_LIMIT // cells_per_row)
-    for lo in range(start, stop, step):
-        yield lo, min(lo + step, stop)
-
-
 def _restricted_ddt(v: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
     """delta[a, c] for a = lo .. hi - 1, as a (hi - lo, 2^n) matrix."""
     a = np.arange(lo, hi, dtype=np.uint32)
@@ -486,17 +477,27 @@ def check_trimmable(f: VBF, quadratic_reduced: bool = False) -> None:
         raise ValueError("quadratic-reduced trim spectrum needs degree <= 2")
 
 
+def _count_signatures(sigs: Sequence[InvariantSignature]) -> Counter:
+    """Counter(sigs), hashing each distinct object once: the kernels repeat
+    one memoized object per distinct signature, and a signature's hash
+    walks its nested spectra every time."""
+    objs = {id(s): s for s in sigs}
+    counts: Counter = Counter()
+    for i, c in Counter(map(id, sigs)).items():
+        counts[objs[i]] += c
+    return counts
+
+
 def _hyperplane_counts(f: VBF, alpha: int, quadratic_reduced: bool) -> Counter:
     """Signature counts of the trims on alpha-orthogonal and, unless
     quadratic_reduced, on its complement."""
     k = f.n - 1
     if f.degree > 2:
-        counts: Counter = Counter()
-        for side in ("linear",) if quadratic_reduced else SIDES:
-            counts.update(_general_signatures(f, alpha, side))
-        return counts
+        sides = ("linear",) if quadratic_reduced else SIDES
+        return _count_signatures([s for side in sides
+                                  for s in _general_signatures(f, alpha, side)])
     sigs = _quadratic_signatures(f, alpha)
-    counts = Counter(sigs)
+    counts = _count_signatures(sigs)
     if not quadratic_reduced:
         # affine twins of degree-2 trims repeat their signatures
         for sig in counts:

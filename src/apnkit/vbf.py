@@ -207,6 +207,14 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int, int]]:
+    """Row ranges covering start .. stop - 1 that keep a temporary of
+    cells_per_row cells per row under _BATCH_CELL_LIMIT."""
+    step = max(1, _BATCH_CELL_LIMIT // cells_per_row)
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
 def _walsh_matrix(tab: np.ndarray, n: int, m: int) -> np.ndarray:
     """All 2^m Walsh rows of one table, as an int32 matrix."""
     betas = np.arange(1 << m, dtype=np.uint16)

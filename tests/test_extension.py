@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from apnkit import catalog, gf2
+from apnkit import catalog, extension, gf2, vbf
 from apnkit.extension import (
     ExtensionSpec, build_extension, canonical_form_check, derivative_matrix,
     gamma_representatives, gamma_space, matrix_from_vec,
@@ -13,7 +13,8 @@ from apnkit.extension import (
 from apnkit.gf2 import GF2Matrix, default_field, inner_product, rank
 from apnkit.ortho import invariant_signature, ortho_derivative
 from apnkit.trimming import apn_trims
-from apnkit.vbf import VBF, anf_and_degree, is_apn, linearity, random_quadratic
+from apnkit.vbf import (VBF, anf_and_degree, is_apn, linearity, random_ea_transform,
+                        random_quadratic)
 
 
 def _l16_matrix():
@@ -232,7 +233,7 @@ def test_sample_quadratic_r_properties():
 def test_search_enumerates_exactly_gamma_for_zero_r():
     # exhaustive cross-validation of the APN criterion at n = 5: with r = 0
     # and the form fixed, the backtracking search must enumerate Gamma
-    # exactly (takes a few million nodes, about two minutes)
+    # exactly (4,660,256 nodes in 145,633 level tests, about 13 s)
     g = catalog.gold(5)
     tr = gf2.trace_form(default_field(5))
     gs = gamma_space(g, tr)
@@ -309,3 +310,222 @@ def test_search_requires_quadratic_apn():
         r_extension_search(VBF.identity(5))
     with pytest.raises(ValueError):
         r_extension_search(catalog.gold(5), find_all=True)
+
+
+# ---------------------------------------------------------------------------
+# the level-wise DFS against the point-by-point set search it replaced
+# ---------------------------------------------------------------------------
+
+class _Exhausted(Exception):
+    pass
+
+
+def _search_one_r_by_sets(g_tab, n, r_tab, budget, mask, fixed_ell, find_all, sink):
+    """Reference DFS: one Python set of output differences per difference
+    vector, extended and checked one point at a time."""
+    size = 1 << n
+    ymask = 1 << n
+    out0 = [g_tab[x] | (r_tab[x] << n) for x in range(size)]
+    val = [0] * size
+    out = [0] * (size << 1)
+    out[0] = out0[0]
+    out[ymask] = out0[0]
+    points = [x | yh for x in range(size) for yh in (0, ymask)]
+    sets = {ymask: {0}}
+    imgs = []
+    nodes = 0
+    n_candidates = 1 << (n + 1)
+
+    def try_extend(k, cand):
+        half = 1 << k
+        for x in range(half, half << 1):
+            v = val[x ^ half] ^ cand
+            val[x] = v
+            o = out0[x]
+            out[x] = o
+            out[x | ymask] = o ^ v
+        trail = []
+        created = []
+        newz = points[half << 1: half << 2]
+        for w, s in list(sets.items()):
+            for z in newz:
+                z2 = z ^ w
+                if z2 < z:
+                    continue
+                v = out[z] ^ out[z2]
+                if v in s:
+                    return False, trail, created
+                s.add(v)
+                trail.append((s, v))
+        oldz = points[: half << 1]
+        for alpha in range(half, half << 1):
+            for ah in (0, ymask):
+                w = alpha | ah
+                s = set()
+                for z in oldz:
+                    v = out[z] ^ out[z ^ w]
+                    if v in s:
+                        return False, trail, created
+                    s.add(v)
+                sets[w] = s
+                created.append(w)
+        return True, trail, created
+
+    def rollback(trail, created):
+        for s, v in trail:
+            s.discard(v)
+        for w in created:
+            del sets[w]
+
+    def leaf():
+        cols = [c & (size - 1) for c in imgs]
+        ell = 0
+        for j, c in enumerate(imgs):
+            ell |= ((c >> n) & 1) << j
+        return GF2Matrix.from_columns(cols, n), ell
+
+    def dfs(k):
+        nonlocal nodes
+        if k == n:
+            sol = leaf()
+            if find_all:
+                sink.append(sol)
+                return None
+            return sol
+        want = None if fixed_ell is None else (fixed_ell >> k) & 1
+        for t in range(n_candidates):
+            cand = t ^ mask
+            if want is not None and ((cand >> n) & 1) != want:
+                continue
+            if nodes >= budget:
+                raise _Exhausted
+            nodes += 1
+            ok, trail, created = try_extend(k, cand)
+            if ok:
+                imgs.append(cand)
+                found = dfs(k + 1)
+                if found is not None:
+                    return found
+                imgs.pop()
+            rollback(trail, created)
+        return None
+
+    try:
+        found = dfs(0)
+    except _Exhausted:
+        return None, nodes, list(imgs)
+    return found, nodes, list(imgs)
+
+
+_DFS_INPUTS = ["gold3", "gold4", "gold5", "gold6", "gold7", "G1", "G1-ea"]
+
+
+def _dfs_input(name):
+    if name == "G1-ea":
+        return random_ea_transform(catalog.fixture("G1"), random.Random(7))
+    return catalog.fixture(name)
+
+
+def _dfs_cases(g, seeds):
+    """(g, r, mask, fixed_ell) for sampled r and masks, each with and
+    without a fixed l."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        r = sample_quadratic_r(g, rng)
+        mask = rng.getrandbits(g.n + 1)
+        for fixed_ell in (None, 5):
+            yield g, r, mask, fixed_ell
+
+
+def _dfs_outcome(search, g, r, mask, fixed_ell, budget, find_all=False):
+    sink = []
+    found, nodes, partial = search([int(v) for v in g.table], g.n,
+                                   [int(v) for v in r.table], budget, mask,
+                                   fixed_ell, find_all, sink)
+    found = None if found is None else (found[0].rows, found[1])
+    return found, nodes, partial, [(lin.rows, ell) for lin, ell in sink]
+
+
+@pytest.mark.parametrize("name", _DFS_INPUTS)
+def test_dfs_matches_set_search(name):
+    for case in _dfs_cases(_dfs_input(name), range(3)):
+        for budget in (1_500, 37):
+            fast = _dfs_outcome(extension._search_one_r, *case, budget)
+            slow = _dfs_outcome(_search_one_r_by_sets, *case, budget)
+            assert fast == slow, (name, case[2:], budget)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dfs_find_all_matches_set_search(n):
+    for case in _dfs_cases(catalog.gold(n), range(2)):
+        fast = _dfs_outcome(extension._search_one_r, *case, 20_000, find_all=True)
+        slow = _dfs_outcome(_search_one_r_by_sets, *case, 20_000, find_all=True)
+        assert fast == slow, (n, case[2:])
+
+
+def _whole_searches(tmp_path, tag):
+    """Output, stats and checkpoint lines of whole r_extension_search runs."""
+    g1, g5, g3 = catalog.fixture("G1"), catalog.gold(5), catalog.gold(3)
+    runs = [(g5, dict(rng=random.Random(s))) for s in (3, 14)]
+    runs += [(g1, dict(rng=random.Random(s), budget=1_000)) for s in (0, 3)]
+    runs += [(g5, dict(rng=random.Random(4), budget=20_000, fixed_ell=9)),
+             (g3, dict(r=sample_quadratic_r(g3, random.Random(1)), find_all=True))]
+    outs = []
+    for i, (g, kw) in enumerate(runs):
+        path = tmp_path / f"{tag}{i}.jsonl"
+        stats = {}
+        out = r_extension_search(g, checkpoint_path=str(path), stats=stats, **kw)
+        if isinstance(out, list):
+            out = [(lin.rows, ell) for lin, ell in out]
+        elif out is not None:
+            out = out.table.tolist()
+        outs.append((out, stats, path.read_text().splitlines()))
+    return outs
+
+
+def test_r_extension_search_matches_set_search(tmp_path, monkeypatch):
+    fast = _whole_searches(tmp_path, "fast")
+    monkeypatch.setattr(extension, "_search_one_r", _search_one_r_by_sets)
+    assert fast == _whole_searches(tmp_path, "slow")
+    assert any(out is not None for out, _, _ in fast)
+
+
+def test_dfs_chunked_path(monkeypatch):
+    # a few differences w per chunk instead of the whole level at once
+    cases = [c for name in ("gold3", "gold4", "gold5", "G1")
+             for c in _dfs_cases(_dfs_input(name), range(2))]
+    whole = [_dfs_outcome(extension._search_one_r, *c, 400, find_all=c[0].n <= 4)
+             for c in cases]
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 100)
+    assert [_dfs_outcome(extension._search_one_r, *c, 400, find_all=c[0].n <= 4)
+            for c in cases] == whole
+    assert any(sols for _, _, _, sols in whole)
+
+
+def _zero_extensions_by_public_gamma_space(g):
+    """zero_extensions through the checked gamma_space, one gamma at a time."""
+    out, seen = [], set()
+    for gamma in range(1, 1 << g.n):
+        gs = gamma_space(g, gamma)
+        if gs.empty:
+            continue
+        for lin in gamma_representatives(gs):
+            t = build_extension(g, None, lin, gamma)
+            sig = invariant_signature(t)
+            if sig not in seen:
+                seen.add(sig)
+                out.append((t, sig))
+    return out
+
+
+@pytest.mark.parametrize("name", ["gold5", "G1", "G2", "G3", "G4"])
+def test_zero_extensions_checks_g_once(name, monkeypatch):
+    g = catalog.fixture(name)
+    want = _zero_extensions_by_public_gamma_space(g)
+    checked = []
+    real = extension.is_apn
+    monkeypatch.setattr(extension, "is_apn", lambda f: checked.append(f.n) or real(f))
+    got = zero_extensions(g)
+    assert [(t.table.tolist(), sig) for t, sig in got] == \
+        [(t.table.tolist(), sig) for t, sig in want]
+    assert checked.count(g.n) == 1
