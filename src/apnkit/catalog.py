@@ -64,11 +64,19 @@ class ParseError(ValueError):
     pass
 
 
+# decimal fields have at most 9 digits, so int() always converts them
 _HEADER = re.compile(
-    r"^\s*(lut|uni)\s+(?:id=(\S+)\s+)?n=(\d+)\s+(?:m=(\d+)\s*|mod=(0x[0-9a-fA-F]+)\s*):\s*(.*)$",
+    r"^\s*(lut|uni)\s+(?:id=(\S+)\s+)?n=(\d{1,9})\s+(?:m=(\d{1,9})\s*|mod=(0x[0-9a-fA-F]+)\s*):\s*(.*)$",
     re.DOTALL,
 )
-_TERM = re.compile(r"^\((0x02\^(\d+)|g\^(\d+)|0x[0-9a-fA-F]+),(\d+)\)$")
+_TERM = re.compile(r"^\((0x02\^(\d{1,9})|g\^(\d{1,9})|0x[0-9a-fA-F]+),(\d{1,9})\)$")
+
+
+def _dimension(digits: str, name: str) -> int:
+    value = int(digits)
+    if not 1 <= value <= gf2.MAX_WIDTH:
+        raise ParseError(f"{name}={digits} outside [1, {gf2.MAX_WIDTH}]")
+    return value
 
 
 def parse_function(text: str) -> FunctionRecord:
@@ -77,11 +85,11 @@ def parse_function(text: str) -> FunctionRecord:
     if not m:
         raise ParseError("expected 'lut|uni [id=..] n=.. m=..|mod=..: ...'")
     source, fid, n_str, m_str, mod_str, body = m.groups()
-    n = int(n_str)
+    n = _dimension(n_str, "n")
     if source == "lut":
         if m_str is None:
             raise ParseError("lut header needs m=<bits>")
-        out_m = int(m_str)
+        out_m = _dimension(m_str, "m")
         tokens = body.split()
         if len(tokens) != 1 << n:
             raise ParseError(
@@ -104,7 +112,10 @@ def parse_function(text: str) -> FunctionRecord:
         raise ParseError(f"modulus {mod_str} does not have degree {n}")
     if not gf2.is_irreducible(modulus):
         raise ParseError(f"modulus {mod_str} is reducible")
-    spec = FieldSpec(n, modulus)
+    try:
+        spec = FieldSpec(n, modulus)
+    except ValueError as exc:
+        raise ParseError(f"modulus {mod_str}: {exc}") from None
     exp = gf2.exp_table(spec)
     terms = []
     for idx, tok in enumerate(body.split()):

@@ -198,7 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("input")
     rc.set_defaults(fn=cmd_recursive)
 
-    ze = sub.add_parser("zero-extend", help="classify 0-extensions")
+    ze = sub.add_parser(
+        "zero-extend", help="classify 0-extensions",
+        description="Classify the maximum-linearity APN 0-extensions of a "
+        "quadratic APN function. found= counts distinct invariant signatures, "
+        "with one extension printed for each; as different EA-classes can "
+        "share a signature, it is a lower bound on the number of EA-classes.")
     ze.add_argument("input")
     ze.add_argument("--output", "-o")
     ze.set_defaults(fn=cmd_zero_extend)

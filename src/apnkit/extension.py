@@ -159,7 +159,7 @@ def gamma_space(g: VBF, ell: int) -> GammaSpace:
     if ell == 0 or ell >> n:
         raise ValueError("ell must be a nonzero linear form on n bits")
     _require_quadratic_apn(g, "gamma_space")
-    return _gamma_space(g, ell, _derivative_words(g))
+    return next(_gamma_spaces(g, range(ell, ell + 1)))
 
 
 def _derivative_words(g: VBF) -> tuple[int, ...]:
@@ -168,25 +168,34 @@ def _derivative_words(g: VBF) -> tuple[int, ...]:
                  for k in range(g.n))
 
 
-def _gamma_space(g: VBF, ell: int, derivative_words: tuple[int, ...]) -> GammaSpace:
-    """gamma_space for a quadratic APN g with n >= 3 and a nonzero n-bit
-    ell, which the caller has checked."""
+def _gamma_spaces(g: VBF, forms: range) -> Iterator[GammaSpace]:
+    """gamma_space for each of the given forms, which the caller has
+    checked along with g (quadratic APN, n >= 3).
+
+    The equation <pi_G(a), L(a)> = 1 of every nonzero a has the bits
+    pi_G(a)_i a_j at i*n + j and the right-hand side at n^2; it is built
+    once, and the system of a form takes the equations of its nonzero
+    kernel. The systems of a chunk of forms are solved in one batched
+    elimination.
+    """
     n = g.n
-    pi = ortho_derivative(g).table
-    rows = []
-    for a in range(1, 1 << n):
-        if inner_product(ell, a) == 0:
-            p = int(pi[a])
-            row = 0
-            while p:
-                low = p & -p
-                row |= a << ((low.bit_length() - 1) * n)
-                p ^= low
-            rows.append(row)
-    mat = GF2Matrix(len(rows), n * n, tuple(rows))
-    space = gf2.solve_affine(mat, (1 << len(rows)) - 1)
-    j_basis = derivative_words + tuple(ell << (k * n) for k in range(n))
-    return GammaSpace(n, g, ell, space, j_basis)
+    nn = n * n
+    points = np.arange(1, 1 << n)
+    pi = ortho_derivative(g).table[1:]
+    shifts = np.arange(n)
+    bits = np.ones((points.size, nn + 1), dtype=bool)
+    bits[:, :nn] = (((pi[:, None] >> shifts) & 1)[:, :, None]
+                    & ((points[:, None] >> shifts) & 1)[:, None, :]).reshape(-1, nn)
+    equations = gf2.pack_words(bits)
+    words = _derivative_words(g)
+    nrows = (1 << (n - 1)) - 1
+    for lo, hi in _row_chunks(forms.start, forms.stop, nrows * (nn + 1)):
+        ells = np.arange(lo, hi)
+        kernel = np.nonzero(_PAR16[ells[:, None] & points] == 0)[1]
+        spaces = gf2.solve_affine_batch(equations[kernel.reshape(-1, nrows)], nn)
+        for ell, space in zip(range(lo, hi), spaces):
+            j_basis = words + tuple(ell << (k * n) for k in range(n))
+            yield GammaSpace(n, g, ell, space, j_basis)
 
 
 def _echelon_insert(echelon: list[int], v: int) -> int:
@@ -241,23 +250,24 @@ def gamma_representatives(gs: GammaSpace) -> list[GF2Matrix]:
 
 
 def zero_extensions(g: VBF) -> list[tuple[VBF, "InvariantSignature"]]:
-    """All (n+1)-bit maximum-linearity APN extensions of g with r = 0,
-    one per invariant signature, over every choice of the form gamma."""
+    """All (n+1)-bit maximum-linearity APN extensions of g with r = 0
+    over every choice of the form gamma, one per invariant signature: the
+    first extension found with a signature is kept. Extensions of
+    different EA-classes can share a signature, so the number returned is
+    a lower bound on the number of EA-classes among them."""
     from .ortho import invariant_signature
 
     _require_quadratic_apn(g, "zero_extensions")
     n = g.n
     if n < 3:
         raise ValueError("Gamma machinery requires n >= 3")
-    words = _derivative_words(g)
     out: list[tuple[VBF, "InvariantSignature"]] = []
     seen = set()
-    for gamma in range(1, 1 << n):
-        gs = _gamma_space(g, gamma, words)
+    for gs in _gamma_spaces(g, range(1, 1 << n)):
         if gs.empty:
             continue
         for lin in gamma_representatives(gs):
-            t = build_extension(g, None, lin, gamma)
+            t = build_extension(g, None, lin, gs.ell)
             if t.degree > 2 or not is_apn(t) or linearity(t) != (1 << n):
                 raise RuntimeError(
                     "zero-extension output violates its invariants")

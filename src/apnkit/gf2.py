@@ -4,6 +4,8 @@ Bit vectors are plain Python ints: bit i holds coordinate x_i, so XOR is
 vector addition and ``(x & y).bit_count() & 1`` is the canonical inner
 product. Callers keep track of widths; routines that need one take it
 explicitly or read it from a context object (FieldSpec, GF2Matrix).
+Batches of linear systems are numpy arrays of uint64 words instead
+(``pack_words``), eliminated together by ``solve_affine_batch``.
 Widths are capped at 16 so every table of 2**n entries stays in memory.
 """
 
@@ -13,7 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 MAX_WIDTH = 16
+_WORD = (1 << 64) - 1
 
 
 def inner_product(x: int, y: int) -> int:
@@ -408,42 +413,91 @@ def solve_affine(mat: GF2Matrix, v: int) -> AffineSolutionSpace:
     """Full solution set of Mx = v over GF(2), or the empty space."""
     if v >> mat.nrows:
         raise ValueError("right-hand side exceeds row count")
-    aug_col = mat.ncols
-    rows = [mat.rows[i] | (((v >> i) & 1) << aug_col) for i in range(mat.nrows)]
-    pivots = []
-    r = 0
-    for col in range(mat.ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
+    nwords = mat.ncols // 64 + 1
+    aug = [mat.rows[i] | (((v >> i) & 1) << mat.ncols) for i in range(mat.nrows)]
+    words = [[(r >> (64 * k)) & _WORD for k in range(nwords)] for r in aug]
+    batch = np.array(words, dtype=np.uint64).reshape(1, mat.nrows, nwords)
+    return solve_affine_batch(batch, mat.ncols)[0]
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a bool array into uint64 words: bit j goes to
+    bit j % 64 of word j // 64."""
+    nbits = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-nbits // 64) * 64,), dtype=bool)
+    padded[..., :nbits] = bits
+    packed = np.packbits(padded, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _ints(bits: np.ndarray) -> list[int]:
+    """The rows of a 2-D bool array as ints, column j as bit j."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def solve_affine_batch(aug: np.ndarray, ncols: int) -> list[AffineSolutionSpace]:
+    """Solution sets of many systems M_s x = v_s over GF(2), solved at once.
+
+    ``aug`` has shape (systems, rows, words) with words = ncols // 64 + 1:
+    row i of system s holds row i of M_s in bits 0 .. ncols - 1 and
+    v_s[i] in bit ncols, packed as by ``pack_words``. Gauss-Jordan runs on
+    all systems together, one column at a time: each system takes as pivot
+    its first unused row with that bit and adds it to its other rows with
+    the bit. The reduced row echelon form is unique, so each space is the
+    one any Gauss-Jordan gives: the particular point has its free
+    variables 0 and the kernel basis is ordered by free column.
+    Temporaries hold O(systems * rows * (ncols + 1)) cells; callers split
+    large batches.
+    """
+    aug = np.array(aug, dtype=np.uint64)
+    nwords = ncols // 64 + 1
+    if aug.ndim != 3 or aug.shape[2] != nwords:
+        raise ValueError(f"expected (systems, rows, {nwords}) words")
+    top = ncols % 64 + 1
+    if top < 64 and (aug[:, :, -1] >> np.uint64(top)).any():
+        raise ValueError(f"row exceeds {ncols + 1} bits")
+    if aug.shape[1] == 0:
+        # no equations: one zero equation gives the same space
+        aug = np.zeros((aug.shape[0], 1, nwords), dtype=np.uint64)
+    nsys, nrows, _ = aug.shape
+    systems = np.arange(nsys)
+    unused = np.ones((nsys, nrows), dtype=bool)
+    pivot_row = np.full((nsys, ncols), -1)
+    for col in range(ncols):
+        has = ((aug[:, :, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
+        cand = has & unused
+        row = cand.argmax(axis=1)
+        found = cand[systems, row]
+        if not found.any():
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i]:
-            return AffineSolutionSpace(mat.ncols, None, ())
-    particular = 0
-    for i, p in enumerate(pivots):
-        particular |= ((rows[i] >> aug_col) & 1) << p
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(mat.ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for i, p in enumerate(pivots):
-            vec |= ((rows[i] >> free) & 1) << p
-        basis.append(vec)
-    return AffineSolutionSpace(mat.ncols, particular, tuple(basis))
+        # systems without a pivot here leave their rows alone
+        has &= found[:, None]
+        has[systems, row] = False
+        aug ^= np.where(has[:, :, None], aug[systems, row][:, None, :], np.uint64(0))
+        unused[systems[found], row[found]] = False
+        pivot_row[found, col] = row[found]
+    # an unused row is zero on the matrix columns; a 1 left in it is 0 = 1
+    empty = (unused & (aug != 0).any(axis=2)).any(axis=1)
+    out = [AffineSolutionSpace(ncols, None, ())] * nsys
+    solvable = np.flatnonzero(~empty)
+    if solvable.size == 0:
+        return out
+    piv = pivot_row[solvable]
+    rows = aug[solvable[:, None], np.maximum(piv, 0)]
+    cols = np.arange(ncols + 1)
+    bits = ((rows[:, :, cols >> 6] >> (cols & 63).astype(np.uint64))
+            & np.uint64(1)).astype(bool)
+    # bits[k, p, c]: bit c of the reduced row whose pivot is column p
+    bits &= (piv >= 0)[:, :, None]
+    particular = _ints(bits[:, :, ncols])
+    # free column f: e_f plus e_p for each pivot column p whose row has bit f
+    kernel = bits[:, :, :ncols].transpose(0, 2, 1) | np.eye(ncols, dtype=bool)
+    for k, s in enumerate(solvable.tolist()):
+        free = np.flatnonzero(piv[k] < 0)
+        out[s] = AffineSolutionSpace(ncols, particular[k],
+                                     tuple(_ints(kernel[k, free])))
+    return out
 
 
 def random_matrix(nrows: int, ncols: int, rng) -> GF2Matrix:

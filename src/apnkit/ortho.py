@@ -74,13 +74,14 @@ def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
         pi = np.zeros(1 << n, dtype=np.uint16)
         pi[1:] = ws[np.argmax(ok[1:], axis=1)]
         return VBF(n, n, pi)
+    # the kernel of the n x n system with rows b[a] is {0, pi(a)}
     pi = np.zeros(1 << n, dtype=np.uint16)
-    for a in range(1, 1 << n):
-        mat = GF2Matrix(n, n, tuple(int(v) for v in b[a]))
-        space = gf2.solve_affine(mat, 0)
-        if len(space.basis) != 1:
-            raise ValueError("not APN: derivative images are not hyperplanes")
-        pi[a] = space.basis[0]
+    for lo, hi in vbf_mod._row_chunks(1, 1 << n, n * (n + 1)):
+        spaces = gf2.solve_affine_batch(b[lo:hi, :, None], n)
+        for a, space in enumerate(spaces, lo):
+            if len(space.basis) != 1:
+                raise ValueError("not APN: derivative images are not hyperplanes")
+            pi[a] = space.basis[0]
     return VBF(n, n, pi)
 
 

@@ -1,9 +1,13 @@
 import json
 import random
+import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apnkit import catalog
+from apnkit import catalog, gf2
 from apnkit.catalog import (
     FunctionRecord, ParseError, export_graph, fixture, fixture_names,
     load_results, parse_function, persist_results, record_from_vbf,
@@ -62,6 +66,100 @@ def test_parse_errors_are_positioned():
         parse_function("uni n=3 mod=0xb: (0x1,8)")
     with pytest.raises(ParseError, match="term 1"):
         parse_function("uni n=3 mod=0xb: (0x1,3) (oops,1)")
+
+
+@pytest.mark.parametrize("text", ["lut n=0 m=1: 0", "lut n=2 m=20: 0 1 2 3",
+                                  "uni n=17 mod=0x20009: (0x1,3)"])
+def test_parse_rejects_dimensions_outside_vbf_range(text):
+    with pytest.raises(ParseError, match=r"outside \[1, 16\]"):
+        parse_function(text)
+
+
+def test_parse_errors_from_field_and_number_checks():
+    # F_2 has no generator X: the field check surfaces as a parse error
+    with pytest.raises(ParseError, match="generator"):
+        parse_function("uni n=1 mod=0x3: (0x1,0)")
+    # a number too long for int() is not read as one
+    with pytest.raises(ParseError, match="term 0"):
+        parse_function("uni n=3 mod=0xb: (0x1," + "1" * 5000 + ")")
+    with pytest.raises(ParseError, match="expected"):
+        parse_function("lut n=" + "1" * 5000 + " m=1: 0 1")
+
+
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_IDS = st.text(alphabet=string.ascii_letters + string.digits + "_.:-",
+               min_size=1, max_size=10)
+_IRREDUCIBLE = {n: [p for p in range(1 << n, 2 << n) if gf2.is_irreducible(p)]
+                for n in range(2, 7)}
+
+
+@st.composite
+def _lut_records(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    table = draw(st.lists(st.integers(0, (1 << m) - 1),
+                          min_size=1 << n, max_size=1 << n))
+    return FunctionRecord(draw(_IDS), n, m, "lut", table=tuple(table))
+
+
+@st.composite
+def _uni_records(draw):
+    n = draw(st.integers(2, 6))
+    word = st.integers(0, (1 << n) - 1)
+    terms = draw(st.lists(st.tuples(word, word), max_size=4))
+    return FunctionRecord(draw(_IDS), n, n, "uni",
+                          modulus=draw(st.sampled_from(_IRREDUCIBLE[n])),
+                          terms=tuple(terms))
+
+
+@_FUZZ
+@given(st.one_of(_lut_records(), _uni_records()))
+def test_serialization_round_trips(rec):
+    back = parse_function(serialize_record(rec))
+    assert back == rec
+    assert back.to_vbf() == rec.to_vbf()
+
+
+def _parse_or_parse_error(text):
+    """Parse text; what parses must also build its function."""
+    try:
+        rec = parse_function(text)
+    except ParseError:
+        return
+    f = rec.to_vbf()
+    assert (f.n, f.m) == (rec.n, rec.m)
+
+
+@_FUZZ
+@given(st.text(max_size=80))
+def test_parser_raises_only_parse_error_on_text(text):
+    _parse_or_parse_error(text)
+
+
+_MUTATION_BASES = [
+    "lut id=f n=3 m=3: 00 01 03 02 07 06 04 05",
+    "lut n=2 m=16: 0000 ffff 0001 8000",
+    "uni id=g n=3 mod=0xb: (0x02^0,3) (0x0,1)",
+    "uni n=5 mod=0x25: (g^3,5) (0x1f,3)",
+]
+_SPLICE = st.tuples(st.integers(0, 60), st.integers(0, 3),
+                    st.text(alphabet="0123456789abcdefx^=(), :nmlutgid-", max_size=5))
+
+
+@_FUZZ
+@given(st.sampled_from(_MUTATION_BASES),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                min_size=1, max_size=3),
+       st.lists(_SPLICE, max_size=2))
+def test_parser_raises_only_parse_error_on_mutated_records(text, numbers, splices):
+    # set some runs of digits to new values, then splice in text
+    for which, value in numbers:
+        runs = list(re.finditer(r"\d+", text))
+        run = runs[which % len(runs)]
+        text = text[:run.start()] + str(value) + text[run.end():]
+    for pos, cut, insert in splices:
+        pos %= len(text) + 1
+        text = text[:pos] + insert + text[pos + cut:]
+    _parse_or_parse_error(text)
 
 
 def test_record_round_trip_fixtures_and_random():

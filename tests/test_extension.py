@@ -15,6 +15,7 @@ from apnkit.ortho import invariant_signature, ortho_derivative
 from apnkit.trimming import apn_trims
 from apnkit.vbf import (VBF, anf_and_degree, is_apn, linearity, random_ea_transform,
                         random_quadratic)
+from test_gf2 import _solve_affine_by_loop
 
 
 def _l16_matrix():
@@ -529,3 +530,59 @@ def test_zero_extensions_checks_g_once(name, monkeypatch):
     assert [(t.table.tolist(), sig) for t, sig in got] == \
         [(t.table.tolist(), sig) for t, sig in want]
     assert checked.count(g.n) == 1
+
+
+def _gamma_space_by_loop(g, ell):
+    """The Gamma system of one form, built row by row from the
+    ortho-derivative and solved by the scalar Gauss-Jordan: the reference
+    for the batched solve."""
+    n = g.n
+    pi = ortho_derivative(g).table
+    rows = []
+    for a in range(1, 1 << n):
+        if inner_product(ell, a) == 0:
+            row = 0
+            for i in range(n):
+                if (int(pi[a]) >> i) & 1:
+                    row |= a << (i * n)
+            rows.append(row)
+    mat = GF2Matrix(len(rows), n * n, rows)
+    return _solve_affine_by_loop(mat, (1 << len(rows)) - 1)
+
+
+_GAMMA_INPUTS = ["gold3", "gold4", "gold5", "gold6", "gold7",
+                 "G1", "G2", "G3", "G4", "T8_1"]
+_EXTENDABLE = {"gold3", "gold5", "G1", "G2", "G3", "G4"}
+
+
+@pytest.mark.parametrize("name", _GAMMA_INPUTS)
+def test_gamma_spaces_match_scalar_solve(name):
+    # n = 8 puts the right-hand side of every equation in a second word
+    g = catalog.fixture(name)
+    forms = range(1, 1 << g.n)
+    want = [_gamma_space_by_loop(g, ell) for ell in forms]
+    batched = list(extension._gamma_spaces(g, forms))
+    assert [gs.ell for gs in batched] == list(forms)
+    assert [gs.space for gs in batched] == want
+    assert [gamma_space(g, ell).space for ell in forms] == want
+    for gs in batched:
+        assert gs.j_basis == gamma_space(g, gs.ell).j_basis
+    # gold7 and the even-n inputs have no 0-extension
+    assert any(not s.empty for s in want) == (name in _EXTENDABLE)
+
+
+def test_gamma_spaces_chunked_path(monkeypatch):
+    # one or two forms per batched elimination instead of all of them
+    inputs = [catalog.gold(5), catalog.fixture("G1"),
+              random_ea_transform(catalog.fixture("G2"), random.Random(3))]
+    forms = [range(1, 1 << g.n) for g in inputs]
+    whole = [[gs.space for gs in extension._gamma_spaces(g, f)]
+             for g, f in zip(inputs, forms)]
+    exts = [zero_extensions(g) for g in inputs]
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 1_000)
+    assert [[gs.space for gs in extension._gamma_spaces(g, f)]
+            for g, f in zip(inputs, forms)] == whole
+    assert [[(t.table.tolist(), sig) for t, sig in zero_extensions(g)]
+            for g in inputs] == \
+        [[(t.table.tolist(), sig) for t, sig in e] for e in exts]
+    assert all(e for e in exts)

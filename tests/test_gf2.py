@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from apnkit import gf2
@@ -170,6 +171,122 @@ def test_solve_affine_complete_vs_exhaustive():
         assert brute == set(s)
         for x in range(1 << 10):
             assert (x in s) == (x in brute)
+
+
+def _solve_affine_by_loop(mat, v):
+    """Gauss-Jordan on Python-int rows, one system at a time: the
+    reference for the batched solver."""
+    aug_col = mat.ncols
+    rows = [mat.rows[i] | (((v >> i) & 1) << aug_col) for i in range(mat.nrows)]
+    pivots = []
+    r = 0
+    for col in range(mat.ncols):
+        sel = None
+        for i in range(r, len(rows)):
+            if (rows[i] >> col) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(len(rows)):
+            if i != r and (rows[i] >> col) & 1:
+                rows[i] ^= rows[r]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i]:
+            return AffineSolutionSpace(mat.ncols, None, ())
+    particular = 0
+    for i, p in enumerate(pivots):
+        particular |= ((rows[i] >> aug_col) & 1) << p
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(mat.ncols):
+        if free in pivot_set:
+            continue
+        vec = 1 << free
+        for i, p in enumerate(pivots):
+            vec |= ((rows[i] >> free) & 1) << p
+        basis.append(vec)
+    return AffineSolutionSpace(mat.ncols, particular, tuple(basis))
+
+
+def _random_systems(rng, count, nrows, ncols):
+    """(matrix, right-hand side) pairs of one shape: random, low-rank,
+    zero and (when square) invertible matrices, with consistent and
+    random right-hand sides."""
+    out = []
+    for t in range(count):
+        kind = t % 4
+        if kind == 0:
+            m = gf2.random_matrix(nrows, ncols, rng)
+        elif kind == 1:
+            base = [rng.getrandbits(ncols) for _ in range(rng.randint(1, 3))]
+            rows = []
+            for _ in range(nrows):
+                row = 0
+                for b in base:
+                    row ^= b if rng.random() < 0.5 else 0
+                rows.append(row)
+            m = GF2Matrix(nrows, ncols, rows)
+        elif kind == 2:
+            m = GF2Matrix.zeros(nrows, ncols)
+        elif nrows == ncols:
+            m = gf2.random_invertible(ncols, rng)
+        else:
+            m = gf2.random_matrix(nrows, ncols, rng)
+        if rng.random() < 0.5:
+            v = m.mul_vec(rng.getrandbits(ncols))
+        else:
+            v = rng.getrandbits(nrows)
+        out.append((m, v))
+    return out
+
+
+def _batch(systems, ncols):
+    """The systems as one (systems, rows, words) augmented word array."""
+    bits = [[[(row >> j) & 1 for j in range(ncols)] + [(v >> i) & 1]
+             for i, row in enumerate(m.rows)] for m, v in systems]
+    return gf2.pack_words(np.array(bits, dtype=bool).reshape(
+        len(systems), systems[0][0].nrows, ncols + 1))
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 7, 49, 63, 64, 65, 100, 127, 128, 130])
+def test_solve_affine_batch_matches_loop(ncols):
+    rng = random.Random(ncols)
+    seen_empty = seen_solvable = 0
+    for nrows in sorted({0, 1, ncols // 2, ncols, ncols + 3}):
+        systems = _random_systems(rng, 12, nrows, ncols)
+        got = gf2.solve_affine_batch(_batch(systems, ncols), ncols)
+        want = [_solve_affine_by_loop(m, v) for m, v in systems]
+        assert got == want, (ncols, nrows)
+        assert [solve_affine(m, v) for m, v in systems] == want
+        seen_empty += sum(s.empty for s in want)
+        seen_solvable += sum(not s.empty for s in want)
+    assert seen_empty and seen_solvable
+
+
+def test_solve_affine_batch_vs_exhaustive():
+    rng = random.Random(12)
+    for ncols in range(1, 11):
+        for nrows in (1, ncols - 1, ncols, ncols + 2):
+            systems = _random_systems(rng, 8, max(nrows, 1), ncols)
+            spaces = gf2.solve_affine_batch(_batch(systems, ncols), ncols)
+            for (m, v), s in zip(systems, spaces):
+                brute = [x for x in range(1 << ncols) if m.mul_vec(x) == v]
+                assert sorted(s) == brute
+
+
+def test_solve_affine_batch_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        gf2.solve_affine_batch(np.zeros((2, 3, 2), dtype=np.uint64), 10)
+    with pytest.raises(ValueError):     # a bit beyond the right-hand side
+        gf2.solve_affine_batch(np.full((1, 1, 1), 1 << 11, dtype=np.uint64), 10)
+    with pytest.raises(ValueError):
+        solve_affine(GF2Matrix.identity(3), 0b1000)
 
 
 def test_solution_space_empty_contract():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from apnkit import catalog, gf2
+from apnkit import catalog, gf2, ortho
+from apnkit import vbf as vbf_mod
 from apnkit.gf2 import default_field, inner_product
 from apnkit.ortho import gold_ortho, invariant_signature, ortho_derivative
 from apnkit.vbf import (
@@ -134,3 +135,37 @@ def test_max_linearity_ortho_constant_on_hyperplane():
                 found = True
                 break
         assert found
+
+
+def _use_solver_path(monkeypatch):
+    """Route ortho_derivative through the batched kernel solve used above
+    n = 10, from a cold cache (both paths give the same values)."""
+    ortho._ortho_cached.cache_clear()
+    monkeypatch.setattr(ortho, "_BATCH_MAX_N", 2)
+
+
+def _ortho_inputs():
+    return [catalog.gold(5), catalog.gold(7), catalog.fixture("G1"),
+            random_ea_transform(catalog.fixture("G3"), random.Random(4))]
+
+
+def test_ortho_solver_path_matches_mask_path(monkeypatch):
+    ortho._ortho_cached.cache_clear()
+    gram = gf2.trace_gram(default_field(7))
+    want = [ortho_derivative(f) for f in _ortho_inputs()]
+    want_trace = ortho_derivative(catalog.gold(7), gram)
+    _use_solver_path(monkeypatch)
+    assert [ortho_derivative(f) for f in _ortho_inputs()] == want
+    assert ortho_derivative(catalog.gold(7), gram) == want_trace
+    # one system per chunk
+    ortho._ortho_cached.cache_clear()
+    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 10)
+    assert [ortho_derivative(f) for f in _ortho_inputs()] == want
+
+
+def test_ortho_solver_path_rejects_non_apn(monkeypatch):
+    _use_solver_path(monkeypatch)
+    f = random_quadratic(5, 5, random.Random(11))
+    assert f.degree == 2 and not is_apn(f)
+    with pytest.raises(ValueError, match="not APN"):
+        ortho_derivative(f)
