@@ -10,7 +10,7 @@ from .gf2 import (
 )
 from .vbf import (
     ANF, DDTable, VBF, WalshTable, anf_and_degree,
-    apn_by_moments, ddt, ddt_rows, derivative_map, differential_spectrum,
+    apn_by_moments, ddt, ddt_rows, derivative, differential_spectrum,
     differential_uniformity, extended_walsh_spectrum, fourth_moment,
     is_apn, linearity, random_ea_transform, random_function,
     random_quadratic, vbf_from_anf, walsh, walsh_rows,

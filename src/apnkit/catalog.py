@@ -49,6 +49,9 @@ class FunctionRecord:
     note: str = ""
 
     def __post_init__(self) -> None:
+        # the id must read back as the grammar's id=(\S+)
+        if not re.fullmatch(r"\S+", self.id):
+            raise ValueError(f"record id {self.id!r} is empty or contains whitespace")
         ordered = tuple(sorted(self.terms, key=lambda t: -t[1]))
         if ordered != self.terms:
             object.__setattr__(self, "terms", ordered)

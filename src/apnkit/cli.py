@@ -13,8 +13,6 @@ import json
 import os
 import random
 import sys
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from . import catalog, extension, trimming
 from .ortho import invariant_signature
@@ -54,26 +52,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _spectrum_parallel(f: VBF, reduced: bool, workers: int) -> trimming.TrimSpectrum:
-    trimming.check_trimmable(f, reduced)
-    alphas = list(range(1, 1 << f.n))
-    chunks = [alphas[i::workers] for i in range(workers)]
-    table = [int(v) for v in f.table]
-    counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for items in pool.map(trimming.spectrum_chunk, [table] * workers,
-                              [f.n] * workers, chunks, [reduced] * workers):
-            for sig, c in items:
-                counts[sig] += c
-    return trimming.TrimSpectrum(f.n, reduced, dict(counts))
-
-
 def cmd_trim_spectrum(args) -> int:
     f = _load_function(args.input)
-    if args.parallelism > 1:
-        spec = _spectrum_parallel(f, args.quadratic_reduced, args.parallelism)
-    else:
-        spec = trimming.trim_spectrum(f, args.quadratic_reduced)
+    spec = trimming.trim_spectrum(f, args.quadratic_reduced, args.parallelism)
     apn_sigs = spec.apn_signatures()
     print(f"trims={spec.total} distinct={spec.distinct()} apn_trims={len(apn_sigs)}")
     for sig in apn_sigs:

@@ -20,9 +20,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import gf2
-from .gf2 import AffineSolutionSpace, GF2Matrix, inner_product
+from .gf2 import AffineSolutionSpace, GF2Matrix, _echelon_insert, inner_product
 from .ortho import ortho_derivative
-from .vbf import _PAR16, VBF, _fwht, _row_chunks, is_apn, linearity, walsh
+from .vbf import _PAR16, VBF, _fwht, _row_chunks, derivative, is_apn, linearity, walsh
 
 __all__ = [
     "ExtensionSpec", "GammaSpace", "build_extension", "zero_ext_apn_test",
@@ -109,12 +109,8 @@ def matrix_from_vec(vec: int, n: int) -> GF2Matrix:
 
 def derivative_matrix(g: VBF, mu: int) -> GF2Matrix:
     """Matrix of the linearized derivative B_mu for quadratic g."""
-    tab = g.table
-    g0 = int(tab[0])
-    gmu = int(tab[mu])
-    cols = [int(tab[(1 << j) ^ mu]) ^ gmu ^ int(tab[1 << j]) ^ g0
-            for j in range(g.n)]
-    return GF2Matrix.from_columns(cols, g.n)
+    cols = derivative(g.table, mu, 1 << np.arange(g.n))
+    return GF2Matrix.from_columns(cols.tolist(), g.n)
 
 
 def rank_one(nu: int, ell: int, n: int) -> GF2Matrix:
@@ -162,12 +158,6 @@ def gamma_space(g: VBF, ell: int) -> GammaSpace:
     return next(_gamma_spaces(g, range(ell, ell + 1)))
 
 
-def _derivative_words(g: VBF) -> tuple[int, ...]:
-    """The matrices of B_{e_k}, k < n, as n^2-bit words."""
-    return tuple(vec_from_matrix(derivative_matrix(g, 1 << k))
-                 for k in range(g.n))
-
-
 def _gamma_spaces(g: VBF, forms: range) -> Iterator[GammaSpace]:
     """gamma_space for each of the given forms, which the caller has
     checked along with g (quadratic APN, n >= 3).
@@ -187,7 +177,8 @@ def _gamma_spaces(g: VBF, forms: range) -> Iterator[GammaSpace]:
     bits[:, :nn] = (((pi[:, None] >> shifts) & 1)[:, :, None]
                     & ((points[:, None] >> shifts) & 1)[:, None, :]).reshape(-1, nn)
     equations = gf2.pack_words(bits)
-    words = _derivative_words(g)
+    # the matrices of B_{e_k}, k < n, as n^2-bit words
+    words = tuple(vec_from_matrix(derivative_matrix(g, 1 << k)) for k in range(n))
     nrows = (1 << (n - 1)) - 1
     for lo, hi in _row_chunks(forms.start, forms.stop, nrows * (nn + 1)):
         ells = np.arange(lo, hi)
@@ -196,18 +187,6 @@ def _gamma_spaces(g: VBF, forms: range) -> Iterator[GammaSpace]:
         for ell, space in zip(range(lo, hi), spaces):
             j_basis = words + tuple(ell << (k * n) for k in range(n))
             yield GammaSpace(n, g, ell, space, j_basis)
-
-
-def _echelon_insert(echelon: list[int], v: int) -> int:
-    """Reduce v against the echelon (rows keyed by lowest set bit) and
-    insert the remainder if nonzero; returns the remainder."""
-    for row in echelon:
-        if v & (row & -row):
-            v ^= row
-    if v:
-        echelon.append(v)
-        echelon.sort(key=lambda r: r & -r)
-    return v
 
 
 def gamma_representatives(gs: GammaSpace) -> list[GF2Matrix]:
@@ -228,11 +207,7 @@ def gamma_representatives(gs: GammaSpace) -> list[GF2Matrix]:
     for b in gs.space.basis:
         _echelon_insert(kernel_ech, b)
     for v in gs.j_basis:
-        probe = v
-        for row in kernel_ech:
-            if probe & (row & -row):
-                probe ^= row
-        if probe:
+        if _echelon_insert(kernel_ech, v):
             raise RuntimeError(
                 "Gamma-equivalence directions leave the solution kernel")
     complement = []
@@ -330,11 +305,7 @@ def canonical_form_check(t: VBF, gamma: int) -> bool:
     if not np.array_equal(tab[size:], expect):
         raise ValueError("T is not in canonical form (L = id, l = <gamma,.>)")
     g = VBF(n, n, g_tab)
-    if g.degree != 2 or not is_apn(g):
-        return False
-    pi = ortho_derivative(g).table
-    return all(inner_product(int(pi[a]), a) == 1
-               for a in range(1, size) if inner_product(gamma, a) == 0)
+    return g.degree <= 2 and zero_ext_apn_test(g, GF2Matrix.identity(n), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,18 @@ def rank(mat: GF2Matrix) -> int:
     return rref(mat)[1]
 
 
+def _echelon_insert(echelon: list[int], v: int) -> int:
+    """Reduce v against the echelon (rows keyed by lowest set bit) and
+    insert the remainder if nonzero; returns the remainder."""
+    for row in echelon:
+        if v & (row & -row):
+            v ^= row
+    if v:
+        echelon.append(v)
+        echelon.sort(key=lambda r: r & -r)
+    return v
+
+
 @dataclass(frozen=True)
 class AffineSolutionSpace:
     """Solution set {x : Mx = v} as particular point plus kernel basis."""
@@ -393,20 +405,10 @@ class AffineSolutionSpace:
     def __contains__(self, x: int) -> bool:
         if self.empty:
             return False
-        # echelonize the basis so reduction pivots are well defined
         echelon: list[int] = []
         for b in self.basis:
-            for row in echelon:
-                if b & (row & -row):
-                    b ^= row
-            if b:
-                echelon.append(b)
-                echelon.sort(key=lambda r: r & -r)
-        v = x ^ self.particular
-        for row in echelon:
-            if v & (row & -row):
-                v ^= row
-        return v == 0
+            _echelon_insert(echelon, b)
+        return _echelon_insert(echelon, x ^ self.particular) == 0
 
 
 def solve_affine(mat: GF2Matrix, v: int) -> AffineSolutionSpace:

@@ -28,19 +28,6 @@ Spectrum = tuple[tuple[int, int], ...]
 _BATCH_MAX_N = 10
 
 
-def _derivative_basis_images(g: VBF, gram_lut: Optional[np.ndarray]) -> np.ndarray:
-    """B[a, j] = value of the derivative map B_a at the unit vector e_j."""
-    n = g.n
-    tab = g.table
-    alphas = np.arange(1 << n, dtype=np.uint32)
-    units = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    b = (tab[alphas[:, None] ^ units[None, :]]
-         ^ tab[alphas][:, None] ^ tab[units][None, :] ^ tab[0])
-    if gram_lut is not None:
-        b = gram_lut[b]
-    return b
-
-
 def ortho_derivative(g: VBF, gram: Optional[GF2Matrix] = None) -> VBF:
     """The ortho-derivative of a quadratic APN function.
 
@@ -63,7 +50,11 @@ def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
         if gram.nrows != n or gram.ncols != n:
             raise ValueError("gram matrix must be n x n")
         gram_lut = np.array(gram.lut(), dtype=np.uint16)
-    b = _derivative_basis_images(g, gram_lut)
+    # b[a, j] = B_a(e_j)
+    units = 1 << np.arange(n)
+    b = vbf_mod.derivative(g.table, np.arange(1 << n)[:, None], units)
+    if gram_lut is not None:
+        b = gram_lut[b]
     if n <= _BATCH_MAX_N:
         ws = np.arange(1, 1 << n, dtype=np.uint16)
         nonorth = _PAR16[b[:, :, None] & ws[None, None, :]].any(axis=1)
@@ -150,12 +141,10 @@ def signatures_of_tables(tabs: np.ndarray, k: int,
     """
     B = tabs.shape[0]
     # keep the intermediate (B, 2^k, 2^k) arrays bounded
-    chunk = max(1, (1 << 24) >> (2 * k))
-    if B > chunk:
-        out: list[Optional[InvariantSignature]] = []
-        for lo in range(0, B, chunk):
-            out.extend(signatures_of_tables(tabs[lo:lo + chunk], k, only_apn))
-        return out
+    chunks = list(vbf_mod._row_chunks(0, B, 1 << (2 * k)))
+    if len(chunks) > 1:
+        return [sig for lo, hi in chunks
+                for sig in signatures_of_tables(tabs[lo:hi], k, only_apn)]
     diff_hists = vbf_mod._diff_counts_batch(tabs, k, k)
     apn_flags = [bool((h[3:] == 0).all()) for h in diff_hists]
 

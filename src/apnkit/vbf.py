@@ -2,8 +2,8 @@
 
 Provides the spectral toolbox: algebraic normal form and degree, Walsh
 transform and linearity, difference distribution table, APN tests (direct
-and via the fourth-moment identity), linearized derivatives of quadratic
-maps, and EA-transform helpers for randomized invariance testing.
+and via the fourth-moment identity), linearized derivatives, and
+EA-transform helpers for randomized invariance testing.
 
 Tables are numpy uint16 arrays indexed by the input word; all transforms
 use exact integer arithmetic.
@@ -215,12 +215,14 @@ def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int
         yield lo, min(lo + step, stop)
 
 
-def _walsh_matrix(tab: np.ndarray, n: int, m: int) -> np.ndarray:
-    """All 2^m Walsh rows of one table, as an int32 matrix."""
-    betas = np.arange(1 << m, dtype=np.uint16)
-    par = _PAR16[betas[:, None] & tab[None, :]]
-    signs = 1 - 2 * par.astype(np.int32)
-    return _fwht(signs)
+def _walsh_blocks(f: VBF, start: int = 1) -> Iterator[np.ndarray]:
+    """Signed Walsh rows beta = start .. 2^m - 1 of f, as int32 blocks of
+    consecutive rows that each stay under _BATCH_CELL_LIMIT cells."""
+    for lo, hi in _row_chunks(start, 1 << f.m, 1 << f.n):
+        betas = np.arange(lo, hi, dtype=np.uint16)
+        par = _PAR16[betas[:, None] & f.table[None, :]]
+        yield _fwht(1 - 2 * par.astype(np.int32))
+
 
 def walsh_rows(f: VBF) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (beta, signed Walsh row) for every nonzero beta, one 2^n buffer
@@ -235,27 +237,18 @@ def walsh(f: VBF) -> WalshTable:
     if (1 << (f.n + f.m)) > _BATCH_CELL_LIMIT:
         raise ValueError(
             "materialized Walsh table too large; iterate walsh_rows instead")
-    return WalshTable(f.n, f.m, _walsh_matrix(f.table, f.n, f.m))
+    return WalshTable(f.n, f.m, next(_walsh_blocks(f, 0)))
 
 
 def linearity(f: VBF) -> int:
-    if (1 << (f.n + f.m)) <= _BATCH_CELL_LIMIT:
-        return int(np.abs(_walsh_matrix(f.table, f.n, f.m)[1:]).max())
-    best = 0
-    for _, row in walsh_rows(f):
-        best = max(best, int(np.abs(row).max()))
-    return best
+    return max(int(np.abs(w).max()) for w in _walsh_blocks(f))
 
 
 def extended_walsh_spectrum(f: VBF) -> tuple[tuple[int, int], ...]:
     """Multiset of absolute Walsh values over all (alpha, beta != 0)."""
-    if (1 << (f.n + f.m)) <= _BATCH_CELL_LIMIT:
-        a = np.abs(_walsh_matrix(f.table, f.n, f.m)[1:])
-        counts = np.bincount(a.ravel())
-    else:
-        counts = np.zeros((1 << f.n) + 1, dtype=np.int64)
-        for _, row in walsh_rows(f):
-            counts += np.bincount(np.abs(row), minlength=counts.size)
+    counts = np.zeros((1 << f.n) + 1, dtype=np.int64)
+    for w in _walsh_blocks(f):
+        counts += np.bincount(np.abs(w).ravel(), minlength=counts.size)
     return tuple((int(v), int(c)) for v, c in enumerate(counts) if c)
 
 
@@ -263,13 +256,7 @@ def fourth_moment(f: VBF) -> int:
     """Sum of fourth powers of all Walsh coefficients with beta != 0."""
     if f.n != f.m:
         raise ValueError("fourth moment test requires n = m")
-    if (1 << (f.n + f.m)) <= _BATCH_CELL_LIMIT:
-        w = _walsh_matrix(f.table, f.n, f.m)[1:].astype(np.int64)
-        return int((w ** 4).sum())
-    total = 0
-    for _, row in walsh_rows(f):
-        total += int((row.astype(np.int64) ** 4).sum())
-    return total
+    return sum(int((w.astype(np.int64) ** 4).sum()) for w in _walsh_blocks(f))
 
 
 def apn_by_moments(f: VBF) -> bool:
@@ -330,15 +317,20 @@ def _diff_counts_batch(tabs: np.ndarray, n: int, m: int) -> np.ndarray:
     return spectra.reshape(B, size + 1)
 
 
+def _ddt_hists(f: VBF) -> Iterator[np.ndarray]:
+    """Histograms of DDT entries over rows a != 0, as 2^n + 1 counts: one of
+    all rows at once up to n = _XOR_INDEX_MAX, one per row above."""
+    if f.n <= _XOR_INDEX_MAX:
+        yield _diff_counts_batch(f.table[None, :], f.n, f.m)[0]
+        return
+    for a, row in ddt_rows(f):
+        if a:
+            yield np.bincount(row, minlength=(1 << f.n) + 1)
+
+
 def differential_spectrum(f: VBF) -> tuple[tuple[int, int], ...]:
     """Multiset of DDT entry values over all rows with a != 0."""
-    if f.n <= _XOR_INDEX_MAX:
-        hist = _diff_counts_batch(f.table[None, :], f.n, f.m)[0]
-    else:
-        hist = np.zeros((1 << f.n) + 1, dtype=np.int64)
-        for a, row in ddt_rows(f):
-            if a:
-                hist += np.bincount(row, minlength=hist.size)
+    hist = sum(_ddt_hists(f))
     return tuple((int(v), int(c)) for v, c in enumerate(hist) if c)
 
 
@@ -350,38 +342,18 @@ def differential_uniformity(f: VBF) -> int:
 def is_apn(f: VBF) -> bool:
     if f.n != f.m:
         raise ValueError("APN is defined for n = m only")
-    if f.n <= _XOR_INDEX_MAX:
-        return differential_uniformity(f) <= 2
-    xs = np.arange(1 << f.n, dtype=np.uint32)
-    tab = f.table
-    for a in range(1, 1 << f.n):
-        row = np.bincount(tab ^ tab[xs ^ a], minlength=1 << f.m)
-        if row.max() > 2:
-            return False
-    return True
+    return not any(h[3:].any() for h in _ddt_hists(f))
 
 
 # ---------------------------------------------------------------------------
-# linearized derivatives of quadratic maps
+# linearized derivatives
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivativeMap:
-    """The map x -> G(x) + G(x+a) + G(a) + G(0); linear iff deg(G) <= 2."""
-
-    vbf: VBF
-    linear: bool
-
-    def image(self) -> frozenset[int]:
-        return frozenset(int(v) for v in self.vbf.table)
-
-
-def derivative_map(g: VBF, alpha: int) -> DerivativeMap:
-    if not 0 <= alpha < (1 << g.n):
-        raise ValueError("alpha out of range")
-    xs = np.arange(1 << g.n, dtype=np.uint32)
-    tab = g.table ^ g.table[xs ^ alpha] ^ np.uint16(int(g.table[alpha]) ^ int(g.table[0]))
-    return DerivativeMap(VBF(g.n, g.m, tab), g.degree <= 2)
+def derivative(tab: np.ndarray, a, x) -> np.ndarray:
+    """B_a(x) = F(a + x) + F(a) + F(x) + F(0) for the value table ``tab`` of
+    F, broadcast over the index arrays ``a`` and ``x``. B_a is linear in x
+    for every a iff deg F <= 2."""
+    return tab[a ^ x] ^ tab[a] ^ tab[x] ^ tab[0]
 
 
 # ---------------------------------------------------------------------------

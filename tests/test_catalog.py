@@ -1,7 +1,6 @@
 import json
 import random
 import re
-import string
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +86,7 @@ def test_parse_errors_from_field_and_number_checks():
 
 
 _FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-_IDS = st.text(alphabet=string.ascii_letters + string.digits + "_.:-",
+_IDS = st.text(st.characters().filter(lambda c: not c.isspace()),
                min_size=1, max_size=10)
 _IRREDUCIBLE = {n: [p for p in range(1 << n, 2 << n) if gf2.is_irreducible(p)]
                 for n in range(2, 7)}
@@ -182,6 +181,15 @@ def test_uni_record_round_trip():
                               terms=((1, 3), (2, 9), (5, 5)))
     assert shuffled.terms == ((2, 9), (5, 5), (1, 3))
     assert parse_function(serialize_record(shuffled)) == shuffled
+
+
+def test_record_ids_must_be_parseable():
+    f = catalog.gold(3)
+    for bad in ("", "a b", "tab\tin", "end\n", "\u00a0"):
+        with pytest.raises(ValueError, match="id"):
+            record_from_vbf(f, bad)
+    with pytest.raises(ValueError, match="id"):
+        FunctionRecord("a b", 5, 5, "uni", modulus=0x25, terms=((1, 3),))
 
 
 def test_fixture_registry():

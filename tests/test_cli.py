@@ -85,6 +85,15 @@ def test_trim_spectrum_parallel_matches_serial(capsys, tmp_path):
         assert code == 0 and par == serial
 
 
+def test_trim_spectrum_rejects_nonpositive_parallelism(capsys, monkeypatch):
+    for argv in (["-j", "0"], ["-j", "-3"]):
+        code, out, err = run(capsys, "trim-spectrum", "fixture:gold3", *argv)
+        assert code == 1 and out == "" and "workers must be at least 1" in err
+    monkeypatch.setenv("APNKIT_PARALLELISM", "0")
+    code, _, err = run(capsys, "trim-spectrum", "fixture:gold3")
+    assert code == 1 and "workers" in err
+
+
 def test_trim_graph_command(capsys, tmp_path):
     t6 = _write_fixture(tmp_path, "T6")
     g5 = _write_fixture(tmp_path, "gold5")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -125,6 +126,10 @@ def test_gamma_representatives_gold5():
         assert zero_ext_apn_test(g, lin, tr)
     with pytest.raises(ValueError):
         gamma_representatives(gamma_space(catalog.gold(7), 1))
+    # directions outside the solution kernel mean the space is wrong
+    narrowed = dataclasses.replace(gs, space=dataclasses.replace(gs.space, basis=()))
+    with pytest.raises(RuntimeError, match="leave the solution kernel"):
+        gamma_representatives(narrowed)
 
 
 def test_gamma_equivalence_closure_and_signatures():
@@ -216,6 +221,23 @@ def test_canonical_form_check():
     with pytest.raises(ValueError):
         # not in canonical form (L is not the identity)
         canonical_form_check(catalog.t6(), tr5)
+
+
+def test_canonical_form_check_is_zero_ext_apn_test_with_identity():
+    rng = random.Random(21)
+    gs = [catalog.gold(5), catalog.g7(1)] + [random_quadratic(5, 5, rng) for _ in range(4)]
+    answers = []
+    for g in gs:
+        ident = GF2Matrix.identity(g.n)
+        for gamma in range(1, 1 << g.n):
+            want = zero_ext_apn_test(g, ident, gamma)
+            assert canonical_form_check(build_extension(g, None, ident, gamma), gamma) is want
+            answers.append(want)
+    assert answers.count(True) == 1      # G1 with one gamma
+    # zero_ext_apn_test rejects G of degree > 2; the check answers False
+    cubic = VBF.from_univariate(default_field(5), [(1, 7)])
+    ident = GF2Matrix.identity(5)
+    assert canonical_form_check(build_extension(cubic, None, ident, 3), 3) is False
 
 
 def test_sample_quadratic_r_properties():

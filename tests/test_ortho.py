@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from apnkit import catalog, gf2, ortho
@@ -7,7 +8,7 @@ from apnkit import vbf as vbf_mod
 from apnkit.gf2 import default_field, inner_product
 from apnkit.ortho import gold_ortho, invariant_signature, ortho_derivative
 from apnkit.vbf import (
-    VBF, derivative_map, is_apn, random_ea_transform, random_quadratic,
+    VBF, derivative, is_apn, random_ea_transform, random_quadratic,
 )
 
 
@@ -47,8 +48,8 @@ def test_defining_identity_exhaustive_on_g1():
     pi = ortho_derivative(g1)
     for a in range(1, 128):
         assert pi(a) != 0
-        b = derivative_map(g1, a).vbf
-        assert all(inner_product(pi(a), int(v)) == 0 for v in b.table)
+        b = derivative(g1.table, a, np.arange(128))
+        assert all(inner_product(pi(a), int(v)) == 0 for v in b)
 
 
 def test_ortho_requires_quadratic_apn():
@@ -169,3 +170,23 @@ def test_ortho_solver_path_rejects_non_apn(monkeypatch):
     assert f.degree == 2 and not is_apn(f)
     with pytest.raises(ValueError, match="not APN"):
         ortho_derivative(f)
+
+
+def test_signatures_of_tables_chunked_path(monkeypatch):
+    """With room for 3 tables per chunk, 8 tables go through the DDT
+    histogram in batches of at most 3 and give the same signatures."""
+    rng = random.Random(22)
+    tabs = np.stack([random_ea_transform(catalog.t6(), rng).table for _ in range(4)]
+                    + [random_quadratic(6, 6, rng).table for _ in range(4)])
+    want = ortho.signatures_of_tables(tabs, 6)
+    batches = []
+    diff_counts = vbf_mod._diff_counts_batch
+
+    def recording(t, n, m):
+        batches.append(t.shape[0])
+        return diff_counts(t, n, m)
+
+    monkeypatch.setattr(vbf_mod, "_diff_counts_batch", recording)
+    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 12)
+    assert ortho.signatures_of_tables(tabs, 6) == want
+    assert max(batches) <= 3 and sum(batches) >= 8

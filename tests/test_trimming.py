@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from collections import Counter
 
@@ -405,6 +406,65 @@ def test_trim_spectrum_needs_square_functions():
         trim_spectrum(random_function(4, 3, random.Random(12)))
 
 
+@pytest.mark.parametrize("name", ["G1", "T8_1"])
+def test_derivative_table_matches_definition(name):
+    """D[x, y] = F(x) + F(y) + F(x + y) + F(0) over the embedded points of
+    every hyperplane alpha-orthogonal."""
+    f = catalog.fixture(name)
+    n = f.n
+    tab = f.table.astype(np.int64)
+    for alpha in range(1, 1 << n):
+        p = trimming._embedded_points(alpha, n).astype(np.int64)
+        want = tab[p[:, None]] ^ tab[p[None, :]] ^ tab[p[:, None] ^ p[None, :]] ^ tab[0]
+        assert np.array_equal(trimming._derivative_table(f, alpha), want)
+
+
+def _spectrum_inputs():
+    return [(catalog.gold(5), False), (_field_power(5, 7), False),
+            (catalog.g7(1), True)]
+
+
+def test_trim_spectrum_workers_match_serial():
+    for f, reduced in _spectrum_inputs():
+        serial = trim_spectrum(f, reduced)
+        assert trim_spectrum(f, reduced, workers=2) == serial
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_trim_spectrum_pool_size_is_capped(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.created.clear()
+    for f, reduced in _spectrum_inputs():
+        serial = trim_spectrum(f, reduced)
+        assert _SerialPool.created == []
+        for workers, started in ((2, 2), (3, 3), (1 << f.n, (1 << f.n) - 1),
+                                 (5000, (1 << f.n) - 1)):
+            assert trim_spectrum(f, reduced, workers=workers) == serial
+            assert _SerialPool.created.pop() == started
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                trim_spectrum(f, reduced, workers=workers)
+    assert _SerialPool.created == []
+
+
 # ---------------------------------------------------------------------------
 # functions of any degree: restricted-DDT, Walsh-matrix and ANF kernel against
 # the table path
@@ -460,11 +520,6 @@ def test_general_trim_spectrum_matches_tables(name, by_table):
     apn2 = sum(c for s, c in full.items() if s.apn and s.degree == 2)
     assert by_table["trims"] <= apn2
     assert by_table["ddt"] <= 2 * apn2
-    alphas = range(1, 1 << f.n)
-    chunks = Counter()
-    for part in (alphas[::2], alphas[1::2]):
-        chunks.update(dict(trimming.spectrum_chunk(f.table.tolist(), f.n, part)))
-    assert chunks == full
 
 
 @pytest.mark.parametrize("name", SMALL_GENERAL_INPUTS)

@@ -6,7 +6,7 @@ import pytest
 from apnkit import catalog, gf2
 from apnkit.gf2 import default_field, field_mul, inner_product
 from apnkit.vbf import (
-    VBF, anf_and_degree, apn_by_moments, ddt, ddt_rows, derivative_map,
+    VBF, anf_and_degree, apn_by_moments, ddt, ddt_rows, derivative,
     differential_spectrum, extended_walsh_spectrum, fourth_moment, is_apn,
     linearity, random_ea_transform, random_function, random_quadratic,
     vbf_from_anf, walsh, walsh_rows,
@@ -183,37 +183,76 @@ def test_moment_criterion_agrees_with_ddt():
         assert apn_by_moments(f) == is_apn(f)
 
 
-def test_derivative_map_zero():
+def _random_cubic(n, rng):
+    """Random function of degree exactly 3 via its packed ANF."""
+    while True:
+        coeffs = [rng.getrandbits(n) if bin(u).count("1") <= 3 else 0
+                  for u in range(1 << n)]
+        f = vbf_from_anf(n, n, coeffs)
+        if f.degree == 3:
+            return f
+
+
+@pytest.mark.parametrize("deg", [2, 3])
+def test_derivative_matches_definition(deg):
+    rng = random.Random(16 + deg)
+    n = 6
+    xs = np.arange(1 << n)
+    for _ in range(5):
+        f = random_quadratic(n, n, rng) if deg == 2 else _random_cubic(n, rng)
+        assert f.degree <= deg
+        tab = f.table
+        want = np.array([[int(tab[a ^ x]) ^ int(tab[a]) ^ int(tab[x]) ^ int(tab[0])
+                          for x in range(1 << n)] for a in range(1 << n)])
+        d = derivative(tab, xs[:, None], xs[None, :])
+        assert d.shape == want.shape and np.array_equal(d, want)
+        a, x = rng.randrange(1 << n), rng.randrange(1 << n)
+        assert derivative(tab, a, x) == want[a, x]
+        assert np.array_equal(derivative(tab, a, xs), want[a])
+        assert np.array_equal(derivative(tab, xs, x), want[:, x])
+        cube = xs.reshape(4, 4, 4)
+        assert np.array_equal(derivative(tab, cube[..., None], xs[:8]),
+                              want[:, :8].reshape(4, 4, 4, 8))
+        # B_a(x + y) = B_a(x) + B_a(y) for every a, x, y iff deg F <= 2
+        linear = np.array_equal(d[:, xs[:, None] ^ xs], d[:, :, None] ^ d[:, None, :])
+        assert linear == (deg == 2)
+
+
+def test_derivative_zero():
     g = catalog.gold(4)
-    d = derivative_map(g, 0)
-    assert d.linear and set(d.vbf.table.tolist()) == {0}
+    assert set(derivative(g.table, 0, np.arange(16)).tolist()) == {0}
 
 
-def test_derivative_map_gold_closed_form():
+def test_derivative_gold_closed_form():
     # B_a(x) = a x^2 + a^2 x for the cube map
     spec = default_field(5)
     g = catalog.gold(5)
     rng = random.Random(9)
     for _ in range(10):
         a = rng.randrange(1, 32)
-        d = derivative_map(g, a)
-        assert d.linear
+        d = derivative(g.table, a, np.arange(32))
         for x in range(32):
             expect = field_mul(spec, a, field_mul(spec, x, x)) ^ \
                 field_mul(spec, field_mul(spec, a, a), x)
-            assert d.vbf(x) == expect
-        assert len(d.image()) == 16  # 2-to-1 with kernel {0, a}
+            assert d[x] == expect
+        assert len(set(d.tolist())) == 16  # 2-to-1 with kernel {0, a}
+
+
+def _derivative_image_sizes(f):
+    xs = np.arange(1 << f.n)
+    d = derivative(f.table, xs[1:, None], xs)
+    return [len(set(row)) for row in d.tolist()]
 
 
 def test_derivative_image_dim_iff_apn():
     g1 = catalog.g7(1)
-    assert all(len(derivative_map(g1, a).image()) == 64 for a in range(1, 128))
+    assert _derivative_image_sizes(g1) == [64] * 127
     rng = random.Random(10)
     while True:
         f = random_quadratic(7, 7, rng)
         if not is_apn(f):
             break
-    assert any(len(derivative_map(f, a).image()) < 64 for a in range(1, 128))
+    assert any(size < 64 for size in _derivative_image_sizes(f))
 
 
 def test_extended_walsh_spectrum_zero_function():
@@ -257,14 +296,22 @@ def test_quadratic_walsh_values_are_powers_of_two():
 def test_streaming_paths_match_batched(monkeypatch):
     import apnkit.vbf as vbf_mod
 
-    f = random_function(6, 6, random.Random(15))
-    want = (linearity(f), extended_walsh_spectrum(f), fourth_moment(f),
-            differential_spectrum(f), is_apn(f))
+    rng = random.Random(15)
+    while True:
+        quad = random_quadratic(6, 6, rng)
+        if not is_apn(quad):
+            break
+    inputs = [random_function(6, 6, rng), catalog.gold(5), quad]
+
+    def results():
+        return [(linearity(f), extended_walsh_spectrum(f), fourth_moment(f),
+                 differential_spectrum(f), is_apn(f)) for f in inputs]
+
+    want = results()
+    assert [r[-1] for r in want] == [False, True, False]
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 1)
     monkeypatch.setattr(vbf_mod, "_XOR_INDEX_MAX", 1)
-    got = (linearity(f), extended_walsh_spectrum(f), fourth_moment(f),
-           differential_spectrum(f), is_apn(f))
-    assert got == want
+    assert results() == want
 
 
 def test_large_width_guards():
