@@ -81,6 +81,8 @@ def zero_ext_apn_test(g: VBF, lin: GF2Matrix, ell: int) -> bool:
     ortho-derivative condition instead of building the table."""
     if g.degree > 2:
         raise ValueError("zero_ext_apn_test requires degree <= 2")
+    if lin.nrows != g.n or lin.ncols != g.n:
+        raise ValueError("L must be n x n")
     if ell == 0 or ell >> g.n:
         raise ValueError("ell must be a nonzero linear form on n bits")
     if g.degree != 2 or not is_apn(g):

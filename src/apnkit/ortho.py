@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gf2, vbf as vbf_mod
 from .gf2 import FieldSpec, GF2Matrix
-from .vbf import _PAR16, VBF
+from .vbf import _PAR16, VBF, _batch_walsh_hists, _spectrum_from_hist
 
 Spectrum = tuple[tuple[int, int], ...]
 
@@ -127,11 +127,6 @@ class InvariantSignature:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def _spectrum_from_hist(hist: np.ndarray) -> Spectrum:
-    nz = np.nonzero(hist)[0]
-    return tuple((int(v), int(hist[v])) for v in nz)
-
-
 def signatures_of_tables(tabs: np.ndarray, k: int,
                          only_apn: bool = False) -> list[Optional[InvariantSignature]]:
     """Signatures for a batch of k-bit tables (shape (B, 2^k)).
@@ -142,7 +137,7 @@ def signatures_of_tables(tabs: np.ndarray, k: int,
     B = tabs.shape[0]
     # keep the intermediate (B, 2^k, 2^k) arrays bounded
     chunks = list(vbf_mod._row_chunks(0, B, 1 << (2 * k)))
-    if len(chunks) > 1:
+    if len(chunks) != 1:
         return [sig for lo, hi in chunks
                 for sig in signatures_of_tables(tabs[lo:hi], k, only_apn)]
     diff_hists = vbf_mod._diff_counts_batch(tabs, k, k)
@@ -167,18 +162,6 @@ def signatures_of_tables(tabs: np.ndarray, k: int,
             oews = vbf_mod.extended_walsh_spectrum(pi)
         out[b] = InvariantSignature(deg, apn_flags[b], ds, ews, ods, oews)
     return out
-
-
-def _batch_walsh_hists(tabs: np.ndarray, k: int) -> np.ndarray:
-    """Histogram of |Walsh| values over beta != 0, one row per table."""
-    B, size = tabs.shape
-    betas = np.arange(1, size, dtype=np.uint16)
-    par = _PAR16[betas[None, :, None] & tabs[:, None, :]]
-    signs = 1 - 2 * par.astype(np.int32)
-    w = np.abs(vbf_mod._fwht(signs))
-    keys = (np.arange(B, dtype=np.int64)[:, None, None] * (size + 1) + w)
-    hists = np.bincount(keys.ravel(), minlength=B * (size + 1))
-    return hists.reshape(B, size + 1)
 
 
 def invariant_signature(f: VBF) -> InvariantSignature:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .gf2 import inner_product, lowest_set_bit
 from .ortho import (InvariantSignature, Spectrum, invariant_signature,
                     signatures_of_tables)
-from .vbf import (_POP16, _PAR16, VBF, _fwht, _mobius, _row_chunks, derivative,
-                  is_apn)
+from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_hists,
+                  _walsh_blocks, derivative, is_apn)
 
 SIDES = ("linear", "affine")
 
@@ -159,19 +160,23 @@ def _tables_for_alpha(f: VBF, alpha: int, side: str,
     return res.astype(np.uint16)
 
 
-def _signatures_by_table(f: VBF, alpha: int, side: str, betas: Sequence[int],
-                         spectra: Sequence[tuple[Spectrum, Spectrum]]
-                         ) -> list[InvariantSignature]:
-    """Build and classify the trims ``betas`` by table. A kernel gave each
-    one its (DDT, Walsh) spectra; the tables must agree."""
+def _trims_by_table(f: VBF, alpha: int, side: str, betas: Sequence[int],
+                    key: Callable[[InvariantSignature], object], claims: Sequence
+                    ) -> tuple[np.ndarray, list[InvariantSignature]]:
+    """The trims ``betas`` built as tables and classified, as (tables,
+    signatures). A kernel claimed key(signature) = claims[i] for betas[i];
+    a table that disagrees is an internal error."""
     tabs = _tables_for_alpha(f, alpha, side, betas)
     sigs = signatures_of_tables(tabs, f.n - 1)
-    for beta, sig, want in zip(betas, sigs, spectra):
-        if (sig.diff_spectrum, sig.walsh_spectrum) != want:
+    for beta, sig, claim in zip(betas, sigs, claims):
+        if key(sig) != claim:
             raise RuntimeError(
                 f"kernel classification of trim (alpha={alpha}, {side}, "
-                f"beta={beta}) disagrees with its DDT and Walsh tables")
-    return sigs
+                f"beta={beta}) disagrees with its table")
+    return tabs, sigs
+
+
+_spectra = attrgetter("diff_spectrum", "walsh_spectrum")
 
 
 def _sums_over_orthogonal(h: np.ndarray) -> np.ndarray:
@@ -223,13 +228,9 @@ def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     with K = 2^j (j = 1 .. k), and walsh[b, r] components with rho = 2r."""
     k = n - 1
     size = 1 << k
-    keys = (np.arange(size, dtype=np.int64)[:, None] << n) | d
-    c = np.bincount(keys.ravel(), minlength=size << n).reshape(size, 1 << n)
+    c = _row_hists(d, 1 << n)
     kern = c[1:, :1] + c[1:, 1:]                       # (a != 0, beta)
-    j = np.log2(kern).astype(np.int64)
-    bidx = np.arange((1 << n) - 1, dtype=np.int64) * (k + 1)
-    ddt = np.bincount((bidx[None, :] + j).ravel(), minlength=((1 << n) - 1) * (k + 1))
-    ddt = ddt.reshape(-1, k + 1)[:, 1:]
+    ddt = _row_hists(np.log2(kern).astype(np.int64).T, k + 1)[:, 1:]
 
     # rows[v, i] = row i of the Gram matrix of v.D on the coordinate basis;
     # the radical is the set of x with sum_i x_i rows[v, i] = 0
@@ -284,8 +285,8 @@ def _quadratic_signatures(f: VBF, alpha: int) -> list[InvariantSignature]:
         sigs.append(memo[key][1])
     by_table = [b for b, s in enumerate(sigs, 1) if s is None]
     if by_table:
-        table_sigs = _signatures_by_table(f, alpha, "linear", by_table,
-                                          [spectra[b - 1] for b in by_table])
+        _, table_sigs = _trims_by_table(f, alpha, "linear", by_table, _spectra,
+                                        [spectra[b - 1] for b in by_table])
         for beta, sig in zip(by_table, table_sigs):
             sigs[beta - 1] = sig
     return sigs
@@ -300,13 +301,9 @@ def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, V
     for side in SIDES:
         if not betas:
             return
-        tabs = _tables_for_alpha(f, alpha, side, betas)
-        sigs = signatures_of_tables(tabs, n - 1)
+        tabs, sigs = _trims_by_table(f, alpha, side, betas, attrgetter("apn"),
+                                     [True] * len(betas))
         for beta, tab, sig in zip(betas, tabs, sigs):
-            if not sig.apn:
-                raise RuntimeError(
-                    f"trim (alpha={alpha}, {side}, beta={beta}) passed the "
-                    "derivative-table APN test but its DDT says not APN")
             yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
         betas = [b for b, s in zip(betas, sigs) if s.degree <= 1]
 
@@ -333,29 +330,20 @@ def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, V
 #   - T is APN iff no DDT value exceeds 2.
 # Only APN trims of degree 2 are built as tables, for their ortho spectra.
 
-def _restricted_ddt(v: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """delta[a, c] for a = lo .. hi - 1, as a (hi - lo, 2^n) matrix."""
-    a = np.arange(lo, hi, dtype=np.uint32)
-    x = np.arange(v.size, dtype=np.uint32)
-    d = v[a[:, None] ^ x[None, :]] ^ v[None, :]
-    keys = (np.arange(hi - lo, dtype=np.int64)[:, None] << n) | d
-    return np.bincount(keys.ravel(), minlength=(hi - lo) << n).reshape(hi - lo, 1 << n)
-
-
 def _trim_ddt_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): counts[beta - 1, j] DDT cells a != 0 of trim beta
     equal values[j], for beta = 1 .. 2^n - 1."""
     size = v.size
     seen = np.zeros(size + 1, dtype=bool)
-    for lo, hi in _row_chunks(1, size, 1 << n):
-        seen[_restricted_ddt(v, n, lo, hi)] = True
+    for _, delta in _ddt_blocks(v[None, :], n):
+        seen[delta] = True
     vals = np.flatnonzero(seen)                   # vals[0] = 0: rows have zeros
     sums, pair = np.unique(vals[:, None] + vals[None, :], return_inverse=True)
     to_sum = (pair.reshape(-1, 1) == np.arange(sums.size)).astype(np.int64)
     acc = np.zeros((1 << n, sums.size), dtype=np.int64)
-    for lo, hi in _row_chunks(1, size, vals.size << n):
-        delta = _restricted_ddt(v, n, lo, hi)
-        spec = np.empty((hi - lo, vals.size, 1 << n), dtype=np.int64)
+    for _, block in _ddt_blocks(v[None, :], n, row_cells=vals.size << n):
+        delta = block[0]
+        spec = np.empty((delta.shape[0], vals.size, 1 << n), dtype=np.int64)
         spec[:, 1:] = _fwht((delta[:, None, :] == vals[1:, None]).astype(np.int64))
         # the indicators of all values sum to 1, whose transform is 2^n at 0
         spec[:, 0] = -spec[:, 1:].sum(axis=1)
@@ -372,14 +360,10 @@ def _trim_walsh_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     equal to values[j], for beta = 1 .. 2^n - 1."""
     size = v.size
     cols: dict[int, np.ndarray] = {}
-    for lo, hi in _row_chunks(1, 1 << n, size + 1):
-        vs = np.arange(lo, hi, dtype=np.uint16)
-        signs = 1 - 2 * _PAR16[vs[:, None] & v[None, :]].astype(np.int32)
-        keys = (np.arange(hi - lo)[:, None] * (size + 1)) + np.abs(_fwht(signs))
-        h = np.bincount(keys.ravel(), minlength=(hi - lo) * (size + 1))
-        h = h.reshape(hi - lo, size + 1)
+    for lo, w in _walsh_blocks(v[None, :], n):
+        h = _row_hists(np.abs(w[0], out=w[0]), size + 1)
         for val in np.flatnonzero(h.any(axis=0)).tolist():
-            cols.setdefault(val, np.zeros(1 << n, dtype=np.int64))[lo:hi] = h[:, val]
+            cols.setdefault(val, np.zeros(1 << n, dtype=np.int64))[lo:lo + len(h)] = h[:, val]
     vals = sorted(cols)
     counts = _sums_over_orthogonal(np.array([cols[x] for x in vals]))
     return np.array(vals), counts[:, 1:].T
@@ -421,8 +405,9 @@ def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignatur
     # ortho spectra of the APN trims of degree 2
     betas = [b for b, s in enumerate(sigs, 1) if s.apn and s.degree == 2]
     if betas:
-        spectra = [(sigs[b - 1].diff_spectrum, sigs[b - 1].walsh_spectrum) for b in betas]
-        for beta, sig in zip(betas, _signatures_by_table(f, alpha, side, betas, spectra)):
+        _, table_sigs = _trims_by_table(f, alpha, side, betas, _spectra,
+                                        [_spectra(sigs[b - 1]) for b in betas])
+        for beta, sig in zip(betas, table_sigs):
             sigs[beta - 1] = sig
     return sigs
 
@@ -435,12 +420,9 @@ def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF
         betas = (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist()
         if not betas:
             continue
-        tabs = _tables_for_alpha(f, alpha, side, betas)
-        for beta, tab, sig in zip(betas, tabs, signatures_of_tables(tabs, n - 1)):
-            if not sig.apn:
-                raise RuntimeError(
-                    f"trim (alpha={alpha}, {side}, beta={beta}) passed the "
-                    "restricted-DDT APN test but its DDT says not APN")
+        tabs, sigs = _trims_by_table(f, alpha, side, betas, attrgetter("apn"),
+                                     [True] * len(betas))
+        for beta, tab, sig in zip(betas, tabs, sigs):
             yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
 
 

@@ -12,7 +12,6 @@ use exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,16 +28,8 @@ for _s in range(1, 16):
 _PAR16 = (_POP16 & 1).astype(np.uint8)
 del _V, _s
 
-# dense DDT index cache is only kept for small widths
-_XOR_INDEX_MAX = 9
-# batched full-table transforms beyond this many cells fall back to row streaming
+# spectra are computed in blocks of rows of at most this many cells
 _BATCH_CELL_LIMIT = 1 << 24
-
-
-@lru_cache(maxsize=None)
-def _xor_index(n: int) -> np.ndarray:
-    i = np.arange(1 << n, dtype=np.uint32)
-    return i[:, None] ^ i[None, :]
 
 
 class VBF:
@@ -215,48 +206,69 @@ def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int
         yield lo, min(lo + step, stop)
 
 
-def _walsh_blocks(f: VBF, start: int = 1) -> Iterator[np.ndarray]:
-    """Signed Walsh rows beta = start .. 2^m - 1 of f, as int32 blocks of
-    consecutive rows that each stay under _BATCH_CELL_LIMIT cells."""
-    for lo, hi in _row_chunks(start, 1 << f.m, 1 << f.n):
+def _row_hists(rows: np.ndarray, width: int) -> np.ndarray:
+    """hists[i, v] = #{j : rows[i, j] = v} for a 2-D array of values in
+    [0, width)."""
+    keys = rows + np.arange(0, rows.shape[0] * width, width)[:, None]
+    hists = np.bincount(keys.ravel(), minlength=rows.shape[0] * width)
+    return hists.reshape(rows.shape[0], width)
+
+
+def _spectrum_from_hist(hist: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple((int(v), int(hist[v])) for v in np.flatnonzero(hist))
+
+
+def _walsh_blocks(tabs: np.ndarray, m: int, start: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """Signed Walsh rows beta = start .. 2^m - 1 of every table in ``tabs``
+    (shape (B, 2^n)), as (first beta, int32 block of shape (B, rows, 2^n))
+    with at most _BATCH_CELL_LIMIT cells per block."""
+    B, size = tabs.shape
+    for lo, hi in _row_chunks(start, 1 << m, B * size):
         betas = np.arange(lo, hi, dtype=np.uint16)
-        par = _PAR16[betas[:, None] & f.table[None, :]]
-        yield _fwht(1 - 2 * par.astype(np.int32))
+        w = _PAR16[betas[:, None] & tabs[:, None, :]].astype(np.int32)
+        w *= -2
+        w += 1
+        yield lo, _fwht(w)
+
+
+def _batch_walsh_hists(tabs: np.ndarray, m: int) -> np.ndarray:
+    """Histogram of |Walsh| values over beta = 1 .. 2^m - 1, one row of
+    2^n + 1 counts per table in ``tabs`` (shape (B, 2^n))."""
+    B, size = tabs.shape
+    return sum(_row_hists(np.abs(w, out=w).reshape(B, -1), size + 1)
+               for _, w in _walsh_blocks(tabs, m))
 
 
 def walsh_rows(f: VBF) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (beta, signed Walsh row) for every nonzero beta, one 2^n buffer
-    at a time; use when the full table would not fit in memory."""
-    for beta in range(1, 1 << f.m):
-        par = _PAR16[np.uint16(beta) & f.table]
-        signs = 1 - 2 * par.astype(np.int32)
-        yield beta, _fwht(signs)
+    """Yield (beta, signed Walsh row) for every nonzero beta, computed in
+    blocks of at most _BATCH_CELL_LIMIT cells; use when the full table
+    would not fit in memory."""
+    for lo, w in _walsh_blocks(f.table[None, :], f.m):
+        yield from enumerate(w[0], lo)
 
 
 def walsh(f: VBF) -> WalshTable:
     if (1 << (f.n + f.m)) > _BATCH_CELL_LIMIT:
         raise ValueError(
             "materialized Walsh table too large; iterate walsh_rows instead")
-    return WalshTable(f.n, f.m, next(_walsh_blocks(f, 0)))
+    return WalshTable(f.n, f.m, next(_walsh_blocks(f.table[None, :], f.m, 0))[1][0])
 
 
 def linearity(f: VBF) -> int:
-    return max(int(np.abs(w).max()) for w in _walsh_blocks(f))
+    return max(int(np.abs(w).max()) for _, w in _walsh_blocks(f.table[None, :], f.m))
 
 
 def extended_walsh_spectrum(f: VBF) -> tuple[tuple[int, int], ...]:
     """Multiset of absolute Walsh values over all (alpha, beta != 0)."""
-    counts = np.zeros((1 << f.n) + 1, dtype=np.int64)
-    for w in _walsh_blocks(f):
-        counts += np.bincount(np.abs(w).ravel(), minlength=counts.size)
-    return tuple((int(v), int(c)) for v, c in enumerate(counts) if c)
+    return _spectrum_from_hist(_batch_walsh_hists(f.table[None, :], f.m)[0])
 
 
 def fourth_moment(f: VBF) -> int:
     """Sum of fourth powers of all Walsh coefficients with beta != 0."""
     if f.n != f.m:
         raise ValueError("fourth moment test requires n = m")
-    return sum(int((w.astype(np.int64) ** 4).sum()) for w in _walsh_blocks(f))
+    return sum(int((w.astype(np.int64) ** 4).sum())
+               for _, w in _walsh_blocks(f.table[None, :], f.m))
 
 
 def apn_by_moments(f: VBF) -> bool:
@@ -280,22 +292,33 @@ class DDTable:
         return self.counts[a]
 
 
+def _ddt_blocks(tabs: np.ndarray, m: int, start: int = 1,
+                row_cells: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """DDT rows a = start .. 2^n - 1 of every table in ``tabs`` (shape
+    (B, 2^n), values below 2^m), as (first a, int64 block of shape
+    (B, rows, 2^m)). A block's differences and counts, plus ``row_cells``
+    cells per row that the caller derives from it, stay under
+    _BATCH_CELL_LIMIT."""
+    B, size = tabs.shape
+    xs = np.arange(size, dtype=np.uint32)
+    for lo, hi in _row_chunks(start, size, B * (size + (1 << m) + row_cells)):
+        d = tabs[:, np.arange(lo, hi, dtype=np.uint32)[:, None] ^ xs]
+        d ^= tabs[:, None, :]
+        yield lo, _row_hists(d.reshape(-1, size), 1 << m).reshape(B, hi - lo, 1 << m)
+
+
 def ddt_rows(f: VBF) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (a, counts row) for a = 0 .. 2^n - 1 without storing the table."""
-    xs = np.arange(1 << f.n, dtype=np.uint32)
-    tab = f.table
-    for a in range(1 << f.n):
-        d = tab ^ tab[xs ^ a]
-        yield a, np.bincount(d, minlength=1 << f.m)
+    """Yield (a, counts row) for a = 0 .. 2^n - 1, computed in blocks of at
+    most _BATCH_CELL_LIMIT cells, without storing the table."""
+    for lo, block in _ddt_blocks(f.table[None, :], f.m, 0):
+        yield from enumerate(block[0], lo)
 
 
 def ddt(f: VBF) -> DDTable:
     if f.n > 12:
         raise ValueError("dense DDT capped at n = 12; iterate ddt_rows instead")
-    rows = np.empty((1 << f.n, 1 << f.m), dtype=np.int64)
-    for a, row in ddt_rows(f):
-        rows[a] = row
-    return DDTable(f.n, f.m, rows)
+    blocks = [block[0] for _, block in _ddt_blocks(f.table[None, :], f.m, 0)]
+    return DDTable(f.n, f.m, np.concatenate(blocks))
 
 
 def _diff_counts_batch(tabs: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -304,34 +327,14 @@ def _diff_counts_batch(tabs: np.ndarray, n: int, m: int) -> np.ndarray:
     ``tabs`` has shape (B, 2^n); the result has shape (B, 2^n + 1) with
     entry [b, v] counting DDT cells of table b equal to v.
     """
-    B, size = tabs.shape
-    d = tabs[:, _xor_index(n)] ^ tabs[:, None, :]
-    d = d[:, 1:, :]
-    cells = ((1 << n) - 1) << m
-    keys = (np.arange(B, dtype=np.int64)[:, None, None] * cells
-            + (np.arange(0, (1 << n) - 1, dtype=np.int64)[None, :, None] << m)
-            + d)
-    counts = np.bincount(keys.ravel(), minlength=B * cells).reshape(B, cells)
-    spec_keys = (np.arange(B, dtype=np.int64)[:, None] * (size + 1) + counts)
-    spectra = np.bincount(spec_keys.ravel(), minlength=B * (size + 1))
-    return spectra.reshape(B, size + 1)
-
-
-def _ddt_hists(f: VBF) -> Iterator[np.ndarray]:
-    """Histograms of DDT entries over rows a != 0, as 2^n + 1 counts: one of
-    all rows at once up to n = _XOR_INDEX_MAX, one per row above."""
-    if f.n <= _XOR_INDEX_MAX:
-        yield _diff_counts_batch(f.table[None, :], f.n, f.m)[0]
-        return
-    for a, row in ddt_rows(f):
-        if a:
-            yield np.bincount(row, minlength=(1 << f.n) + 1)
+    B = tabs.shape[0]
+    return sum(_row_hists(block.reshape(B, -1), (1 << n) + 1)
+               for _, block in _ddt_blocks(tabs, m))
 
 
 def differential_spectrum(f: VBF) -> tuple[tuple[int, int], ...]:
     """Multiset of DDT entry values over all rows with a != 0."""
-    hist = sum(_ddt_hists(f))
-    return tuple((int(v), int(c)) for v, c in enumerate(hist) if c)
+    return _spectrum_from_hist(_diff_counts_batch(f.table[None, :], f.n, f.m)[0])
 
 
 def differential_uniformity(f: VBF) -> int:
@@ -342,7 +345,7 @@ def differential_uniformity(f: VBF) -> int:
 def is_apn(f: VBF) -> bool:
     if f.n != f.m:
         raise ValueError("APN is defined for n = m only")
-    return not any(h[3:].any() for h in _ddt_hists(f))
+    return not any((block > 2).any() for _, block in _ddt_blocks(f.table[None, :], f.m))
 
 
 # ---------------------------------------------------------------------------

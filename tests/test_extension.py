@@ -68,6 +68,13 @@ def test_zero_ext_apn_test_examples():
     with pytest.raises(ValueError):
         zero_ext_apn_test(VBF.from_univariate(default_field(5), [(1, 7)]),
                           _l16_matrix(), tr)
+    # an L of the wrong size is rejected as build_extension rejects it
+    for size in (3, 7):
+        lin = GF2Matrix.identity(size)
+        with pytest.raises(ValueError, match="L must be n x n"):
+            build_extension(g, None, lin, 1)
+        with pytest.raises(ValueError, match="L must be n x n"):
+            zero_ext_apn_test(g, lin, 1)
 
 
 def test_zero_ext_agrees_with_direct_ddt():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +191,21 @@ def test_signatures_of_tables_chunked_path(monkeypatch):
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 12)
     assert ortho.signatures_of_tables(tabs, 6) == want
     assert max(batches) <= 3 and sum(batches) >= 8
+
+
+def test_invariant_signature_memory_follows_the_cell_limit(monkeypatch):
+    """Every DDT and Walsh histogram is built in blocks of at most
+    _BATCH_CELL_LIMIT cells, so the peak allocation of a signature is a
+    few bytes per cell of the limit, not the 4^n cells of the full tables."""
+    f = VBF.from_univariate(default_field(9), [(1, 510)])   # x^-1, APN
+    assert f.degree == 8
+    limit = 1 << 14
+    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        sig = invariant_signature(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sig.apn and dict(sig.diff_spectrum)[2] == 511 * 256
+    assert peak < 32 * limit

@@ -538,6 +538,23 @@ def test_general_apn_trims_and_witness_match_tables(name, by_table, monkeypatch)
     assert fast_chain == slow_chain
 
 
+def test_kernels_match_tables_at_9_bits():
+    """Above n = 8: the derivative-table kernel on the quadratic APN
+    x^3 + Tr(x^9) and the general kernel on the APN x^-1, against every
+    trim of a hyperplane classified by table."""
+    spec = gf2.default_field(9)
+    quad = VBF.from_univariate(spec, [(1, 3)] + [(1, (9 << i) % 511) for i in range(9)])
+    assert quad.degree == 2 and is_apn(quad)
+    linear = _table_signatures(quad, 0x1a5, "linear")
+    assert _quadratic_signatures(quad, 0x1a5) == linear
+    both = Counter(linear + _table_signatures(quad, 0x1a5, "affine"))
+    assert trimming._hyperplane_counts(quad, 0x1a5, False) == both
+    inverse = _field_power(9, 510)
+    assert inverse.degree == 8 and is_apn(inverse)
+    for alpha, side in ((1, "affine"), (0x0ee, "linear")):
+        assert _general_signatures(inverse, alpha, side) == _table_signatures(inverse, alpha, side)
+
+
 def test_general_kernel_chunked_path(monkeypatch):
     inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
               _gold5_plus_cubic()]

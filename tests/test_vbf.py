@@ -5,6 +5,7 @@ import pytest
 
 from apnkit import catalog, gf2
 from apnkit.gf2 import default_field, field_mul, inner_product
+from apnkit.ortho import invariant_signature, signatures_of_tables
 from apnkit.vbf import (
     VBF, anf_and_degree, apn_by_moments, ddt, ddt_rows, derivative,
     differential_spectrum, extended_walsh_spectrum, fourth_moment, is_apn,
@@ -302,15 +303,20 @@ def test_streaming_paths_match_batched(monkeypatch):
         if not is_apn(quad):
             break
     inputs = [random_function(6, 6, rng), catalog.gold(5), quad]
+    tabs = np.stack([inputs[0].table, quad.table, catalog.t6().table])
 
     def results():
-        return [(linearity(f), extended_walsh_spectrum(f), fourth_moment(f),
-                 differential_spectrum(f), is_apn(f)) for f in inputs]
+        return ([(linearity(f), extended_walsh_spectrum(f), fourth_moment(f),
+                  differential_spectrum(f), is_apn(f), ddt(f).counts.tolist(),
+                  [(a, row.tolist()) for a, row in ddt_rows(f)],
+                  [(b, row.tolist()) for b, row in walsh_rows(f)],
+                  invariant_signature(f)) for f in inputs],
+                signatures_of_tables(tabs, 6), signatures_of_tables(tabs[:0], 6))
 
     want = results()
-    assert [r[-1] for r in want] == [False, True, False]
+    assert [r[4] for r in want[0]] == [False, True, False]
+    assert [s.apn for s in want[1]] == [False, False, True] and want[2] == []
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 1)
-    monkeypatch.setattr(vbf_mod, "_XOR_INDEX_MAX", 1)
     assert results() == want
 
 
