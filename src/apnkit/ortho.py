@@ -55,18 +55,17 @@ def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
     b = vbf_mod.derivative(g.table, np.arange(1 << n)[:, None], units)
     if gram_lut is not None:
         b = gram_lut[b]
+    pi = np.zeros(1 << n, dtype=np.uint16)
     if n <= _BATCH_MAX_N:
+        # ok[a, w] = w is orthogonal to every B_a(e_j)
         ws = np.arange(1, 1 << n, dtype=np.uint16)
-        nonorth = _PAR16[b[:, :, None] & ws[None, None, :]].any(axis=1)
-        ok = ~nonorth
-        counts = ok[1:].sum(axis=1)
-        if not (counts == 1).all():
-            raise ValueError("not APN: derivative images are not hyperplanes")
-        pi = np.zeros(1 << n, dtype=np.uint16)
-        pi[1:] = ws[np.argmax(ok[1:], axis=1)]
+        for lo, hi in vbf_mod._row_chunks(1, 1 << n, n << n):
+            ok = ~_PAR16[b[lo:hi, :, None] & ws].any(axis=1)
+            if not (ok.sum(axis=1) == 1).all():
+                raise ValueError("not APN: derivative images are not hyperplanes")
+            pi[lo:hi] = ws[np.argmax(ok, axis=1)]
         return VBF(n, n, pi)
     # the kernel of the n x n system with rows b[a] is {0, pi(a)}
-    pi = np.zeros(1 << n, dtype=np.uint16)
     for lo, hi in vbf_mod._row_chunks(1, 1 << n, n * (n + 1)):
         spaces = gf2.solve_affine_batch(b[lo:hi, :, None], n)
         for a, space in enumerate(spaces, lo):
@@ -127,40 +126,27 @@ class InvariantSignature:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def signatures_of_tables(tabs: np.ndarray, k: int,
-                         only_apn: bool = False) -> list[Optional[InvariantSignature]]:
-    """Signatures for a batch of k-bit tables (shape (B, 2^k)).
-
-    With ``only_apn`` every non-APN row yields None; this is the fast path
-    behind trim enumeration.
-    """
+def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
+    """Signatures for a batch of k-bit tables (shape (B, 2^k))."""
     B = tabs.shape[0]
     # keep the intermediate (B, 2^k, 2^k) arrays bounded
     chunks = list(vbf_mod._row_chunks(0, B, 1 << (2 * k)))
     if len(chunks) != 1:
         return [sig for lo, hi in chunks
-                for sig in signatures_of_tables(tabs[lo:hi], k, only_apn)]
+                for sig in signatures_of_tables(tabs[lo:hi], k)]
     diff_hists = vbf_mod._diff_counts_batch(tabs, k, k)
-    apn_flags = [bool((h[3:] == 0).all()) for h in diff_hists]
-
-    keep = [b for b in range(B) if apn_flags[b]] if only_apn else list(range(B))
-    if not keep:
-        return [None] * B
-    sel = tabs[keep] if len(keep) != B else tabs
-    degs = vbf_mod._degree_of_tables(sel, k)
-    ews_hists = _batch_walsh_hists(sel, k)
-
-    out: list[Optional[InvariantSignature]] = [None] * B
-    for pos, b in enumerate(keep):
-        ds = _spectrum_from_hist(diff_hists[b])
-        ews = _spectrum_from_hist(ews_hists[pos])
-        deg = int(degs[pos])
+    degs = vbf_mod._degree_of_tables(tabs, k)
+    ews_hists = _batch_walsh_hists(tabs, k)
+    out = []
+    for tab, dh, wh, deg in zip(tabs, diff_hists, ews_hists, degs.tolist()):
+        apn = bool((dh[3:] == 0).all())
         ods = oews = None
-        if apn_flags[b] and deg == 2:
-            pi = _ortho_cached(VBF(k, k, tabs[b]), None)
+        if apn and deg == 2:
+            pi = _ortho_cached(VBF(k, k, tab), None)
             ods = vbf_mod.differential_spectrum(pi)
             oews = vbf_mod.extended_walsh_spectrum(pi)
-        out[b] = InvariantSignature(deg, apn_flags[b], ds, ews, ods, oews)
+        out.append(InvariantSignature(deg, apn, _spectrum_from_hist(dh),
+                                      _spectrum_from_hist(wh), ods, oews))
     return out
 
 

@@ -11,7 +11,7 @@ signature classes that is invariant under EA-equivalence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -187,6 +187,50 @@ def _sums_over_orthogonal(h: np.ndarray) -> np.ndarray:
     return (h.sum(axis=1, keepdims=True) + _fwht(h)) // 2
 
 
+def _trim_degrees(v: np.ndarray, n: int) -> np.ndarray:
+    """Degree of trim beta, for beta = 1 .. 2^n - 1, from the values v of F
+    on the hyperplane."""
+    top = np.zeros(1 << n, dtype=np.int64)       # top weight per ANF word
+    np.maximum.at(top, _mobius(v), _POP16[:v.size])
+    top[0] = 0
+    word = int(np.argmax(top))
+    deg = np.full(1 << n, top[word])
+    top[word] = 0
+    deg[word] = top.max()
+    return deg[1:]
+
+
+def _pairs(values: np.ndarray, counts: np.ndarray) -> Spectrum:
+    return tuple((x, c) for x, c in zip(values.tolist(), counts.tolist()) if c)
+
+
+def _signatures(f: VBF, alpha: int, side: str, dvals: np.ndarray, ddt: np.ndarray,
+                wvals: np.ndarray, walsh: np.ndarray,
+                degrees: np.ndarray) -> list[InvariantSignature]:
+    """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, from
+    a kernel's counts: ddt[beta - 1, j] DDT cells a != 0 equal to dvals[j],
+    walsh[beta - 1, j] |Walsh| values equal to wvals[j] (both ascending) and
+    degrees[beta - 1]. The APN trims of degree 2 are built as tables for
+    their ortho spectra."""
+    rows = np.concatenate([ddt, walsh, degrees[:, None]], axis=1)
+    memo: dict[bytes, InvariantSignature] = {}
+    sigs = []
+    for row in rows:
+        key = row.tobytes()
+        if key not in memo:
+            ds = _pairs(dvals, row[:dvals.size])
+            ews = _pairs(wvals, row[dvals.size:-1])
+            memo[key] = InvariantSignature(int(row[-1]), ds[-1][0] <= 2, ds, ews, None, None)
+        sigs.append(memo[key])
+    betas = [b for b, s in enumerate(sigs, 1) if s.apn and s.degree == 2]
+    if betas:
+        _, table_sigs = _trims_by_table(f, alpha, side, betas, _spectra,
+                                        [_spectra(sigs[b - 1]) for b in betas])
+        for beta, sig in zip(betas, table_sigs):
+            sigs[beta - 1] = sig
+    return sigs
+
+
 # ---------------------------------------------------------------------------
 # trims of functions of degree <= 2, read off the parent's derivative table
 # ---------------------------------------------------------------------------
@@ -202,10 +246,14 @@ def _sums_over_orthogonal(h: np.ndarray) -> np.ndarray:
 #     alternating form v.D has a radical of size 2^(k - rho), and the
 #     component has |Walsh| 2^(k - rho/2) on 2^rho points, 0 elsewhere.
 #     T has degree 2 iff some such v has rho > 0.
-#   - The affine-side trim equals the linear one plus an affine map, so the
-#     two share a signature whenever T has degree 2.
-# Trims that are APN (ortho spectra) or of degree <= 1 (0 and 1 are not told
-# apart here) are still built and classified by table.
+#   - A trim of degree <= 1 needs no table: whether it has degree 0 or 1 is
+#     read off the ANF of F on its hyperplane (_trim_degrees), which is
+#     computed only for hyperplanes that have such trims.
+#   - The affine-side trim equals its linear twin plus an affine map, so the
+#     two have the same DDT and |Walsh| histograms and, when T has degree 2,
+#     the same signature.
+# Only APN trims of degree 2 are built as tables, for their ortho spectra,
+# and only on the linear side.
 
 def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
     """D[x, y] over x, y in alpha-orthogonal, both in the coordinates of
@@ -223,14 +271,24 @@ def _apn_betas(d: np.ndarray, n: int) -> list[int]:
     return (np.nonzero(absent)[0] + 1).tolist()
 
 
-def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per beta = 1 .. 2^n - 1: ddt[b, j - 1] rows a != 0 of the trim's DDT
-    with K = 2^j (j = 1 .. k), and walsh[b, r] components with rho = 2r."""
+def _zeros_first(counts: np.ndarray, total: int) -> np.ndarray:
+    """counts behind a first column that brings every row's sum to total."""
+    return np.concatenate([total - counts.sum(axis=1, keepdims=True), counts], axis=1)
+
+
+def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(dvals, ddt, wvals, walsh): ddt[beta - 1, j] DDT cells a != 0 of trim
+    beta equal to dvals[j], and walsh[beta - 1, j] |Walsh| values of its
+    components equal to wvals[j], for beta = 1 .. 2^n - 1."""
     k = n - 1
     size = 1 << k
+    total = size * (size - 1)       # DDT cells a != 0; |Walsh| values v != 0
     c = _row_hists(d, 1 << n)
     kern = c[1:, :1] + c[1:, 1:]                       # (a != 0, beta)
-    ddt = _row_hists(np.log2(kern).astype(np.int64).T, k + 1)[:, 1:]
+    # per_k[beta - 1, j - 1] rows a != 0 with K = 2^j, each with 2^k / K cells K
+    j = np.arange(1, k + 1)
+    per_k = _row_hists(np.log2(kern).astype(np.int64).T, k + 1)[:, 1:]
+    ddt = _zeros_first(per_k * (size >> j), total)
 
     # rows[v, i] = row i of the Gram matrix of v.D on the coordinate basis;
     # the radical is the set of x with sum_i x_i rows[v, i] = 0
@@ -243,53 +301,36 @@ def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(k):
         span = np.concatenate([span, span ^ rows[:, i:i + 1]], axis=1)
     half = (k - np.log2((span == 0).sum(axis=1)).astype(np.int64)) // 2
-    # walsh[b, r] = #{v != 0, v.b = 0, rho_v = 2r}, by one Hadamard transform
+    # comps[beta - 1, r] = #{v != 0, v.beta = 0, rho_v = 2r}, by one Hadamard
+    # transform; such a component has |Walsh| 2^(k - r) on 4^r points
     onehot = half[None, :] == np.arange(k // 2 + 1)[:, None]
-    return ddt, _sums_over_orthogonal(onehot)[:, 1:].T
+    comps = _sums_over_orthogonal(onehot)[:, 1:].T
+    r = np.arange(k // 2, -1, -1)
+    walsh = _zeros_first(comps[:, r] << 2 * r, total)
+    return np.append(0, 1 << j), ddt, np.append(0, size >> r), walsh
 
 
-def _spectra_from_counts(k: int, ddt: np.ndarray,
-                         walsh: np.ndarray) -> tuple[Spectrum, Spectrum]:
-    size = 1 << k
-    ds = {0: 0}
-    for j, cnt in enumerate(ddt.tolist(), 1):
-        if cnt:
-            ds[0] += cnt * (size - (size >> j))
-            ds[1 << j] = cnt * (size >> j)
-    ews = {0: 0}
-    for r, cnt in enumerate(walsh.tolist()):
-        if cnt:
-            ews[0] += cnt * (size - (1 << 2 * r))
-            ews[size >> r] = cnt << 2 * r
-    return (tuple((v, c) for v, c in sorted(ds.items()) if c),
-            tuple((v, c) for v, c in sorted(ews.items()) if c))
+def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[InvariantSignature]:
+    """Signatures of the trims (alpha, side, beta) of a function of degree
+    <= 2, beta = 1 .. 2^n - 1, for each side of ``sides``: ("linear",) or
+    SIDES."""
+    n = f.n
+    counts = _quadratic_counts(_derivative_table(f, alpha), n)
+    flat = ~counts[3][:, 1:-1].any(axis=1)      # no component with rho > 0
 
+    def degrees(side: str) -> np.ndarray:
+        deg = np.full(flat.size, 2)
+        if flat.any():
+            deg[flat] = _trim_degrees(_restricted_values(f, alpha, side), n)[flat]
+        return deg
 
-def _quadratic_signatures(f: VBF, alpha: int) -> list[InvariantSignature]:
-    """Signatures of the linear-side trims of alpha, beta = 1 .. 2^n - 1, of
-    a function of degree <= 2."""
-    n, k = f.n, f.n - 1
-    ddt, walsh = _quadratic_counts(_derivative_table(f, alpha), n)
-    memo: dict[bytes, tuple] = {}
-    spectra: list[tuple[Spectrum, Spectrum]] = []
-    sigs: list[Optional[InvariantSignature]] = []
-    for row in np.concatenate([ddt, walsh], axis=1):
-        key = row.tobytes()
-        if key not in memo:
-            ds, ews = _spectra_from_counts(k, row[:k], row[k:])
-            apn = row[0] == (1 << k) - 1
-            flat = not row[k + 1:].any()
-            memo[key] = ((ds, ews), None if apn or flat
-                         else InvariantSignature(2, False, ds, ews, None, None))
-        spectra.append(memo[key][0])
-        sigs.append(memo[key][1])
-    by_table = [b for b, s in enumerate(sigs, 1) if s is None]
-    if by_table:
-        _, table_sigs = _trims_by_table(f, alpha, "linear", by_table, _spectra,
-                                        [spectra[b - 1] for b in by_table])
-        for beta, sig in zip(by_table, table_sigs):
-            sigs[beta - 1] = sig
-    return sigs
+    sigs = _signatures(f, alpha, "linear", *counts, degrees("linear"))
+    if "affine" not in sides:
+        return sigs
+    # an affine-side trim differs from its linear twin by an affine map
+    twins = [s if s.degree == 2 else replace(s, degree=int(d))
+             for s, d in zip(sigs, degrees("affine"))]
+    return sigs + twins
 
 
 def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
@@ -369,47 +410,12 @@ def _trim_walsh_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(vals), counts[:, 1:].T
 
 
-def _trim_degrees(v: np.ndarray, n: int) -> np.ndarray:
-    """Degree of trim beta, for beta = 1 .. 2^n - 1."""
-    top = np.zeros(1 << n, dtype=np.int64)       # top weight per ANF word
-    np.maximum.at(top, _mobius(v), _POP16[:v.size])
-    top[0] = 0
-    word = int(np.argmax(top))
-    deg = np.full(1 << n, top[word])
-    top[word] = 0
-    deg[word] = top.max()
-    return deg[1:]
-
-
-def _pairs(values: np.ndarray, counts: np.ndarray) -> Spectrum:
-    return tuple((x, c) for x, c in zip(values.tolist(), counts.tolist()) if c)
-
-
 def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignature]:
     """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, of
     a function of any degree."""
-    n = f.n
     v = _restricted_values(f, alpha, side)
-    dvals, dcounts = _trim_ddt_counts(v, n)
-    wvals, wcounts = _trim_walsh_counts(v, n)
-    rows = np.concatenate([dcounts, wcounts, _trim_degrees(v, n)[:, None]], axis=1)
-    memo: dict[bytes, InvariantSignature] = {}
-    sigs = []
-    for row in rows:
-        key = row.tobytes()
-        if key not in memo:
-            ds = _pairs(dvals, row[:dvals.size])
-            ews = _pairs(wvals, row[dvals.size:-1])
-            memo[key] = InvariantSignature(int(row[-1]), ds[-1][0] <= 2, ds, ews, None, None)
-        sigs.append(memo[key])
-    # ortho spectra of the APN trims of degree 2
-    betas = [b for b, s in enumerate(sigs, 1) if s.apn and s.degree == 2]
-    if betas:
-        _, table_sigs = _trims_by_table(f, alpha, side, betas, _spectra,
-                                        [_spectra(sigs[b - 1]) for b in betas])
-        for beta, sig in zip(betas, table_sigs):
-            sigs[beta - 1] = sig
-    return sigs
+    return _signatures(f, alpha, side, *_trim_ddt_counts(v, f.n),
+                       *_trim_walsh_counts(v, f.n), _trim_degrees(v, f.n))
 
 
 def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
@@ -475,23 +481,11 @@ def _count_signatures(sigs: Sequence[InvariantSignature]) -> Counter:
 def _hyperplane_counts(f: VBF, alpha: int, quadratic_reduced: bool) -> Counter:
     """Signature counts of the trims on alpha-orthogonal and, unless
     quadratic_reduced, on its complement."""
-    k = f.n - 1
+    sides = ("linear",) if quadratic_reduced else SIDES
     if f.degree > 2:
-        sides = ("linear",) if quadratic_reduced else SIDES
         return _count_signatures([s for side in sides
                                   for s in _general_signatures(f, alpha, side)])
-    sigs = _quadratic_signatures(f, alpha)
-    counts = _count_signatures(sigs)
-    if not quadratic_reduced:
-        # affine twins of degree-2 trims repeat their signatures
-        for sig in counts:
-            if sig.degree > 1:
-                counts[sig] *= 2
-        flat = [b for b, s in enumerate(sigs, 1) if s.degree <= 1]
-        if flat:
-            counts.update(signatures_of_tables(
-                _tables_for_alpha(f, alpha, "affine", flat), k))
-    return counts
+    return _count_signatures(_quadratic_signatures(f, alpha, sides))
 
 
 def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
@@ -543,8 +537,7 @@ def _iter_apn_trims(f: VBF) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSign
 
 def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:
     """Distinct APN trim signatures with one witness descriptor each."""
-    if f.n != f.m:
-        raise ValueError("trims are defined for n = m")
+    check_trimmable(f)
     seen: dict[InvariantSignature, TrimDescriptor] = {}
     for d, _, sig in _iter_apn_trims(f):
         if sig not in seen:
@@ -559,6 +552,7 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
     Depth-first search over APN trims, deduplicated by signature within a
     node and memoizing failed signatures per dimension.
     """
+    check_trimmable(f)
     if not is_apn(f):
         raise ValueError("recursive witness requires an APN function")
     failed: dict[int, set[InvariantSignature]] = defaultdict(set)

@@ -107,6 +107,16 @@ def test_trim_graph_command(capsys, tmp_path):
     assert sum(1 for line in jl if json.loads(line)["type"] == "edge") == 2
 
 
+def test_one_bit_input_is_a_usage_error(capsys, tmp_path):
+    p = tmp_path / "one.lut"
+    p.write_text("lut id=one n=1 m=1: 0 1\n")
+    for argv in (("recursive", str(p)),
+                 ("trim-graph", str(p), "-o", str(tmp_path / "graph"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: trims need n >= 2\n"
+
+
 def test_recursive_gold6_no_chain(capsys):
     code, out, _ = run(capsys, "recursive", "fixture:gold6")
     assert code == 0 and "found=false" in out

@@ -340,6 +340,9 @@ def test_search_requires_quadratic_apn():
         r_extension_search(VBF.identity(5))
     with pytest.raises(ValueError):
         r_extension_search(catalog.gold(5), find_all=True)
+    for ell in (-1, 8, 99):
+        with pytest.raises(ValueError, match="fixed_ell out of range"):
+            r_extension_search(catalog.gold(3), fixed_ell=ell)
 
 
 # ---------------------------------------------------------------------------

@@ -194,18 +194,22 @@ def test_signatures_of_tables_chunked_path(monkeypatch):
 
 
 def test_invariant_signature_memory_follows_the_cell_limit(monkeypatch):
-    """Every DDT and Walsh histogram is built in blocks of at most
-    _BATCH_CELL_LIMIT cells, so the peak allocation of a signature is a
-    few bytes per cell of the limit, not the 4^n cells of the full tables."""
-    f = VBF.from_univariate(default_field(9), [(1, 510)])   # x^-1, APN
-    assert f.degree == 8
+    """Every DDT and Walsh histogram, and the ortho-derivative of a
+    quadratic APN function, is built in blocks of at most _BATCH_CELL_LIMIT
+    cells, so the peak allocation of a signature is a few bytes per cell of
+    the limit, not the 4^n cells of the full tables."""
     limit = 1 << 14
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", limit)
-    tracemalloc.start()
-    try:
-        sig = invariant_signature(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sig.apn and dict(sig.diff_spectrum)[2] == 511 * 256
-    assert peak < 32 * limit
+    for e in (510, 3):                     # x^-1 and x^3 on 9 bits, both APN
+        f = VBF.from_univariate(default_field(9), [(1, e)])
+        assert f.degree == (8 if e == 510 else 2)
+        ortho._ortho_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            sig = invariant_signature(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.apn and dict(sig.diff_spectrum)[2] == 511 * 256
+        assert (sig.ortho_diff_spectrum is not None) == (e == 3)
+        assert peak < 32 * limit, (e, peak)

@@ -282,11 +282,10 @@ def _iter_apn_trims_by_table(f):
     for alpha in range(1, 1 << n):
         for side in SIDES:
             tabs = _tables_for_alpha(f, alpha, side)
-            sigs = signatures_of_tables(tabs, n - 1, only_apn=True)
-            for beta0, sig in enumerate(sigs):
-                if sig is not None:
-                    d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
-                    yield d, VBF(n - 1, n - 1, tabs[beta0]), sig
+            apn = [b for b, t in enumerate(tabs) if is_apn(VBF(n - 1, n - 1, t))]
+            for beta0, sig in zip(apn, signatures_of_tables(tabs[apn], n - 1)):
+                d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
+                yield d, VBF(n - 1, n - 1, tabs[beta0]), sig
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -295,7 +294,9 @@ def test_quadratic_kernel_matches_tables_per_hyperplane(n):
     f = random_quadratic(n, n, rng)
     for _ in range(1 if n == 9 else 3):
         alpha = rng.randrange(1, 1 << n)
-        assert _quadratic_signatures(f, alpha) == _table_signatures(f, alpha, "linear")
+        want = [_table_signatures(f, alpha, side) for side in SIDES]
+        assert _quadratic_signatures(f, alpha, ("linear",)) == want[0]
+        assert _quadratic_signatures(f, alpha, SIDES) == want[0] + want[1]
 
 
 QUADRATIC_INPUTS = {
@@ -328,9 +329,9 @@ def by_table(monkeypatch):
     seen = Counter()
     classify, ddt_hist = trimming.signatures_of_tables, vbf._diff_counts_batch
 
-    def counting_classify(tabs, k, only_apn=False):
+    def counting_classify(tabs, k):
         seen["trims"] += tabs.shape[0]
-        return classify(tabs, k, only_apn)
+        return classify(tabs, k)
 
     def counting_ddt_hist(tabs, n, m):
         seen["ddt"] += tabs.shape[0]
@@ -342,12 +343,11 @@ def by_table(monkeypatch):
 
 
 def _assert_table_work(seen, counts):
-    """At most the APN trims and the trims of degree <= 1 in ``counts`` were
-    built and classified by table."""
+    """At most the APN trims in ``counts`` were built and classified by
+    table, each with at most one ortho-derivative."""
     apn = sum(c for s, c in counts.items() if s.apn)
-    flat = sum(c for s, c in counts.items() if s.degree <= 1)
-    assert seen["trims"] <= apn + flat
-    assert seen["ddt"] <= 2 * apn + flat
+    assert seen["trims"] <= apn
+    assert seen["ddt"] <= 2 * apn
     seen.clear()
 
 
@@ -388,17 +388,27 @@ def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
         apn_trims(f)
     monkeypatch.undo()
 
+    quadratic_counts = trimming._quadratic_counts
+
     def all_apn(d, n):
-        k = n - 1
-        ddt = np.zeros(((1 << n) - 1, k), dtype=np.int64)
-        ddt[:, 0] = (1 << k) - 1
-        walsh = np.zeros(((1 << n) - 1, k // 2 + 1), dtype=np.int64)
-        walsh[:, 1] = (1 << n) - 1
-        return ddt, walsh
+        # every trim claimed APN: half of its DDT cells a != 0 equal 2
+        _, ddt, wvals, walsh = quadratic_counts(d, n)
+        size = 1 << (n - 1)
+        return (np.array([0, 2]), np.full((ddt.shape[0], 2), size * (size - 1) // 2),
+                wvals, walsh)
 
     monkeypatch.setattr(trimming, "_quadratic_counts", all_apn)
     with pytest.raises(RuntimeError):
         trim_spectrum(f)
+
+
+def test_one_bit_functions_have_no_trims():
+    f = VBF.identity(1)
+    assert is_apn(f)
+    for call in (apn_trims, recursive_witness, lambda g: trimming_graph([g]),
+                 trim_spectrum):
+        with pytest.raises(ValueError, match="n >= 2"):
+            call(f)
 
 
 def test_trim_spectrum_needs_square_functions():
@@ -546,7 +556,7 @@ def test_kernels_match_tables_at_9_bits():
     quad = VBF.from_univariate(spec, [(1, 3)] + [(1, (9 << i) % 511) for i in range(9)])
     assert quad.degree == 2 and is_apn(quad)
     linear = _table_signatures(quad, 0x1a5, "linear")
-    assert _quadratic_signatures(quad, 0x1a5) == linear
+    assert _quadratic_signatures(quad, 0x1a5, ("linear",)) == linear
     both = Counter(linear + _table_signatures(quad, 0x1a5, "affine"))
     assert trimming._hyperplane_counts(quad, 0x1a5, False) == both
     inverse = _field_power(9, 510)
