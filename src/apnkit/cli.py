@@ -128,6 +128,8 @@ def cmd_r_extend(args) -> int:
 def cmd_convert(args) -> int:
     if args.fixture:
         rec = catalog.record_from_vbf(catalog.fixture(args.fixture), args.fixture)
+    elif args.input is None:
+        raise ValueError("convert needs an input file or --fixture")
     else:
         with open(args.input, encoding="utf-8") as fh:
             rec = catalog.parse_function(fh.read())

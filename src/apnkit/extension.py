@@ -504,6 +504,8 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
         raise ValueError("find_all enumeration needs an explicit r")
     if fixed_ell is not None and not 0 <= fixed_ell < (1 << n):
         raise ValueError("fixed_ell out of range")
+    if budget < 0 or (max_restarts is not None and max_restarts < 0):
+        raise ValueError("budget and max_restarts must be at least 0")
     rng = rng if rng is not None else random.Random(0)
     g_tab = [int(v) for v in g.table]
     nodes_total = 0

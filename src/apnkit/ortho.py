@@ -20,11 +20,11 @@ import numpy as np
 
 from . import gf2, vbf as vbf_mod
 from .gf2 import FieldSpec, GF2Matrix
-from .vbf import _PAR16, VBF, _batch_walsh_hists, _spectrum_from_hist
+from .vbf import VBF, _batch_walsh_hists, _spectrum_from_hist
 
 Spectrum = tuple[tuple[int, int], ...]
 
-# candidate-matrix batch path is quadratic in table size; loop above this width
+# above this width _ortho_cached solves one kernel system per row a
 _BATCH_MAX_N = 10
 
 
@@ -50,22 +50,13 @@ def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
         if gram.nrows != n or gram.ncols != n:
             raise ValueError("gram matrix must be n x n")
         gram_lut = np.array(gram.lut(), dtype=np.uint16)
-    # b[a, j] = B_a(e_j)
-    units = 1 << np.arange(n)
-    b = vbf_mod.derivative(g.table, np.arange(1 << n)[:, None], units)
+    if n <= _BATCH_MAX_N:
+        return VBF(n, n, _ortho_derivatives(g.table[None, :], n, gram_lut)[0])
+    # b[a, j] = B_a(e_j); the kernel of the n x n system with rows b[a] is {0, pi(a)}
+    b = vbf_mod.derivative(g.table, np.arange(1 << n)[:, None], 1 << np.arange(n))
     if gram_lut is not None:
         b = gram_lut[b]
     pi = np.zeros(1 << n, dtype=np.uint16)
-    if n <= _BATCH_MAX_N:
-        # ok[a, w] = w is orthogonal to every B_a(e_j)
-        ws = np.arange(1, 1 << n, dtype=np.uint16)
-        for lo, hi in vbf_mod._row_chunks(1, 1 << n, n << n):
-            ok = ~_PAR16[b[lo:hi, :, None] & ws].any(axis=1)
-            if not (ok.sum(axis=1) == 1).all():
-                raise ValueError("not APN: derivative images are not hyperplanes")
-            pi[lo:hi] = ws[np.argmax(ok, axis=1)]
-        return VBF(n, n, pi)
-    # the kernel of the n x n system with rows b[a] is {0, pi(a)}
     for lo, hi in vbf_mod._row_chunks(1, 1 << n, n * (n + 1)):
         spaces = gf2.solve_affine_batch(b[lo:hi, :, None], n)
         for a, space in enumerate(spaces, lo):
@@ -73,6 +64,38 @@ def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
                 raise ValueError("not APN: derivative images are not hyperplanes")
             pi[a] = space.basis[0]
     return VBF(n, n, pi)
+
+
+def _ortho_derivatives(tabs: np.ndarray, k: int,
+                       gram_lut: Optional[np.ndarray] = None) -> np.ndarray:
+    """The ortho-derivatives of a stack of k-bit quadratic APN tables (shape
+    (B, 2^k)), one row each, computed in chunks of rows (table, a != 0)
+    under _BATCH_CELL_LIMIT. ``gram_lut`` maps each B_a(e_j) through the
+    Gram matrix of the pairing before orthogonality is taken."""
+    B, size = tabs.shape
+    shifts = np.arange(k, dtype=np.uint16)
+    pi = np.zeros(B * size, dtype=np.uint16)
+    for lo, hi in vbf_mod._row_chunks(0, B * (size - 1), size + k * k):
+        # the chunk's rows (table t, a != 0), as indices into the flat stack
+        t, a = np.divmod(np.arange(lo, hi), size - 1)
+        rows = t * size + a + 1
+        # b[r, j] = B_a(e_j) of table t
+        b = vbf_mod.derivative(tabs, rows[:, None], 1 << np.arange(k))
+        if gram_lut is not None:
+            b = gram_lut[b]
+        # cols[r, i] packs bit i of every b[r, j], so span[r, w], the XOR of
+        # cols[r, i] over the bits i of w, is 0 iff w is orthogonal to every
+        # b[r, j]: to the image of B_a
+        bits = (b[:, None, :] >> shifts[:, None]) & 1
+        cols = (bits << shifts).sum(axis=2, dtype=np.uint16)
+        span = np.zeros((hi - lo, size), dtype=np.uint16)
+        for i in range(k):
+            span[:, 1 << i:2 << i] = span[:, :1 << i] ^ cols[:, i:i + 1]
+        normal = span[:, 1:] == 0
+        if (normal.sum(axis=1) != 1).any():
+            raise ValueError("not APN: derivative images are not hyperplanes")
+        pi[rows] = np.argmax(normal, axis=1) + 1
+    return pi.reshape(B, size)
 
 
 def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
@@ -127,26 +150,33 @@ class InvariantSignature:
 
 
 def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
-    """Signatures for a batch of k-bit tables (shape (B, 2^k))."""
+    """Signatures for a batch of k-bit tables (shape (B, 2^k)), classified in
+    stacks of at most _BATCH_CELL_LIMIT / 2^8 DDT cells: larger stacks run
+    no faster and only grow the temporaries."""
     B = tabs.shape[0]
-    # keep the intermediate (B, 2^k, 2^k) arrays bounded
-    chunks = list(vbf_mod._row_chunks(0, B, 1 << (2 * k)))
+    chunks = list(vbf_mod._row_chunks(0, B, 1 << (2 * k + 8)))
     if len(chunks) != 1:
         return [sig for lo, hi in chunks
                 for sig in signatures_of_tables(tabs[lo:hi], k)]
-    diff_hists = vbf_mod._diff_counts_batch(tabs, k, k)
     degs = vbf_mod._degree_of_tables(tabs, k)
-    ews_hists = _batch_walsh_hists(tabs, k)
+    # hists[b] = DDT, |Walsh|, ortho DDT and ortho |Walsh| histograms of
+    # table b; the ortho rows stay -1 unless the table is quadratic APN
+    hists = np.full((B, 4, (1 << k) + 1), -1, dtype=np.int64)
+    hists[:, 0] = vbf_mod._diff_counts_batch(tabs, k, k)
+    hists[:, 1] = _batch_walsh_hists(tabs, k)
+    quad = np.flatnonzero((hists[:, 0, 3:] == 0).all(axis=1) & (degs == 2))
+    if quad.size:
+        pis = _ortho_derivatives(tabs[quad], k)
+        hists[quad, 2] = vbf_mod._diff_counts_batch(pis, k, k)
+        hists[quad, 3] = _batch_walsh_hists(pis, k)
+    memo: dict[tuple, InvariantSignature] = {}
     out = []
-    for tab, dh, wh, deg in zip(tabs, diff_hists, ews_hists, degs.tolist()):
-        apn = bool((dh[3:] == 0).all())
-        ods = oews = None
-        if apn and deg == 2:
-            pi = _ortho_cached(VBF(k, k, tab), None)
-            ods = vbf_mod.differential_spectrum(pi)
-            oews = vbf_mod.extended_walsh_spectrum(pi)
-        out.append(InvariantSignature(deg, apn, _spectrum_from_hist(dh),
-                                      _spectrum_from_hist(wh), ods, oews))
+    for row, deg in zip(hists, degs.tolist()):
+        key = (row.tobytes(), deg)
+        if key not in memo:
+            ds, ews, ods, oews = (_spectrum_from_hist(h) if h[0] >= 0 else None for h in row)
+            memo[key] = InvariantSignature(deg, ds[-1][0] <= 2, ds, ews, ods, oews)
+        out.append(memo[key])
     return out
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -92,19 +93,15 @@ def _embedded_points(alpha: int, n: int) -> np.ndarray:
     """Coordinates 0 .. 2^(n-1)-1 mapped through hyperplane_basis(alpha)."""
     i = lowest_set_bit(alpha).bit_length() - 1
     xs = np.arange(1 << (n - 1), dtype=np.uint32)
-    x0 = np.zeros_like(xs)
-    k = 0
-    for j in range(n):
-        if j == i:
-            continue
-        x0 |= ((xs >> k) & 1) << j
-        k += 1
+    high = ~np.uint32((1 << i) - 1)
+    x0 = (xs & ~high) | ((xs & high) << 1)          # a 0 inserted at bit i
     return x0 | (_PAR16[x0 & np.uint32(alpha)].astype(np.uint32) << i)
 
 
-def _drop_bit(v: np.ndarray, i: int) -> np.ndarray:
-    low_mask = (1 << i) - 1
-    return (v & low_mask) | ((v >> 1) & ~np.uint32(low_mask))
+def _drop_bit(v: np.ndarray, i) -> np.ndarray:
+    """v without bit i; i is an int or an array that broadcasts with v."""
+    low = (np.uint32(1) << i) - np.uint32(1)
+    return (v & low) | ((v >> 1) & ~low)
 
 
 def trim(f: VBF, d: TrimDescriptor) -> VBF:
@@ -150,25 +147,21 @@ def _tables_for_alpha(f: VBF, alpha: int, side: str,
     betas = betas.astype(np.uint32)
     par = _PAR16[vals[None, :] & gammas[:, None]].astype(np.uint32)
     out = vals[None, :] ^ par * betas[:, None]
-    # drop the gamma pivot bit; group rows by pivot position to stay vectorized
-    res = np.empty_like(out)
-    pivots = np.log2(gammas).astype(np.int64)
-    for i in range(n):
-        rows = pivots == i
-        if rows.any():
-            res[rows] = _drop_bit(out[rows], i)
-    return res.astype(np.uint16)
+    # drop every row's gamma pivot bit
+    return _drop_bit(out, np.log2(gammas).astype(np.uint32)[:, None]).astype(np.uint16)
 
 
-def _trims_by_table(f: VBF, alpha: int, side: str, betas: Sequence[int],
+def _trims_by_table(f: VBF, trims: Sequence[tuple[int, str, int]],
                     key: Callable[[InvariantSignature], object], claims: Sequence
                     ) -> tuple[np.ndarray, list[InvariantSignature]]:
-    """The trims ``betas`` built as tables and classified, as (tables,
-    signatures). A kernel claimed key(signature) = claims[i] for betas[i];
-    a table that disagrees is an internal error."""
-    tabs = _tables_for_alpha(f, alpha, side, betas)
+    """The trims (alpha, side, beta) of ``trims``, grouped by hyperplane,
+    built as tables and classified, as (tables, signatures). A kernel
+    claimed key(signature) = claims[i] for trims[i]; a table that disagrees
+    is an internal error."""
+    tabs = np.concatenate([_tables_for_alpha(f, alpha, side, [t[2] for t in group])
+                           for (alpha, side), group in groupby(trims, itemgetter(0, 1))])
     sigs = signatures_of_tables(tabs, f.n - 1)
-    for beta, sig, claim in zip(betas, sigs, claims):
+    for (alpha, side, beta), sig, claim in zip(trims, sigs, claims):
         if key(sig) != claim:
             raise RuntimeError(
                 f"kernel classification of trim (alpha={alpha}, {side}, "
@@ -224,7 +217,7 @@ def _signatures(f: VBF, alpha: int, side: str, dvals: np.ndarray, ddt: np.ndarra
         sigs.append(memo[key])
     betas = [b for b, s in enumerate(sigs, 1) if s.apn and s.degree == 2]
     if betas:
-        _, table_sigs = _trims_by_table(f, alpha, side, betas, _spectra,
+        _, table_sigs = _trims_by_table(f, [(alpha, side, b) for b in betas], _spectra,
                                         [_spectra(sigs[b - 1]) for b in betas])
         for beta, sig in zip(betas, table_sigs):
             sigs[beta - 1] = sig
@@ -333,20 +326,16 @@ def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[Inva
     return sigs + twins
 
 
-def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
-    """APN trims of alpha for a function of degree <= 2, in (side, beta)
-    order. The affine side is visited only for trims of degree <= 1: every
-    other affine trim repeats the signature of its linear twin."""
-    n = f.n
-    betas = _apn_betas(_derivative_table(f, alpha), n)
-    for side in SIDES:
-        if not betas:
-            return
-        tabs, sigs = _trims_by_table(f, alpha, side, betas, attrgetter("apn"),
-                                     [True] * len(betas))
-        for beta, tab, sig in zip(betas, tabs, sigs):
-            yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
-        betas = [b for b, s in zip(betas, sigs) if s.degree <= 1]
+def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[int, str, int]]:
+    """The trims (alpha, side, beta) the kernel claims APN for a function of
+    degree <= 2, in (side, beta) order. The affine side is visited only for
+    trims of degree <= 1, as every other affine trim repeats the signature
+    of its linear twin; such trims are APN only for n = 2, since an affine
+    function on k >= 2 bits has DDT entries 2^k."""
+    betas = _apn_betas(_derivative_table(f, alpha), f.n)
+    for side in SIDES if f.n == 2 else ("linear",):
+        for beta in betas:
+            yield alpha, side, beta
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +407,13 @@ def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignatur
                        *_trim_walsh_counts(v, f.n), _trim_degrees(v, f.n))
 
 
-def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
-    """APN trims of alpha for any function, in (side, beta) order."""
-    n = f.n
+def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[int, str, int]]:
+    """The trims (alpha, side, beta) the kernel claims APN for any function,
+    in (side, beta) order."""
     for side in SIDES:
-        vals, counts = _trim_ddt_counts(_restricted_values(f, alpha, side), n)
-        betas = (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist()
-        if not betas:
-            continue
-        tabs, sigs = _trims_by_table(f, alpha, side, betas, attrgetter("apn"),
-                                     [True] * len(betas))
-        for beta, tab, sig in zip(betas, tabs, sigs):
-            yield TrimDescriptor.canonical(alpha, side, beta), VBF(n - 1, n - 1, tab), sig
+        vals, counts = _trim_ddt_counts(_restricted_values(f, alpha, side), f.n)
+        for beta in (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist():
+            yield alpha, side, beta
 
 
 def descriptor_count(n: int, quadratic_reduced: bool = False) -> int:
@@ -526,20 +510,27 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
     return TrimSpectrum(f.n, quadratic_reduced, dict(counts))
 
 
-def _iter_apn_trims(f: VBF) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
-    """APN trims in ascending (alpha, side, beta) order, with signatures;
-    for deg(F) <= 2, affine-side trims that repeat the signature of their
-    linear twin are skipped."""
+def _iter_apn_trims(f: VBF, alphas: Sequence[int]
+                    ) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
+    """APN trims of the hyperplanes ``alphas`` in ascending (alpha, side,
+    beta) order, with tables and signatures; for deg(F) <= 2, affine-side
+    trims that repeat the signature of their linear twin are skipped. The
+    trims a kernel claims are built and classified together."""
     kernel = _quadratic_apn_trims if f.degree <= 2 else _general_apn_trims
-    for alpha in range(1, 1 << f.n):
-        yield from kernel(f, alpha)
+    trims = [t for alpha in alphas for t in kernel(f, alpha)]
+    if not trims:
+        return
+    tabs, sigs = _trims_by_table(f, trims, attrgetter("apn"), [True] * len(trims))
+    k = f.n - 1
+    for (alpha, side, beta), tab, sig in zip(trims, tabs, sigs):
+        yield TrimDescriptor.canonical(alpha, side, beta), VBF(k, k, tab), sig
 
 
 def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:
     """Distinct APN trim signatures with one witness descriptor each."""
     check_trimmable(f)
     seen: dict[InvariantSignature, TrimDescriptor] = {}
-    for d, _, sig in _iter_apn_trims(f):
+    for d, _, sig in _iter_apn_trims(f, range(1, 1 << f.n)):
         if sig not in seen:
             seen[sig] = d
     return [(d, s) for s, d in seen.items()]
@@ -563,7 +554,9 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
         if k == 2:
             return True
         tried: set[InvariantSignature] = set()
-        for _, t, sig in _iter_apn_trims(g):
+        # one hyperplane at a time, so the search stops at the first chain
+        trims = (t for alpha in range(1, 1 << k) for t in _iter_apn_trims(g, (alpha,)))
+        for _, t, sig in trims:
             if sig in tried or sig in failed[k - 1]:
                 continue
             tried.add(sig)

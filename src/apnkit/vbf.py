@@ -186,16 +186,23 @@ class WalshTable:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis, in place."""
-    size = a.shape[-1]
-    h = 1
-    while h < size:
-        view = a.reshape(a.shape[:-1] + (-1, 2, h))
-        top = view[..., 0, :].copy()
-        view[..., 0, :] += view[..., 1, :]
-        view[..., 1, :] = top - view[..., 1, :]
-        h *= 2
-    return a
+    """Unnormalized Walsh-Hadamard transform along the last axis.
+
+    Every stage maps x to y with y[i] = x[2i] + x[2i + 1] and y[i + h] =
+    x[2i] - x[2i + 1], h = size / 2: the butterfly on the lowest index bit,
+    then a rotation that makes the next bit the lowest. After log2(size)
+    stages every bit has had its butterfly and is back at its own position.
+    The stages alternate between a contiguous ``a`` and one more buffer, so
+    ``a`` is overwritten; use the returned array."""
+    src = np.ascontiguousarray(a)
+    dst = np.empty_like(src)
+    h = src.shape[-1] // 2
+    for _ in range(h.bit_length()):
+        pairs = src.reshape(src.shape[:-1] + (h, 2))
+        np.add(pairs[..., 0], pairs[..., 1], out=dst[..., :h])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=dst[..., h:])
+        src, dst = dst, src
+    return src
 
 
 def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int, int]]:
@@ -355,8 +362,11 @@ def is_apn(f: VBF) -> bool:
 def derivative(tab: np.ndarray, a, x) -> np.ndarray:
     """B_a(x) = F(a + x) + F(a) + F(x) + F(0) for the value table ``tab`` of
     F, broadcast over the index arrays ``a`` and ``x``. B_a is linear in x
-    for every a iff deg F <= 2."""
-    return tab[a ^ x] ^ tab[a] ^ tab[x] ^ tab[0]
+    for every a iff deg F <= 2. For a stack of tables (shape (B, 2^n)),
+    ``a`` indexes the flattened stack: 2^n * t + a is point a of table t."""
+    flat = tab.reshape(-1)
+    base = a & ~(tab.shape[-1] - 1)
+    return flat[a ^ x] ^ flat[a] ^ flat[base | x] ^ flat[base]
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,19 @@ def test_r_extend_determinism(capsys):
     assert out1 == out2
 
 
+def test_r_extend_rejects_negative_budget_or_restarts(capsys):
+    for flag in ("--budget", "--restarts"):
+        code, out, err = run(capsys, "r-extend", "fixture:gold5", flag, "-1")
+        assert code == 1 and out == ""
+        assert "must be at least 0" in err and "Traceback" not in err
+
+
+def test_convert_without_input_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "convert")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--fixture" in err
+
+
 def test_convert_fixture_round_trip(capsys):
     code, out, _ = run(capsys, "convert", "--fixture", "G1")
     assert code == 0

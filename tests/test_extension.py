@@ -322,6 +322,18 @@ def test_search_budget_abort_returns_none():
     assert t is None and stats["nodes"] <= 50
 
 
+def test_search_rejects_negative_budget_or_restarts():
+    g = catalog.gold(5)
+    for kwargs in ({"budget": -1}, {"max_restarts": -1}):
+        with pytest.raises(ValueError, match="must be at least 0"):
+            r_extension_search(g, rng=random.Random(1), **kwargs)
+    stats = {}
+    assert r_extension_search(g, rng=random.Random(1), budget=0, stats=stats) is None
+    assert stats == {"nodes": 0, "restarts": 0}
+    assert r_extension_search(g, rng=random.Random(1), max_restarts=0, stats=stats) is None
+    assert stats == {"nodes": 0, "restarts": 0}
+
+
 def test_search_checkpoint_records(tmp_path):
     g = catalog.gold(5)
     path = tmp_path / "ckpt.jsonl"

@@ -173,9 +173,47 @@ def test_ortho_solver_path_rejects_non_apn(monkeypatch):
         ortho_derivative(f)
 
 
+def _quadratic_apn_stack(n, rng):
+    """EA-copies of the quadratic APN functions on n bits that the catalog
+    holds, at least three."""
+    bases = [catalog.gold(n)]
+    if n == 6:
+        bases.append(catalog.t6())
+    if n == 7:
+        bases += [catalog.fixture(f"G{i}") for i in range(1, 5)]
+    if n == 8:
+        bases.append(catalog.t8(1))
+    return [random_ea_transform(bases[i % len(bases)], rng)
+            for i in range(max(3, len(bases)))]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_stacked_ortho_derivatives_match_the_solver(n, monkeypatch):
+    """The stacked routine against one kernel solve per row a, with chunks
+    that end inside a table and, at the default limit, one chunk."""
+    funcs = _quadratic_apn_stack(n, random.Random(n))
+    tabs = np.stack([f.table for f in funcs])
+    _use_solver_path(monkeypatch)
+    want = np.stack([ortho_derivative(f).table for f in funcs])
+    assert (ortho._ortho_derivatives(tabs, n) == want).all()
+    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 7 << n)
+    assert (ortho._ortho_derivatives(tabs, n) == want).all()
+
+
+def test_stacked_ortho_derivatives_reject_a_non_apn_row():
+    rng = random.Random(8)
+    funcs = _quadratic_apn_stack(5, rng)
+    bad = random_quadratic(5, 5, random.Random(11))
+    assert bad.degree == 2 and not is_apn(bad)
+    tabs = np.stack([f.table for f in funcs[:2]] + [bad.table] + [funcs[2].table])
+    with pytest.raises(ValueError, match="not APN"):
+        ortho._ortho_derivatives(tabs, 5)
+
+
 def test_signatures_of_tables_chunked_path(monkeypatch):
-    """With room for 3 tables per chunk, 8 tables go through the DDT
-    histogram in batches of at most 3 and give the same signatures."""
+    """With room for 3 tables per stack (2^20 cells each at 6 bits), 8
+    tables go through the DDT histogram in batches of at most 3 and give
+    the same signatures."""
     rng = random.Random(22)
     tabs = np.stack([random_ea_transform(catalog.t6(), rng).table for _ in range(4)]
                     + [random_quadratic(6, 6, rng).table for _ in range(4)])
@@ -188,9 +226,9 @@ def test_signatures_of_tables_chunked_path(monkeypatch):
         return diff_counts(t, n, m)
 
     monkeypatch.setattr(vbf_mod, "_diff_counts_batch", recording)
-    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 12)
+    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 20)
     assert ortho.signatures_of_tables(tabs, 6) == want
-    assert max(batches) <= 3 and sum(batches) >= 8
+    assert max(batches) == 3 and sum(batches) >= 8
 
 
 def test_invariant_signature_memory_follows_the_cell_limit(monkeypatch):

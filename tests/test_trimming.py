@@ -275,17 +275,38 @@ def _table_spectra(f):
     return want
 
 
-def _iter_apn_trims_by_table(f):
-    """Every trim built and classified by table, in (alpha, side, beta)
-    order; the reference for trimming._iter_apn_trims."""
+def _iter_apn_trims_by_table(f, alphas):
+    """Every trim of the hyperplanes ``alphas`` built and classified by
+    table, in (alpha, side, beta) order; the reference for
+    trimming._iter_apn_trims, through which apn_trims and recursive_witness
+    both find their trims."""
     n = f.n
-    for alpha in range(1, 1 << n):
+    for alpha in alphas:
         for side in SIDES:
             tabs = _tables_for_alpha(f, alpha, side)
             apn = [b for b, t in enumerate(tabs) if is_apn(VBF(n - 1, n - 1, t))]
             for beta0, sig in zip(apn, signatures_of_tables(tabs[apn], n - 1)):
                 d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
                 yield d, VBF(n - 1, n - 1, tabs[beta0]), sig
+
+
+def _apn_trims_and_witness_by_table(f, apn, monkeypatch):
+    """apn_trims(f) and, if f is APN, recursive_witness(f), with every trim
+    built and classified by table; both must find their trims through the
+    reference, or fast would be compared with fast."""
+    seen = []
+
+    def reference(g, alphas):
+        seen.append(g.n)
+        return _iter_apn_trims_by_table(g, alphas)
+
+    with monkeypatch.context() as m:
+        m.setattr(trimming, "_iter_apn_trims", reference)
+        trims = apn_trims(f)
+        assert seen and set(seen) == {f.n}
+        chain = recursive_witness(f) if apn else None
+        assert len(seen) > 1 or not apn or f.n == 2
+    return trims, chain
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -373,12 +394,7 @@ def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatc
     _assert_table_work(by_table, spectrum.counts)
     apn = is_apn(f)
     fast_chain = recursive_witness(f) if apn else None
-    with monkeypatch.context() as m:
-        m.setattr(trimming, "_iter_apn_trims", _iter_apn_trims_by_table)
-        slow = apn_trims(f)
-        slow_chain = recursive_witness(f) if apn else None
-    assert fast == slow
-    assert fast_chain == slow_chain
+    assert (fast, fast_chain) == _apn_trims_and_witness_by_table(f, apn, monkeypatch)
 
 
 def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
@@ -540,12 +556,7 @@ def test_general_apn_trims_and_witness_match_tables(name, by_table, monkeypatch)
     fast = apn_trims(f)
     assert by_table["trims"] <= apn
     fast_chain = recursive_witness(f) if is_apn(f) else None
-    with monkeypatch.context() as m:
-        m.setattr(trimming, "_iter_apn_trims", _iter_apn_trims_by_table)
-        slow = apn_trims(f)
-        slow_chain = recursive_witness(f) if is_apn(f) else None
-    assert fast == slow
-    assert fast_chain == slow_chain
+    assert (fast, fast_chain) == _apn_trims_and_witness_by_table(f, is_apn(f), monkeypatch)
 
 
 def test_kernels_match_tables_at_9_bits():

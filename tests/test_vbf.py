@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apnkit import catalog, gf2
+from apnkit import vbf as vbf_mod
 from apnkit.gf2 import default_field, field_mul, inner_product
 from apnkit.ortho import invariant_signature, signatures_of_tables
 from apnkit.vbf import (
@@ -12,6 +13,32 @@ from apnkit.vbf import (
     linearity, random_ea_transform, random_function, random_quadratic,
     vbf_from_anf, walsh, walsh_rows,
 )
+
+
+def _sylvester(log_size):
+    """The Sylvester-Hadamard matrix of order 2^log_size, written out."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(log_size):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("log_size", range(11))
+def test_fwht_matches_the_hadamard_matrix(log_size, dtype):
+    size = 1 << log_size
+    h = _sylvester(log_size)
+    rng = np.random.default_rng(log_size)
+    for shape in ((size,), (3, size), (2, 3, size)):
+        a = rng.integers(-9, 10, size=shape).astype(dtype)
+        want = a.astype(np.int64) @ h
+        got = vbf_mod._fwht(a.copy())
+        assert got.dtype == dtype and got.shape == shape
+        assert (got == want).all()
+    # a leading-axis slice of a larger array, as the DFS level test passes
+    a = rng.integers(-9, 10, size=(5, 2, size)).astype(dtype)
+    want = a[2:].astype(np.int64) @ h
+    assert (vbf_mod._fwht(a[2:]) == want).all()
 
 
 def _affine_vbf(n, m, rng):
