@@ -216,14 +216,8 @@ def gamma_representatives(gs: GammaSpace) -> list[GF2Matrix]:
     for b in gs.space.basis:
         if _echelon_insert(ech, b):
             complement.append(b)
-    reps = []
-    combo = [0] * (1 << len(complement))
-    for t in range(1, len(combo)):
-        low = t & -t
-        combo[t] = combo[t ^ low] ^ complement[low.bit_length() - 1]
-    for c in combo:
-        reps.append(matrix_from_vec(gs.space.particular ^ c, n))
-    return reps
+    combos = gf2.span(np.array(complement, dtype=object)).tolist()
+    return [matrix_from_vec(gs.space.particular ^ c, n) for c in combos]
 
 
 def zero_extensions(g: VBF) -> list[tuple[VBF, "InvariantSignature"]]:

@@ -5,7 +5,10 @@ vector addition and ``(x & y).bit_count() & 1`` is the canonical inner
 product. Callers keep track of widths; routines that need one take it
 explicitly or read it from a context object (FieldSpec, GF2Matrix).
 Batches of linear systems are numpy arrays of uint64 words instead
-(``pack_words``), eliminated together by ``solve_affine_batch``.
+(``pack_words``). Each job has one routine: ``span`` lists every XOR
+combination of k words, ``_gauss_jordan`` reduces a batch of word arrays
+(``rref`` and ``solve_affine_batch`` both call it) and ``_echelon_insert``
+grows an echelon one vector at a time (``rank``, membership tests).
 Widths are capped at 16 so every table of 2**n entries stays in memory.
 """
 
@@ -167,6 +170,8 @@ def _field_eval_modulus(spec: FieldSpec) -> int:
 
 @lru_cache(maxsize=None)
 def default_field(n: int) -> FieldSpec:
+    if n not in DEFAULT_MODULUS:
+        raise ValueError(f"field degree {n} outside [1, {MAX_WIDTH}]")
     return FieldSpec(n, DEFAULT_MODULUS[n])
 
 
@@ -313,14 +318,9 @@ class GF2Matrix:
         return GF2Matrix.from_columns(cols, self.nrows)
 
     def lut(self) -> tuple[int, ...]:
-        """Images of all 2**ncols inputs, built incrementally."""
+        """Images of all 2**ncols inputs: the span of the columns."""
         if self._lut is None:
-            cols = self.columns()
-            out = [0] * (1 << self.ncols)
-            for x in range(1, 1 << self.ncols):
-                lsb = x & -x
-                out[x] = out[x ^ lsb] ^ cols[lsb.bit_length() - 1]
-            self._lut = tuple(out)
+            self._lut = tuple(span(np.array(self.columns(), dtype=object)).tolist())
         return self._lut
 
     def __eq__(self, other: object) -> bool:
@@ -338,30 +338,20 @@ class GF2Matrix:
 
 def rref(mat: GF2Matrix) -> tuple[GF2Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form; pivots take the lowest-index free column."""
-    rows = list(mat.rows)
-    pivots = []
-    r = 0
-    for col in range(mat.ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return GF2Matrix(mat.nrows, mat.ncols, tuple(rows)), r, tuple(pivots)
+    if not mat.nrows:
+        return mat, 0, ()
+    aug = _word_system(mat.rows, mat.ncols)
+    pivot_row = _gauss_jordan(aug, mat.ncols)[0][0]     # of the one system
+    pivots = np.flatnonzero(pivot_row >= 0)
+    rows = [int.from_bytes(aug[0, i].astype("<u8").tobytes(), "little")
+            for i in pivot_row[pivots]]
+    rows += [0] * (mat.nrows - len(rows))
+    return GF2Matrix(mat.nrows, mat.ncols, rows), len(pivots), tuple(pivots.tolist())
 
 
 def rank(mat: GF2Matrix) -> int:
-    return rref(mat)[1]
+    echelon: list[int] = []
+    return sum(1 for r in mat.rows if _echelon_insert(echelon, r))
 
 
 def _echelon_insert(echelon: list[int], v: int) -> int:
@@ -395,11 +385,7 @@ class AffineSolutionSpace:
     def __iter__(self) -> Iterator[int]:
         if self.empty:
             return
-        span = [0] * (1 << len(self.basis))
-        for t in range(1, len(span)):
-            lsb = t & -t
-            span[t] = span[t ^ lsb] ^ self.basis[lsb.bit_length() - 1]
-        for s in span:
+        for s in span(np.array(self.basis, dtype=object)).tolist():
             yield self.particular ^ s
 
     def __contains__(self, x: int) -> bool:
@@ -415,11 +401,16 @@ def solve_affine(mat: GF2Matrix, v: int) -> AffineSolutionSpace:
     """Full solution set of Mx = v over GF(2), or the empty space."""
     if v >> mat.nrows:
         raise ValueError("right-hand side exceeds row count")
-    nwords = mat.ncols // 64 + 1
     aug = [mat.rows[i] | (((v >> i) & 1) << mat.ncols) for i in range(mat.nrows)]
-    words = [[(r >> (64 * k)) & _WORD for k in range(nwords)] for r in aug]
-    batch = np.array(words, dtype=np.uint64).reshape(1, mat.nrows, nwords)
-    return solve_affine_batch(batch, mat.ncols)[0]
+    return solve_affine_batch(_word_system(aug, mat.ncols), mat.ncols)[0]
+
+
+def _word_system(rows: Sequence[int], ncols: int) -> np.ndarray:
+    """Rows of at most ncols + 1 bits as one system of uint64 words, shape
+    (1, rows, ncols // 64 + 1), laid out as ``solve_affine_batch`` takes it."""
+    nwords = ncols // 64 + 1
+    words = [[(r >> (64 * k)) & _WORD for k in range(nwords)] for r in rows]
+    return np.array(words, dtype=np.uint64).reshape(1, len(rows), nwords)
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
@@ -443,12 +434,10 @@ def solve_affine_batch(aug: np.ndarray, ncols: int) -> list[AffineSolutionSpace]
 
     ``aug`` has shape (systems, rows, words) with words = ncols // 64 + 1:
     row i of system s holds row i of M_s in bits 0 .. ncols - 1 and
-    v_s[i] in bit ncols, packed as by ``pack_words``. Gauss-Jordan runs on
-    all systems together, one column at a time: each system takes as pivot
-    its first unused row with that bit and adds it to its other rows with
-    the bit. The reduced row echelon form is unique, so each space is the
-    one any Gauss-Jordan gives: the particular point has its free
-    variables 0 and the kernel basis is ordered by free column.
+    v_s[i] in bit ncols, packed as by ``pack_words``. ``_gauss_jordan``
+    reduces all systems together. The reduced row echelon form is unique,
+    so each space is the one any Gauss-Jordan gives: the particular point
+    has its free variables 0 and the kernel basis is ordered by free column.
     Temporaries hold O(systems * rows * (ncols + 1)) cells; callers split
     large batches.
     """
@@ -462,26 +451,10 @@ def solve_affine_batch(aug: np.ndarray, ncols: int) -> list[AffineSolutionSpace]
     if aug.shape[1] == 0:
         # no equations: one zero equation gives the same space
         aug = np.zeros((aug.shape[0], 1, nwords), dtype=np.uint64)
-    nsys, nrows, _ = aug.shape
-    systems = np.arange(nsys)
-    unused = np.ones((nsys, nrows), dtype=bool)
-    pivot_row = np.full((nsys, ncols), -1)
-    for col in range(ncols):
-        has = ((aug[:, :, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
-        cand = has & unused
-        row = cand.argmax(axis=1)
-        found = cand[systems, row]
-        if not found.any():
-            continue
-        # systems without a pivot here leave their rows alone
-        has &= found[:, None]
-        has[systems, row] = False
-        aug ^= np.where(has[:, :, None], aug[systems, row][:, None, :], np.uint64(0))
-        unused[systems[found], row[found]] = False
-        pivot_row[found, col] = row[found]
+    pivot_row, unused = _gauss_jordan(aug, ncols)
     # an unused row is zero on the matrix columns; a 1 left in it is 0 = 1
     empty = (unused & (aug != 0).any(axis=2)).any(axis=1)
-    out = [AffineSolutionSpace(ncols, None, ())] * nsys
+    out = [AffineSolutionSpace(ncols, None, ())] * aug.shape[0]
     solvable = np.flatnonzero(~empty)
     if solvable.size == 0:
         return out
@@ -499,6 +472,46 @@ def solve_affine_batch(aug: np.ndarray, ncols: int) -> list[AffineSolutionSpace]
         free = np.flatnonzero(piv[k] < 0)
         out[s] = AffineSolutionSpace(ncols, particular[k],
                                      tuple(_ints(kernel[k, free])))
+    return out
+
+
+def _gauss_jordan(aug: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce every system of ``aug`` (uint64 words, shape (systems, rows >=
+    1, words)) in place to reduced row echelon form on columns 0 .. ncols - 1,
+    one column at a time: each system takes as pivot its first unused row
+    with that bit and adds it to its other rows with the bit. Rows are not
+    moved. Returns (pivot_row, unused): pivot_row[s, c] is the row of system
+    s whose pivot is column c, or -1, and unused[s, i] says that row i of
+    system s holds no pivot."""
+    nsys, nrows, _ = aug.shape
+    systems = np.arange(nsys)
+    unused = np.ones((nsys, nrows), dtype=bool)
+    pivot_row = np.full((nsys, ncols), -1)
+    for col in range(ncols):
+        has = ((aug[:, :, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
+        cand = has & unused
+        row = cand.argmax(axis=1)
+        found = cand[systems, row]
+        if not found.any():
+            continue
+        # systems without a pivot here leave their rows alone
+        has &= found[:, None]
+        has[systems, row] = False
+        aug ^= np.where(has[:, :, None], aug[systems, row][:, None, :], np.uint64(0))
+        unused[systems[found], row[found]] = False
+        pivot_row[found, col] = row[found]
+    return pivot_row, unused
+
+
+def span(words: np.ndarray) -> np.ndarray:
+    """out[..., t] = XOR of words[..., i] over the set bits i of t: the 2^k
+    combinations of the k words on the last axis, in the input dtype (use
+    object for words wider than 64 bits)."""
+    words = np.asarray(words)
+    k = words.shape[-1]
+    out = np.zeros(words.shape[:-1] + (1 << k,), dtype=words.dtype)
+    for i in range(k):
+        np.bitwise_xor(out[..., :1 << i], words[..., i:i + 1], out=out[..., 1 << i:2 << i])
     return out
 
 

@@ -24,9 +24,6 @@ from .vbf import VBF, _batch_walsh_hists, _spectrum_from_hist
 
 Spectrum = tuple[tuple[int, int], ...]
 
-# above this width _ortho_cached solves one kernel system per row a
-_BATCH_MAX_N = 10
-
 
 def ortho_derivative(g: VBF, gram: Optional[GF2Matrix] = None) -> VBF:
     """The ortho-derivative of a quadratic APN function.
@@ -50,20 +47,7 @@ def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
         if gram.nrows != n or gram.ncols != n:
             raise ValueError("gram matrix must be n x n")
         gram_lut = np.array(gram.lut(), dtype=np.uint16)
-    if n <= _BATCH_MAX_N:
-        return VBF(n, n, _ortho_derivatives(g.table[None, :], n, gram_lut)[0])
-    # b[a, j] = B_a(e_j); the kernel of the n x n system with rows b[a] is {0, pi(a)}
-    b = vbf_mod.derivative(g.table, np.arange(1 << n)[:, None], 1 << np.arange(n))
-    if gram_lut is not None:
-        b = gram_lut[b]
-    pi = np.zeros(1 << n, dtype=np.uint16)
-    for lo, hi in vbf_mod._row_chunks(1, 1 << n, n * (n + 1)):
-        spaces = gf2.solve_affine_batch(b[lo:hi, :, None], n)
-        for a, space in enumerate(spaces, lo):
-            if len(space.basis) != 1:
-                raise ValueError("not APN: derivative images are not hyperplanes")
-            pi[a] = space.basis[0]
-    return VBF(n, n, pi)
+    return VBF(n, n, _ortho_derivatives(g.table[None, :], n, gram_lut)[0])
 
 
 def _ortho_derivatives(tabs: np.ndarray, k: int,
@@ -88,10 +72,7 @@ def _ortho_derivatives(tabs: np.ndarray, k: int,
         # b[r, j]: to the image of B_a
         bits = (b[:, None, :] >> shifts[:, None]) & 1
         cols = (bits << shifts).sum(axis=2, dtype=np.uint16)
-        span = np.zeros((hi - lo, size), dtype=np.uint16)
-        for i in range(k):
-            span[:, 1 << i:2 << i] = span[:, :1 << i] ^ cols[:, i:i + 1]
-        normal = span[:, 1:] == 0
+        normal = gf2.span(cols)[:, 1:] == 0
         if (normal.sum(axis=1) != 1).any():
             raise ValueError("not APN: derivative images are not hyperplanes")
         pi[rows] = np.argmax(normal, axis=1) + 1

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import inner_product, lowest_set_bit
+from .gf2 import inner_product, lowest_set_bit, span
 from .ortho import (InvariantSignature, Spectrum, invariant_signature,
                     signatures_of_tables)
 from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_hists,
@@ -80,28 +79,20 @@ def project(beta: int, gamma: int, x: int) -> int:
 def hyperplane_basis(alpha: int, n: int) -> tuple[int, ...]:
     """Deterministic basis {e_j + alpha_j e_i : j != i} of alpha-orthogonal,
     where i is the lowest set bit of alpha."""
+    if not 0 < alpha < (1 << n):
+        raise ValueError(f"alpha must lie in [1, 2^{n}), got {alpha}")
     i = lowest_set_bit(alpha).bit_length() - 1
-    out = []
-    for j in range(n):
-        if j == i:
-            continue
-        out.append((1 << j) | (((alpha >> j) & 1) << i))
-    return tuple(out)
+    return tuple((1 << j) | (((alpha >> j) & 1) << i) for j in range(n) if j != i)
 
 
-def _embedded_points(alpha: int, n: int) -> np.ndarray:
-    """Coordinates 0 .. 2^(n-1)-1 mapped through hyperplane_basis(alpha)."""
-    i = lowest_set_bit(alpha).bit_length() - 1
-    xs = np.arange(1 << (n - 1), dtype=np.uint32)
-    high = ~np.uint32((1 << i) - 1)
-    x0 = (xs & ~high) | ((xs & high) << 1)          # a 0 inserted at bit i
-    return x0 | (_PAR16[x0 & np.uint32(alpha)].astype(np.uint32) << i)
-
-
-def _drop_bit(v: np.ndarray, i) -> np.ndarray:
-    """v without bit i; i is an int or an array that broadcasts with v."""
-    low = (np.uint32(1) << i) - np.uint32(1)
-    return (v & low) | ((v >> 1) & ~low)
+def _embedded_points(alpha, n: int) -> np.ndarray:
+    """Coordinates 0 .. 2^(n-1)-1 mapped through hyperplane_basis(alpha), for
+    an int alpha or, one row each, for a column of them."""
+    alpha = np.asarray(alpha, dtype=np.int64)
+    bit = alpha & -alpha                            # lowest set bit of alpha
+    xs = np.arange(1 << (n - 1))
+    x0 = (xs & (bit - 1)) | ((xs & -bit) << 1)      # a 0 inserted at that bit
+    return x0 | _PAR16[x0 & alpha] * bit
 
 
 def trim(f: VBF, d: TrimDescriptor) -> VBF:
@@ -121,45 +112,39 @@ def trim(f: VBF, d: TrimDescriptor) -> VBF:
         raise ValueError("descriptor does not fit the dimension")
     if d.gamma >> n or d.epsilon >> n:
         raise ValueError("descriptor does not fit the dimension")
-    x = _embedded_points(alpha, n)
-    vals = f.table[x ^ np.uint32(d.epsilon)].astype(np.uint32)
-    par = _PAR16[vals & np.uint32(d.gamma)]
-    vals ^= par.astype(np.uint32) * np.uint32(d.beta)
-    ig = lowest_set_bit(d.gamma).bit_length() - 1
-    return VBF(n - 1, n - 1, _drop_bit(vals, ig))
+    tabs = _tables_for_alpha(f, [alpha], [d.epsilon], [d.beta], [d.gamma])
+    return VBF(n - 1, n - 1, tabs[0])
 
 
 def _restricted_values(f: VBF, alpha: int, side: str) -> np.ndarray:
     """F on the hyperplane (alpha, side) under canonical epsilon, in the
     coordinates of hyperplane_basis(alpha)."""
     eps = 0 if side == "linear" else lowest_set_bit(alpha)
-    return f.table[_embedded_points(alpha, f.n) ^ np.uint32(eps)]
+    return f.table[_embedded_points(alpha, f.n) ^ eps]
 
 
-def _tables_for_alpha(f: VBF, alpha: int, side: str,
-                      betas: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Trim tables for the given betas (all of 1 .. 2^n - 1 by default) under
-    canonical epsilon and gamma, stacked as one (len(betas), 2^(n-1)) matrix."""
-    n = f.n
-    vals = _restricted_values(f, alpha, side).astype(np.uint32)
-    betas = np.asarray(range(1, 1 << n) if betas is None else betas, dtype=np.int64)
-    gammas = (betas & -betas).astype(np.uint32)
-    betas = betas.astype(np.uint32)
-    par = _PAR16[vals[None, :] & gammas[:, None]].astype(np.uint32)
-    out = vals[None, :] ^ par * betas[:, None]
-    # drop every row's gamma pivot bit
-    return _drop_bit(out, np.log2(gammas).astype(np.uint32)[:, None]).astype(np.uint16)
+def _tables_for_alpha(f: VBF, alpha, epsilon, beta, gamma) -> np.ndarray:
+    """The tables of the trims (alpha[t], epsilon[t], beta[t], gamma[t]) of
+    TrimDescriptor, one row each: F on epsilon + alpha-orthogonal, projected
+    by x -> x + beta <gamma, x>, with the lowest set bit of gamma dropped."""
+    alpha, epsilon, beta, gamma = (np.asarray(v, dtype=np.int64)[:, None]
+                                   for v in (alpha, epsilon, beta, gamma))
+    vals = f.table[_embedded_points(alpha, f.n) ^ epsilon].astype(np.int64)
+    vals ^= _PAR16[vals & gamma] * beta
+    low = (gamma & -gamma) - 1
+    return ((vals & low) | ((vals >> 1) & ~low)).astype(np.uint16)
 
 
 def _trims_by_table(f: VBF, trims: Sequence[tuple[int, str, int]],
                     key: Callable[[InvariantSignature], object], claims: Sequence
                     ) -> tuple[np.ndarray, list[InvariantSignature]]:
-    """The trims (alpha, side, beta) of ``trims``, grouped by hyperplane,
-    built as tables and classified, as (tables, signatures). A kernel
-    claimed key(signature) = claims[i] for trims[i]; a table that disagrees
-    is an internal error."""
-    tabs = np.concatenate([_tables_for_alpha(f, alpha, side, [t[2] for t in group])
-                           for (alpha, side), group in groupby(trims, itemgetter(0, 1))])
+    """The trims (alpha, side, beta) of ``trims``, built as tables under
+    canonical epsilon and gamma and classified, as (tables, signatures). A
+    kernel claimed key(signature) = claims[i] for trims[i]; a table that
+    disagrees is an internal error."""
+    alpha, beta = (np.array([t[i] for t in trims]) for i in (0, 2))
+    affine = np.array([t[1] == "affine" for t in trims])
+    tabs = _tables_for_alpha(f, alpha, affine * (alpha & -alpha), beta, beta & -beta)
     sigs = signatures_of_tables(tabs, f.n - 1)
     for (alpha, side, beta), sig, claim in zip(trims, sigs, claims):
         if key(sig) != claim:
@@ -290,10 +275,7 @@ def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     vs = np.arange(1 << n, dtype=np.uint16)
     bits = _PAR16[vs[:, None, None] & gram[None, :, :]].astype(np.uint16)
     rows = (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
-    span = np.zeros((1 << n, 1), dtype=np.uint16)
-    for i in range(k):
-        span = np.concatenate([span, span ^ rows[:, i:i + 1]], axis=1)
-    half = (k - np.log2((span == 0).sum(axis=1)).astype(np.int64)) // 2
+    half = (k - np.log2((span(rows) == 0).sum(axis=1)).astype(np.int64)) // 2
     # comps[beta - 1, r] = #{v != 0, v.beta = 0, rho_v = 2r}, by one Hadamard
     # transform; such a component has |Walsh| 2^(k - r) on 4^r points
     onehot = half[None, :] == np.arange(k // 2 + 1)[:, None]

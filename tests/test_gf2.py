@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from apnkit import gf2
+from apnkit import catalog, gf2
 from apnkit.gf2 import (
     AffineSolutionSpace, FieldSpec, GF2Matrix, default_field, field_inv,
     field_mul, inner_product, is_irreducible, rank, rref, solve_affine,
@@ -138,6 +138,51 @@ def test_rref_idempotent():
         assert ech2 == ech and rk2 == rk and piv2 == piv
 
 
+@pytest.mark.parametrize("ncols", [0, 1, 5, 7, 64, 65, 130])
+def test_rref_matches_loop(ncols):
+    rng = random.Random(100 + ncols)
+    for nrows in sorted({0, 1, 3, ncols, ncols + 2}):
+        for m, _ in _random_systems(rng, 8, nrows, ncols):
+            rows, rk, piv = _rref_by_loop(m.rows, ncols)
+            assert rref(m) == (GF2Matrix(nrows, ncols, rows), rk, tuple(piv))
+            assert rank(m) == rk
+
+
+def _span_by_loop(words):
+    """XOR of words[i] over the set bits i of t, for every t, as ints."""
+    out = []
+    for t in range(1 << len(words)):
+        acc = 0
+        for i, w in enumerate(words):
+            if t >> i & 1:
+                acc ^= int(w)
+        out.append(acc)
+    return out
+
+
+def test_span_matches_brute_force():
+    rng = random.Random(13)
+    assert gf2.span(np.zeros(0, dtype=np.uint16)).tolist() == [0]
+    words = np.array([[rng.getrandbits(16) for _ in range(k)] for k in (5, 5, 5)],
+                     dtype=np.uint16)
+    got = gf2.span(words)
+    assert got.dtype == np.uint16 and got.shape == (3, 32)
+    for row, w in zip(got, words):
+        assert row.tolist() == _span_by_loop(w)
+    wide = [rng.getrandbits(150) for _ in range(6)]
+    got = gf2.span(np.array(wide, dtype=object)).tolist()
+    assert got == _span_by_loop(wide)
+    assert max(got).bit_length() > 64
+
+
+def test_default_field_rejects_widths_outside_range():
+    for n in (0, 17):
+        with pytest.raises(ValueError, match=r"outside \[1, 16\]"):
+            default_field(n)
+    with pytest.raises(ValueError, match=r"outside \[1, 16\]"):
+        catalog.gold(17)
+
+
 def test_solve_affine_trivial():
     ident = GF2Matrix.identity(5)
     s = solve_affine(ident, 0b10110)
@@ -173,14 +218,14 @@ def test_solve_affine_complete_vs_exhaustive():
             assert (x in s) == (x in brute)
 
 
-def _solve_affine_by_loop(mat, v):
-    """Gauss-Jordan on Python-int rows, one system at a time: the
-    reference for the batched solver."""
-    aug_col = mat.ncols
-    rows = [mat.rows[i] | (((v >> i) & 1) << aug_col) for i in range(mat.nrows)]
+def _rref_by_loop(rows, ncols):
+    """Gauss-Jordan on Python-int rows over columns 0 .. ncols - 1, with row
+    swaps, one matrix at a time: (reduced rows, rank, pivot columns). The
+    reference for gf2._gauss_jordan, through rref and solve_affine_batch."""
+    rows = list(rows)
     pivots = []
     r = 0
-    for col in range(mat.ncols):
+    for col in range(ncols):
         sel = None
         for i in range(r, len(rows)):
             if (rows[i] >> col) & 1:
@@ -196,6 +241,15 @@ def _solve_affine_by_loop(mat, v):
         r += 1
         if r == len(rows):
             break
+    return rows, r, pivots
+
+
+def _solve_affine_by_loop(mat, v):
+    """One system at a time on the reduced rows of _rref_by_loop: the
+    reference for the batched solver."""
+    aug_col = mat.ncols
+    rows, r, pivots = _rref_by_loop(
+        [mat.rows[i] | (((v >> i) & 1) << aug_col) for i in range(mat.nrows)], mat.ncols)
     for i in range(r, len(rows)):
         if rows[i]:
             return AffineSolutionSpace(mat.ncols, None, ())

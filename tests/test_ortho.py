@@ -30,7 +30,7 @@ def test_gold_ortho_n3_is_x4():
     assert gold_ortho(spec, 1) == x4
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_gold_ortho_matches_computed_under_trace_pairing(n):
     spec = default_field(n)
     g = catalog.gold(n)
@@ -139,11 +139,22 @@ def test_max_linearity_ortho_constant_on_hyperplane():
         assert found
 
 
-def _use_solver_path(monkeypatch):
-    """Route ortho_derivative through the batched kernel solve used above
-    n = 10, from a cold cache (both paths give the same values)."""
-    ortho._ortho_cached.cache_clear()
-    monkeypatch.setattr(ortho, "_BATCH_MAX_N", 2)
+def _ortho_by_solver(g, gram=None):
+    """The ortho-derivative by one kernel solve per row a: B_a(e_j), mapped
+    through the Gram matrix, are the rows of an n x n system whose kernel
+    is {0, pi(a)}. The reference for ortho._ortho_derivatives."""
+    n = g.n
+    b = derivative(g.table, np.arange(1 << n)[:, None], 1 << np.arange(n))
+    if gram is not None:
+        b = np.array(gram.lut(), dtype=np.uint16)[b]
+    pi = np.zeros(1 << n, dtype=np.uint16)
+    for lo, hi in vbf_mod._row_chunks(1, 1 << n, n * (n + 1)):
+        spaces = gf2.solve_affine_batch(b[lo:hi, :, None], n)
+        for a, space in enumerate(spaces, lo):
+            if len(space.basis) != 1:
+                raise ValueError("not APN: derivative images are not hyperplanes")
+            pi[a] = space.basis[0]
+    return VBF(n, n, pi)
 
 
 def _ortho_inputs():
@@ -151,24 +162,24 @@ def _ortho_inputs():
             random_ea_transform(catalog.fixture("G3"), random.Random(4))]
 
 
-def test_ortho_solver_path_matches_mask_path(monkeypatch):
-    ortho._ortho_cached.cache_clear()
+def test_ortho_derivative_matches_the_solver(monkeypatch):
     gram = gf2.trace_gram(default_field(7))
-    want = [ortho_derivative(f) for f in _ortho_inputs()]
-    want_trace = ortho_derivative(catalog.gold(7), gram)
-    _use_solver_path(monkeypatch)
+    want = [_ortho_by_solver(f) for f in _ortho_inputs()]
+    want_trace = _ortho_by_solver(catalog.gold(7), gram)
+    ortho._ortho_cached.cache_clear()
     assert [ortho_derivative(f) for f in _ortho_inputs()] == want
     assert ortho_derivative(catalog.gold(7), gram) == want_trace
-    # one system per chunk
+    # one row a per chunk
     ortho._ortho_cached.cache_clear()
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 10)
     assert [ortho_derivative(f) for f in _ortho_inputs()] == want
 
 
-def test_ortho_solver_path_rejects_non_apn(monkeypatch):
-    _use_solver_path(monkeypatch)
+def test_ortho_derivative_rejects_non_apn():
     f = random_quadratic(5, 5, random.Random(11))
     assert f.degree == 2 and not is_apn(f)
+    with pytest.raises(ValueError, match="not APN"):
+        _ortho_by_solver(f)
     with pytest.raises(ValueError, match="not APN"):
         ortho_derivative(f)
 
@@ -187,14 +198,13 @@ def _quadratic_apn_stack(n, rng):
             for i in range(max(3, len(bases)))]
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_stacked_ortho_derivatives_match_the_solver(n, monkeypatch):
     """The stacked routine against one kernel solve per row a, with chunks
-    that end inside a table and, at the default limit, one chunk."""
+    that end inside a table and, at the default limit, few chunks."""
     funcs = _quadratic_apn_stack(n, random.Random(n))
     tabs = np.stack([f.table for f in funcs])
-    _use_solver_path(monkeypatch)
-    want = np.stack([ortho_derivative(f).table for f in funcs])
+    want = np.stack([_ortho_by_solver(f).table for f in funcs])
     assert (ortho._ortho_derivatives(tabs, n) == want).all()
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 7 << n)
     assert (ortho._ortho_derivatives(tabs, n) == want).all()

@@ -17,6 +17,7 @@ from apnkit.trimming import (
 from apnkit.vbf import (
     VBF, is_apn, random_ea_transform, random_function, random_quadratic,
 )
+from test_gf2 import _span_by_loop
 
 
 def test_project_examples():
@@ -70,6 +71,9 @@ def test_hyperplane_basis_properties():
         for v in basis:
             span |= {s ^ v for s in span}
         assert len(span) == 1 << (n - 1)
+    for alpha in (0, 16, -1):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            hyperplane_basis(alpha, 4)
 
 
 def test_trim_of_linear_is_affine():
@@ -109,6 +113,25 @@ def test_appendix_mask_trims():
         assert nxt.table.tolist() == expect
         assert is_apn(nxt)
         cur = nxt
+
+
+def test_trim_matches_definition():
+    """trim() against its docstring, with random valid (epsilon, gamma):
+    inputs in the coordinates of hyperplane_basis(alpha), outputs projected
+    and read through hyperplane_basis(gamma)."""
+    rng = random.Random(40)
+    n = 5
+    f = random_function(n, n, rng)
+    for _ in range(20):
+        alpha, beta, side = rng.randrange(1, 32), rng.randrange(1, 32), rng.choice(SIDES)
+        eps = 0 if side == "linear" else rng.choice(
+            [e for e in range(32) if inner_product(alpha, e)])
+        gamma = rng.choice([g for g in range(32) if inner_product(beta, g)])
+        points = _span_by_loop(hyperplane_basis(alpha, n))
+        coords = {v: c for c, v in enumerate(_span_by_loop(hyperplane_basis(gamma, n)))}
+        want = [coords[project(beta, gamma, int(f.table[p ^ eps]))] for p in points]
+        d = TrimDescriptor(Hyperplane(alpha, side), beta, eps, gamma)
+        assert trim(f, d).table.tolist() == want
 
 
 def test_trim_rejects_bad_inputs():
@@ -262,8 +285,16 @@ def test_trimming_graph_isolated_and_edges():
 # functions of degree <= 2: derivative-table kernel against the table path
 # ---------------------------------------------------------------------------
 
+def _hyperplane_tables(f, alpha, side):
+    """The tables of the trims (alpha, side, beta), beta = 1 .. 2^n - 1,
+    under canonical epsilon and gamma."""
+    ds = [TrimDescriptor.canonical(alpha, side, b) for b in range(1, 1 << f.n)]
+    return _tables_for_alpha(f, [alpha] * len(ds), [d.epsilon for d in ds],
+                             [d.beta for d in ds], [d.gamma for d in ds])
+
+
 def _table_signatures(f, alpha, side):
-    return signatures_of_tables(_tables_for_alpha(f, alpha, side), f.n - 1)
+    return signatures_of_tables(_hyperplane_tables(f, alpha, side), f.n - 1)
 
 
 def _table_spectra(f):
@@ -283,7 +314,7 @@ def _iter_apn_trims_by_table(f, alphas):
     n = f.n
     for alpha in alphas:
         for side in SIDES:
-            tabs = _tables_for_alpha(f, alpha, side)
+            tabs = _hyperplane_tables(f, alpha, side)
             apn = [b for b, t in enumerate(tabs) if is_apn(VBF(n - 1, n - 1, t))]
             for beta0, sig in zip(apn, signatures_of_tables(tabs[apn], n - 1)):
                 d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
