@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import gf2
+from .extension import build_extension
 from .gf2 import FieldSpec, GF2Matrix, default_field
 from .ortho import InvariantSignature, invariant_signature
 from .trimming import TrimmingGraph
@@ -265,8 +266,6 @@ def gold(n: int, i: int = 1) -> VBF:
 def t6() -> VBF:
     """Maximum-linearity 6-bit function, built as the 0-extension of the
     cube map over F_32 with L = x^16 + x and l = Tr."""
-    from .extension import build_extension
-
     spec = default_field(5)
     g = gold(5)
     cols = [gf2.field_pow(spec, 1 << j, 16) ^ (1 << j) for j in range(5)]
@@ -279,8 +278,6 @@ def t6() -> VBF:
 @lru_cache(maxsize=None)
 def t8(i: int) -> VBF:
     """Maximum-linearity 8-bit representatives: (G_i(x), 0) + (x, Tr(x)) y."""
-    from .extension import build_extension
-
     spec = FieldSpec(7, 0b10000011)
     f = build_extension(g7(i), None, GF2Matrix.identity(7),
                         gf2.trace_form(spec))

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import gf2
 from .gf2 import AffineSolutionSpace, GF2Matrix, _echelon_insert, inner_product
-from .ortho import ortho_derivative
-from .vbf import _PAR16, VBF, _fwht, _row_chunks, derivative, is_apn, linearity, walsh
+from .ortho import invariant_signature, ortho_derivative
+from .vbf import (_PAR16, VBF, _fwht, _mobius, _row_chunks, derivative, is_apn, linearity,
+                  walsh)
 
 __all__ = [
     "ExtensionSpec", "GammaSpace", "build_extension", "zero_ext_apn_test",
@@ -226,8 +227,6 @@ def zero_extensions(g: VBF) -> list[tuple[VBF, "InvariantSignature"]]:
     first extension found with a signature is kept. Extensions of
     different EA-classes can share a signature, so the number returned is
     a lower bound on the number of EA-classes among them."""
-    from .ortho import invariant_signature
-
     _require_quadratic_apn(g, "zero_extensions")
     n = g.n
     if n < 3:
@@ -311,8 +310,6 @@ def canonical_form_check(t: VBF, gamma: int) -> bool:
 def sample_quadratic_r(g: VBF, rng: random.Random) -> VBF:
     """Random homogeneous quadratic Boolean function drawn from a fixed
     complement of the span of g's coordinate quadratic parts."""
-    from .vbf import _mobius
-
     n = g.n
     monomials = [(1 << i) | (1 << j)
                  for i in range(n) for j in range(i + 1, n)]
@@ -535,8 +532,6 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
 
 def _write_checkpoint(path: str, g_id: str, r_cur: VBF,
                       assignment: list[int], nodes: int) -> None:
-    from .vbf import _mobius
-
     anf_bits = _mobius(r_cur.table)
     packed = 0
     for u, c in enumerate(anf_bits):

@@ -14,15 +14,16 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import gf2, vbf as vbf_mod
 from .gf2 import FieldSpec, GF2Matrix
-from .vbf import VBF, _batch_walsh_hists, _spectrum_from_hist
+from .vbf import VBF, Spectrum, _batch_walsh_hists, _spectrum
 
-Spectrum = tuple[tuple[int, int], ...]
+# (values, counts): counts[b, j] entries of function b equal to values[j]
+Columns = tuple[np.ndarray, np.ndarray]
 
 
 def ortho_derivative(g: VBF, gram: Optional[GF2Matrix] = None) -> VBF:
@@ -86,10 +87,17 @@ def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
     if n % 2 == 0 or math.gcd(i, n) != 1:
         raise ValueError("Gold function is not APN for these parameters")
     order = (1 << n) - 1
-    e = (order - (((1 << i) + 1) % order)) % order
+    # the powers of a primitive element p: the generator when it is one,
+    # else the smallest word that is
+    powers, p = gf2.exp_table(spec), 1
+    while len(powers) < order:
+        p += 1
+        powers = [1]
+        while (t := gf2.field_mul(spec, powers[-1], p)) != 1:
+            powers.append(t)
+    powers = np.array(powers)
     tab = np.zeros(1 << n, dtype=np.uint16)
-    for x in range(1, 1 << n):
-        tab[x] = gf2.field_pow(spec, x, e)
+    tab[powers] = powers[-np.arange(order) * ((1 << i) + 1) % order]
     return VBF(n, n, tab)
 
 
@@ -130,34 +138,65 @@ class InvariantSignature:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
-    """Signatures for a batch of k-bit tables (shape (B, 2^k)), classified in
-    stacks of at most _BATCH_CELL_LIMIT / 2^8 DDT cells: larger stacks run
-    no faster and only grow the temporaries."""
-    B = tabs.shape[0]
-    chunks = list(vbf_mod._row_chunks(0, B, 1 << (2 * k + 8)))
-    if len(chunks) != 1:
-        return [sig for lo, hi in chunks
-                for sig in signatures_of_tables(tabs[lo:hi], k)]
-    degs = vbf_mod._degree_of_tables(tabs, k)
-    # hists[b] = DDT, |Walsh|, ortho DDT and ortho |Walsh| histograms of
-    # table b; the ortho rows stay -1 unless the table is quadratic APN
-    hists = np.full((B, 4, (1 << k) + 1), -1, dtype=np.int64)
-    hists[:, 0] = vbf_mod._diff_counts_batch(tabs, k, k)
-    hists[:, 1] = _batch_walsh_hists(tabs, k)
-    quad = np.flatnonzero((hists[:, 0, 3:] == 0).all(axis=1) & (degs == 2))
-    if quad.size:
-        pis = _ortho_derivatives(tabs[quad], k)
-        hists[quad, 2] = vbf_mod._diff_counts_batch(pis, k, k)
-        hists[quad, 3] = _batch_walsh_hists(pis, k)
-    memo: dict[tuple, InvariantSignature] = {}
-    out = []
-    for row, deg in zip(hists, degs.tolist()):
-        key = (row.tobytes(), deg)
+def _stacks(count: int, k: int) -> Iterator[tuple[int, int]]:
+    """Row ranges over ``count`` k-bit tables of at most _BATCH_CELL_LIMIT /
+    2^8 DDT cells each: larger stacks run no faster and only grow the
+    temporaries."""
+    return vbf_mod._row_chunks(0, count, 1 << (2 * k + 8))
+
+
+def signatures_of_columns(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
+                          tables: Callable[[np.ndarray], np.ndarray]
+                          ) -> list[InvariantSignature]:
+    """Signatures of k-bit functions b = 0 .. B - 1 from their histogram
+    columns: ddt = (values, counts) with counts[b, j] DDT cells a != 0 equal
+    to values[j], walsh the same for |Walsh| values over beta != 0, both
+    with ascending values, and degrees[b]; one object per distinct row. The
+    ortho spectra of the rows that are APN of degree 2 come from
+    tables(rows), the tables of those rows, taken in stacks; a table that
+    is not quadratic APN there is an internal error."""
+    (dvals, dcounts), (wvals, wcounts) = ddt, walsh
+    rows = np.ascontiguousarray(np.hstack([dcounts, wcounts, degrees[:, None]]), dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
+    quad = np.flatnonzero(~dcounts[:, dvals > 2].any(axis=1) & (degrees == 2))
+    ortho: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for lo, hi in _stacks(quad.size, k):
+        try:
+            pis = _ortho_derivatives(tables(quad[lo:hi]), k)
+        except ValueError as exc:
+            raise RuntimeError("a function classified as quadratic APN "
+                               "has a table that is not") from exc
+        hists = zip(vbf_mod._diff_counts_batch(pis, k, k), _batch_walsh_hists(pis, k))
+        for b, (dh, wh) in zip(quad[lo:hi].tolist(), hists):
+            ortho[b] = dh, wh
+            keys[b] += dh.tobytes() + wh.tobytes()
+    memo: dict[bytes, InvariantSignature] = {}
+    for b, key in enumerate(keys):
         if key not in memo:
-            ds, ews, ods, oews = (_spectrum_from_hist(h) if h[0] >= 0 else None for h in row)
-            memo[key] = InvariantSignature(deg, ds[-1][0] <= 2, ds, ews, ods, oews)
-        out.append(memo[key])
+            row = rows[b]
+            ds = _spectrum(row[:dvals.size], dvals)
+            ews = _spectrum(row[dvals.size:-1], wvals)
+            ods, oews = map(_spectrum, ortho[b]) if b in ortho else (None, None)
+            memo[key] = InvariantSignature(int(row[-1]), ds[-1][0] <= 2, ds, ews, ods, oews)
+    return [memo[key] for key in keys]
+
+
+def _columns(hists: np.ndarray) -> Columns:
+    """(values, counts) of the columns of ``hists`` that are not all zero."""
+    values = np.flatnonzero(hists.any(axis=0))
+    return values, hists[:, values]
+
+
+def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
+    """Signatures for a batch of k-bit tables (shape (B, 2^k)), classified
+    in stacks."""
+    out = []
+    for lo, hi in _stacks(tabs.shape[0], k):
+        stack = tabs[lo:hi]
+        out += signatures_of_columns(
+            k, vbf_mod._degree_of_tables(stack, k),
+            _columns(vbf_mod._diff_counts_batch(stack, k, k)),
+            _columns(_batch_walsh_hists(stack, k)), stack.__getitem__)
     return out
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .gf2 import inner_product, lowest_set_bit, span
-from .ortho import (InvariantSignature, Spectrum, invariant_signature,
-                    signatures_of_tables)
+from .ortho import (Columns, InvariantSignature, invariant_signature,
+                    signatures_of_columns, signatures_of_tables)
 from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_hists,
                   _walsh_blocks, derivative, is_apn)
 
@@ -102,15 +101,10 @@ def trim(f: VBF, d: TrimDescriptor) -> VBF:
     are gamma-orthogonal read through hyperplane_basis(gamma), which
     amounts to dropping the lowest set bit of gamma.
     """
-    if f.n != f.m:
-        raise ValueError("trims are defined for n = m")
+    check_trimmable(f)
     n = f.n
-    if n < 2:
-        raise ValueError("trims need n >= 2")
     alpha = d.hyperplane.alpha
-    if not (0 < alpha < (1 << n) and 0 < d.beta < (1 << n)):
-        raise ValueError("descriptor does not fit the dimension")
-    if d.gamma >> n or d.epsilon >> n:
+    if (alpha | d.beta | d.epsilon | d.gamma) >> n:
         raise ValueError("descriptor does not fit the dimension")
     tabs = _tables_for_alpha(f, [alpha], [d.epsilon], [d.beta], [d.gamma])
     return VBF(n - 1, n - 1, tabs[0])
@@ -135,26 +129,12 @@ def _tables_for_alpha(f: VBF, alpha, epsilon, beta, gamma) -> np.ndarray:
     return ((vals & low) | ((vals >> 1) & ~low)).astype(np.uint16)
 
 
-def _trims_by_table(f: VBF, trims: Sequence[tuple[int, str, int]],
-                    key: Callable[[InvariantSignature], object], claims: Sequence
-                    ) -> tuple[np.ndarray, list[InvariantSignature]]:
-    """The trims (alpha, side, beta) of ``trims``, built as tables under
-    canonical epsilon and gamma and classified, as (tables, signatures). A
-    kernel claimed key(signature) = claims[i] for trims[i]; a table that
-    disagrees is an internal error."""
+def _canonical_tables(f: VBF, trims: Sequence[tuple[int, str, int]]) -> np.ndarray:
+    """The tables of the trims (alpha, side, beta) of ``trims`` under
+    canonical epsilon and gamma, one row each."""
     alpha, beta = (np.array([t[i] for t in trims]) for i in (0, 2))
     affine = np.array([t[1] == "affine" for t in trims])
-    tabs = _tables_for_alpha(f, alpha, affine * (alpha & -alpha), beta, beta & -beta)
-    sigs = signatures_of_tables(tabs, f.n - 1)
-    for (alpha, side, beta), sig, claim in zip(trims, sigs, claims):
-        if key(sig) != claim:
-            raise RuntimeError(
-                f"kernel classification of trim (alpha={alpha}, {side}, "
-                f"beta={beta}) disagrees with its table")
-    return tabs, sigs
-
-
-_spectra = attrgetter("diff_spectrum", "walsh_spectrum")
+    return _tables_for_alpha(f, alpha, affine * (alpha & -alpha), beta, beta & -beta)
 
 
 def _sums_over_orthogonal(h: np.ndarray) -> np.ndarray:
@@ -178,35 +158,13 @@ def _trim_degrees(v: np.ndarray, n: int) -> np.ndarray:
     return deg[1:]
 
 
-def _pairs(values: np.ndarray, counts: np.ndarray) -> Spectrum:
-    return tuple((x, c) for x, c in zip(values.tolist(), counts.tolist()) if c)
-
-
-def _signatures(f: VBF, alpha: int, side: str, dvals: np.ndarray, ddt: np.ndarray,
-                wvals: np.ndarray, walsh: np.ndarray,
+def _signatures(f: VBF, alpha: int, side: str, ddt: Columns, walsh: Columns,
                 degrees: np.ndarray) -> list[InvariantSignature]:
     """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, from
-    a kernel's counts: ddt[beta - 1, j] DDT cells a != 0 equal to dvals[j],
-    walsh[beta - 1, j] |Walsh| values equal to wvals[j] (both ascending) and
-    degrees[beta - 1]. The APN trims of degree 2 are built as tables for
-    their ortho spectra."""
-    rows = np.concatenate([ddt, walsh, degrees[:, None]], axis=1)
-    memo: dict[bytes, InvariantSignature] = {}
-    sigs = []
-    for row in rows:
-        key = row.tobytes()
-        if key not in memo:
-            ds = _pairs(dvals, row[:dvals.size])
-            ews = _pairs(wvals, row[dvals.size:-1])
-            memo[key] = InvariantSignature(int(row[-1]), ds[-1][0] <= 2, ds, ews, None, None)
-        sigs.append(memo[key])
-    betas = [b for b, s in enumerate(sigs, 1) if s.apn and s.degree == 2]
-    if betas:
-        _, table_sigs = _trims_by_table(f, [(alpha, side, b) for b in betas], _spectra,
-                                        [_spectra(sigs[b - 1]) for b in betas])
-        for beta, sig in zip(betas, table_sigs):
-            sigs[beta - 1] = sig
-    return sigs
+    a kernel's columns and degrees, row beta - 1 each; only the APN trims of
+    degree 2 are built as tables, for their ortho spectra."""
+    return signatures_of_columns(f.n - 1, degrees, ddt, walsh, lambda rows: _canonical_tables(
+        f, [(alpha, side, b + 1) for b in rows.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +194,7 @@ def _signatures(f: VBF, alpha: int, side: str, dvals: np.ndarray, ddt: np.ndarra
 def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
     """D[x, y] over x, y in alpha-orthogonal, both in the coordinates of
     hyperplane_basis(alpha)."""
-    v = f.table[_embedded_points(alpha, f.n)]
+    v = _restricted_values(f, alpha, "linear")
     xs = np.arange(v.size)
     return derivative(v, xs[:, None], xs)
 
@@ -254,10 +212,10 @@ def _zeros_first(counts: np.ndarray, total: int) -> np.ndarray:
     return np.concatenate([total - counts.sum(axis=1, keepdims=True), counts], axis=1)
 
 
-def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """(dvals, ddt, wvals, walsh): ddt[beta - 1, j] DDT cells a != 0 of trim
-    beta equal to dvals[j], and walsh[beta - 1, j] |Walsh| values of its
-    components equal to wvals[j], for beta = 1 .. 2^n - 1."""
+def _quadratic_counts(d: np.ndarray, n: int) -> tuple[Columns, Columns]:
+    """((dvals, ddt), (wvals, walsh)): ddt[beta - 1, j] DDT cells a != 0 of
+    trim beta equal to dvals[j], and walsh[beta - 1, j] |Walsh| values of
+    its components equal to wvals[j], for beta = 1 .. 2^n - 1."""
     k = n - 1
     size = 1 << k
     total = size * (size - 1)       # DDT cells a != 0; |Walsh| values v != 0
@@ -282,7 +240,7 @@ def _quadratic_counts(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     comps = _sums_over_orthogonal(onehot)[:, 1:].T
     r = np.arange(k // 2, -1, -1)
     walsh = _zeros_first(comps[:, r] << 2 * r, total)
-    return np.append(0, 1 << j), ddt, np.append(0, size >> r), walsh
+    return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
 
 
 def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[InvariantSignature]:
@@ -290,8 +248,8 @@ def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[Inva
     <= 2, beta = 1 .. 2^n - 1, for each side of ``sides``: ("linear",) or
     SIDES."""
     n = f.n
-    counts = _quadratic_counts(_derivative_table(f, alpha), n)
-    flat = ~counts[3][:, 1:-1].any(axis=1)      # no component with rho > 0
+    ddt, walsh = _quadratic_counts(_derivative_table(f, alpha), n)
+    flat = ~walsh[1][:, 1:-1].any(axis=1)       # no component with rho > 0
 
     def degrees(side: str) -> np.ndarray:
         deg = np.full(flat.size, 2)
@@ -299,7 +257,7 @@ def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[Inva
             deg[flat] = _trim_degrees(_restricted_values(f, alpha, side), n)[flat]
         return deg
 
-    sigs = _signatures(f, alpha, "linear", *counts, degrees("linear"))
+    sigs = _signatures(f, alpha, "linear", ddt, walsh, degrees("linear"))
     if "affine" not in sides:
         return sigs
     # an affine-side trim differs from its linear twin by an affine map
@@ -385,8 +343,8 @@ def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignatur
     """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, of
     a function of any degree."""
     v = _restricted_values(f, alpha, side)
-    return _signatures(f, alpha, side, *_trim_ddt_counts(v, f.n),
-                       *_trim_walsh_counts(v, f.n), _trim_degrees(v, f.n))
+    return _signatures(f, alpha, side, _trim_ddt_counts(v, f.n),
+                       _trim_walsh_counts(v, f.n), _trim_degrees(v, f.n))
 
 
 def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[int, str, int]]:
@@ -497,13 +455,18 @@ def _iter_apn_trims(f: VBF, alphas: Sequence[int]
     """APN trims of the hyperplanes ``alphas`` in ascending (alpha, side,
     beta) order, with tables and signatures; for deg(F) <= 2, affine-side
     trims that repeat the signature of their linear twin are skipped. The
-    trims a kernel claims are built and classified together."""
+    trims a kernel claims are built and classified together; a claimed trim
+    whose table is not APN is an internal error."""
     kernel = _quadratic_apn_trims if f.degree <= 2 else _general_apn_trims
     trims = [t for alpha in alphas for t in kernel(f, alpha)]
     if not trims:
         return
-    tabs, sigs = _trims_by_table(f, trims, attrgetter("apn"), [True] * len(trims))
     k = f.n - 1
+    tabs = _canonical_tables(f, trims)
+    sigs = signatures_of_tables(tabs, k)
+    bad = [t for t, sig in zip(trims, sigs) if not sig.apn]
+    if bad:
+        raise RuntimeError(f"kernel claims the trim {bad[0]} APN, but its table is not")
     for (alpha, side, beta), tab, sig in zip(trims, tabs, sigs):
         yield TrimDescriptor.canonical(alpha, side, beta), VBF(k, k, tab), sig
 

@@ -31,6 +31,8 @@ del _V, _s
 # spectra are computed in blocks of rows of at most this many cells
 _BATCH_CELL_LIMIT = 1 << 24
 
+Spectrum = tuple[tuple[int, int], ...]
+
 
 class VBF:
     """A function F_2^n -> F_2^m given by its value table."""
@@ -221,8 +223,11 @@ def _row_hists(rows: np.ndarray, width: int) -> np.ndarray:
     return hists.reshape(rows.shape[0], width)
 
 
-def _spectrum_from_hist(hist: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple((int(v), int(hist[v])) for v in np.flatnonzero(hist))
+def _spectrum(counts: np.ndarray, values: Optional[np.ndarray] = None) -> Spectrum:
+    """The pairs (values[j], counts[j]) with counts[j] != 0; values[j] = j
+    unless given."""
+    xs = range(counts.size) if values is None else values.tolist()
+    return tuple((x, c) for x, c in zip(xs, counts.tolist()) if c)
 
 
 def _walsh_blocks(tabs: np.ndarray, m: int, start: int = 1) -> Iterator[tuple[int, np.ndarray]]:
@@ -265,9 +270,9 @@ def linearity(f: VBF) -> int:
     return max(int(np.abs(w).max()) for _, w in _walsh_blocks(f.table[None, :], f.m))
 
 
-def extended_walsh_spectrum(f: VBF) -> tuple[tuple[int, int], ...]:
+def extended_walsh_spectrum(f: VBF) -> Spectrum:
     """Multiset of absolute Walsh values over all (alpha, beta != 0)."""
-    return _spectrum_from_hist(_batch_walsh_hists(f.table[None, :], f.m)[0])
+    return _spectrum(_batch_walsh_hists(f.table[None, :], f.m)[0])
 
 
 def fourth_moment(f: VBF) -> int:
@@ -339,9 +344,9 @@ def _diff_counts_batch(tabs: np.ndarray, n: int, m: int) -> np.ndarray:
                for _, block in _ddt_blocks(tabs, m))
 
 
-def differential_spectrum(f: VBF) -> tuple[tuple[int, int], ...]:
+def differential_spectrum(f: VBF) -> Spectrum:
     """Multiset of DDT entry values over all rows with a != 0."""
-    return _spectrum_from_hist(_diff_counts_batch(f.table[None, :], f.n, f.m)[0])
+    return _spectrum(_diff_counts_batch(f.table[None, :], f.n, f.m)[0])
 
 
 def differential_uniformity(f: VBF) -> int:

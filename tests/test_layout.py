@@ -1,7 +1,8 @@
 """Dead-code guard for src/apnkit, with ast instead of a linter: every
-module-level import of a module is used in it, and every private
-module-level function, class or constant is referenced somewhere in the
-package. Dunder names and the re-exports of __init__.py are exempt."""
+module-level import of a module is used in it, no function imports from
+the package, and every private module-level function, class or constant
+is referenced somewhere in the package. Dunder names and the re-exports of
+__init__.py are exempt."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,18 @@ def test_module_level_imports_are_used(path):
     tree = _tree(path)
     used = _read_names(tree)
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_are_at_module_level(path):
+    """No function imports from the package: none of its modules imports
+    another back, so every such import can sit at the top."""
+    local = [f"{fn.name}:{node.lineno}"
+             for fn in ast.walk(_tree(path))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert local == []
 
 
 def test_private_definitions_are_referenced():

@@ -30,10 +30,18 @@ def test_gold_ortho_n3_is_x4():
     assert gold_ortho(spec, 1) == x4
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
-def test_gold_ortho_matches_computed_under_trace_pairing(n):
-    spec = default_field(n)
-    g = catalog.gold(n)
+# X^9 + X + 1 is irreducible, but X has order 73 in its field, not 511
+_NONPRIMITIVE_9 = gf2.FieldSpec(9, 0b1000000011)
+
+
+@pytest.mark.parametrize("spec", [default_field(n) for n in (3, 5, 7, 9, 11, 13)]
+                         + [_NONPRIMITIVE_9], ids=[3, 5, 7, 9, 11, 13, "9-nonprimitive"])
+def test_gold_ortho_matches_computed_under_trace_pairing(spec):
+    if spec == _NONPRIMITIVE_9:
+        assert len(gf2.exp_table(spec)) == 73
+        g = VBF.from_univariate(spec, [(1, 3)])
+    else:
+        g = catalog.gold(spec.n)
     assert ortho_derivative(g, gram=gf2.trace_gram(spec)) == gold_ortho(spec, 1)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from apnkit import catalog, gf2, trimming, vbf
+from apnkit import catalog, gf2, ortho, trimming, vbf
 from apnkit.gf2 import inner_product
 from apnkit.ortho import invariant_signature, signatures_of_tables
 from apnkit.trimming import (
@@ -351,6 +351,48 @@ def test_quadratic_kernel_matches_tables_per_hyperplane(n):
         assert _quadratic_signatures(f, alpha, SIDES) == want[0] + want[1]
 
 
+@pytest.mark.parametrize("name", ["T8_1", "gold7"])
+def test_quadratic_kernel_matches_tables_where_trims_are_apn(name):
+    """The kernel's APN trims of degree 2 get their DDT and |Walsh| spectra
+    from its own columns and only their ortho spectra from tables: against
+    every trim classified by table, on every hyperplane of T8_1 that holds
+    APN trims (3 of 128 each) and on a few of gold7's (1 each)."""
+    f = catalog.fixture(name)
+    alphas = [alpha for alpha in range(1, 1 << f.n)
+              if trimming._apn_betas(trimming._derivative_table(f, alpha), f.n)]
+    if name == "T8_1":
+        assert len(alphas) == 3
+    else:
+        assert len(alphas) == 127
+        alphas = random.Random(name).sample(alphas, 4)
+    for alpha in alphas:
+        want = _table_signatures(f, alpha, "linear")
+        apn = [s for s in want if s.apn]
+        assert len(apn) == (128 if name == "T8_1" else 1)
+        assert all(s.degree == 2 and s.ortho_diff_spectrum is not None for s in apn)
+        assert _quadratic_signatures(f, alpha, ("linear",)) == want
+
+
+def test_trim_spectrum_ortho_stacks_follow_the_cell_limit(monkeypatch):
+    """With room for 3 five-bit tables per stack (2^18 cells each), the APN
+    trims of a T6 copy, 32 on each of 3 hyperplanes, take their
+    ortho-derivatives in stacks of at most 3, and the spectrum is the
+    same."""
+    f = random_ea_transform(catalog.t6(), random.Random(23))
+    want = trim_spectrum(f)
+    stacks = []
+    ortho_derivatives = ortho._ortho_derivatives
+
+    def recording(tabs, k, gram_lut=None):
+        stacks.append(tabs.shape[0])
+        return ortho_derivatives(tabs, k, gram_lut)
+
+    monkeypatch.setattr(ortho, "_ortho_derivatives", recording)
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 18)
+    assert trim_spectrum(f) == want
+    assert max(stacks) == 3 and sum(stacks) >= 3 * 32
+
+
 QUADRATIC_INPUTS = {
     "random_quadratic(5, 5)": lambda rng: random_quadratic(5, 5, rng),
     "random_quadratic(6, 6) homogeneous":
@@ -375,28 +417,38 @@ def _quadratic_input(name):
 
 @pytest.fixture
 def by_table(monkeypatch):
-    """Counts the trim tables classified by table, and the tables that go
-    through the DDT histogram: those trims, plus one ortho-derivative for
-    each quadratic APN trim."""
+    """Counts the trim tables built, and the tables that go through the DDT
+    histogram: trims classified by table, and ortho-derivatives."""
     seen = Counter()
-    classify, ddt_hist = trimming.signatures_of_tables, vbf._diff_counts_batch
+    tables, ddt_hist = trimming._tables_for_alpha, vbf._diff_counts_batch
 
-    def counting_classify(tabs, k):
-        seen["trims"] += tabs.shape[0]
-        return classify(tabs, k)
+    def counting_tables(f, *args):
+        out = tables(f, *args)
+        seen["trims"] += out.shape[0]
+        return out
 
     def counting_ddt_hist(tabs, n, m):
         seen["ddt"] += tabs.shape[0]
         return ddt_hist(tabs, n, m)
 
-    monkeypatch.setattr(trimming, "signatures_of_tables", counting_classify)
+    monkeypatch.setattr(trimming, "_tables_for_alpha", counting_tables)
     monkeypatch.setattr(vbf, "_diff_counts_batch", counting_ddt_hist)
     return seen
 
 
-def _assert_table_work(seen, counts):
-    """At most the APN trims in ``counts`` were built and classified by
-    table, each with at most one ortho-derivative."""
+def _assert_spectrum_table_work(seen, counts):
+    """A spectrum built as tables at most the APN trims of degree 2 in
+    ``counts``, and took one DDT histogram for each: that of its
+    ortho-derivative."""
+    apn2 = sum(c for s, c in counts.items() if s.apn and s.degree == 2)
+    assert seen["trims"] <= apn2
+    assert seen["ddt"] <= apn2
+    seen.clear()
+
+
+def _assert_apn_trims_table_work(seen, counts):
+    """apn_trims built and classified by table at most the APN trims in
+    ``counts``, each with at most one ortho-derivative."""
     apn = sum(c for s, c in counts.items() if s.apn)
     assert seen["trims"] <= apn
     assert seen["ddt"] <= 2 * apn
@@ -411,9 +463,9 @@ def test_quadratic_trim_spectrum_matches_tables(name, by_table):
     full = want["linear"] + want["affine"]
     by_table.clear()
     assert trim_spectrum(f).counts == dict(full)
-    _assert_table_work(by_table, full)
+    _assert_spectrum_table_work(by_table, full)
     assert trim_spectrum(f, quadratic_reduced=True).counts == dict(want["linear"])
-    _assert_table_work(by_table, want["linear"])
+    _assert_spectrum_table_work(by_table, want["linear"])
 
 
 @pytest.mark.parametrize("name", QUADRATIC_INPUTS)
@@ -422,7 +474,7 @@ def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatc
     spectrum = trim_spectrum(f)
     by_table.clear()
     fast = apn_trims(f)
-    _assert_table_work(by_table, spectrum.counts)
+    _assert_apn_trims_table_work(by_table, spectrum.counts)
     apn = is_apn(f)
     fast_chain = recursive_witness(f) if apn else None
     assert (fast, fast_chain) == _apn_trims_and_witness_by_table(f, apn, monkeypatch)
@@ -439,10 +491,9 @@ def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
 
     def all_apn(d, n):
         # every trim claimed APN: half of its DDT cells a != 0 equal 2
-        _, ddt, wvals, walsh = quadratic_counts(d, n)
+        (_, ddt), walsh = quadratic_counts(d, n)
         size = 1 << (n - 1)
-        return (np.array([0, 2]), np.full((ddt.shape[0], 2), size * (size - 1) // 2),
-                wvals, walsh)
+        return (np.array([0, 2]), np.full((ddt.shape[0], 2), size * (size - 1) // 2)), walsh
 
     monkeypatch.setattr(trimming, "_quadratic_counts", all_apn)
     with pytest.raises(RuntimeError):
@@ -573,19 +624,16 @@ def test_general_trim_spectrum_matches_tables(name, by_table):
     full = want["linear"] + want["affine"]
     by_table.clear()
     assert trim_spectrum(f).counts == dict(full)
-    # only APN trims of degree 2 are built, each with one ortho-derivative
-    apn2 = sum(c for s, c in full.items() if s.apn and s.degree == 2)
-    assert by_table["trims"] <= apn2
-    assert by_table["ddt"] <= 2 * apn2
+    _assert_spectrum_table_work(by_table, full)
 
 
 @pytest.mark.parametrize("name", SMALL_GENERAL_INPUTS)
 def test_general_apn_trims_and_witness_match_tables(name, by_table, monkeypatch):
     f = _general_input(name)
-    apn = sum(c for s, c in trim_spectrum(f).counts.items() if s.apn)
+    spectrum = trim_spectrum(f)
     by_table.clear()
     fast = apn_trims(f)
-    assert by_table["trims"] <= apn
+    _assert_apn_trims_table_work(by_table, spectrum.counts)
     fast_chain = recursive_witness(f) if is_apn(f) else None
     assert (fast, fast_chain) == _apn_trims_and_witness_by_table(f, is_apn(f), monkeypatch)
 
@@ -619,17 +667,9 @@ def test_general_kernel_chunked_path(monkeypatch):
 
 
 def test_general_kernel_disagreement_is_an_internal_error(monkeypatch):
+    """Every trim claimed APN: apn_trims finds tables that are not APN, and
+    the spectrum finds trims of degree 2 whose ortho-derivative fails."""
     f = _gold5_plus_cubic()
-    walsh_counts = trimming._trim_walsh_counts
-
-    def reversed_walsh(v, n):
-        vals, counts = walsh_counts(v, n)
-        return vals, counts[:, ::-1]
-
-    monkeypatch.setattr(trimming, "_trim_walsh_counts", reversed_walsh)
-    with pytest.raises(RuntimeError):
-        trim_spectrum(f)
-    monkeypatch.undo()
 
     def all_apn(v, n):
         return np.array([0, 2]), np.ones(((1 << n) - 1, 2), dtype=np.int64)
@@ -637,3 +677,5 @@ def test_general_kernel_disagreement_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(trimming, "_trim_ddt_counts", all_apn)
     with pytest.raises(RuntimeError):
         apn_trims(f)
+    with pytest.raises(RuntimeError):
+        trim_spectrum(f)
