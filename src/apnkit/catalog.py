@@ -47,7 +47,6 @@ class FunctionRecord:
     table: tuple[int, ...] = ()
     modulus: int = 0
     terms: tuple[tuple[int, int], ...] = ()
-    note: str = ""
 
     def __post_init__(self) -> None:
         # the id must read back as the grammar's id=(\S+)
@@ -157,9 +156,8 @@ def serialize_record(rec: FunctionRecord) -> str:
     return f"uni id={rec.id} n={rec.n} mod={rec.modulus:#x}: " + " ".join(parts)
 
 
-def record_from_vbf(f: VBF, fid: str, note: str = "") -> FunctionRecord:
-    return FunctionRecord(fid, f.n, f.m, "lut",
-                          table=tuple(int(v) for v in f.table), note=note)
+def record_from_vbf(f: VBF, fid: str) -> FunctionRecord:
+    return FunctionRecord(fid, f.n, f.m, "lut", table=tuple(int(v) for v in f.table))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,8 @@ def gold(n: int, i: int = 1) -> VBF:
     if math.gcd(i, n) != 1:
         raise ValueError("Gold exponent needs gcd(i, n) = 1")
     spec = default_field(n)
-    f = VBF.from_univariate(spec, [(1, (1 << i) + 1)])
+    # x^(2^i) = x^(2^i mod (2^n - 1)) keeps the exponent below 2^n, also at n = 1
+    f = VBF.from_univariate(spec, [(1, (1 << i) % ((1 << n) - 1) + 1)])
     _verify(f, f"gold{n}", degree=(2 if n > 1 else 1), apn=True)
     return f
 

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import catalog, extension, trimming
-from .ortho import invariant_signature
+from .ortho import invariant_signature, spectrum_str
 from .vbf import VBF, extended_walsh_spectrum, differential_spectrum, is_apn, linearity
 
 
@@ -26,10 +26,6 @@ def _load_function(token: str) -> VBF:
         return catalog.parse_function(fh.read()).to_vbf()
 
 
-def _spectrum_str(pairs) -> str:
-    return "[" + "".join(f"({v},{c})" for v, c in pairs) + "]"
-
-
 def cmd_analyze(args) -> int:
     f = _load_function(args.input)
     report = {
@@ -37,8 +33,8 @@ def cmd_analyze(args) -> int:
         "degree": f.degree,
         "apn": is_apn(f) if f.n == f.m else False,
         "linearity": linearity(f),
-        "differential_spectrum": _spectrum_str(differential_spectrum(f)),
-        "extended_walsh_spectrum": _spectrum_str(extended_walsh_spectrum(f)),
+        "differential_spectrum": spectrum_str(differential_spectrum(f)),
+        "extended_walsh_spectrum": spectrum_str(extended_walsh_spectrum(f)),
     }
     if f.n == f.m:
         report["signature"] = invariant_signature(f).canonical()

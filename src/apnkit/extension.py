@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import gf2
-from .gf2 import AffineSolutionSpace, GF2Matrix, _echelon_insert, inner_product
+from .gf2 import AffineSolutionSpace, GF2Matrix, extend_basis, inner_product
 from .ortho import invariant_signature, ortho_derivative
 from .vbf import (_PAR16, VBF, _fwht, _mobius, _row_chunks, derivative, is_apn, linearity,
                   walsh)
@@ -201,24 +201,13 @@ def gamma_representatives(gs: GammaSpace) -> list[GF2Matrix]:
     """
     if gs.empty:
         raise ValueError("Gamma space is empty")
-    n = gs.n
-    ech: list[int] = []
-    for v in gs.j_basis:
-        if _echelon_insert(ech, v) == 0:
-            raise RuntimeError("Gamma-equivalence directions are dependent")
-    kernel_ech: list[int] = []
-    for b in gs.space.basis:
-        _echelon_insert(kernel_ech, b)
-    for v in gs.j_basis:
-        if _echelon_insert(kernel_ech, v):
-            raise RuntimeError(
-                "Gamma-equivalence directions leave the solution kernel")
-    complement = []
-    for b in gs.space.basis:
-        if _echelon_insert(ech, b):
-            complement.append(b)
+    if len(extend_basis((), gs.j_basis)) < len(gs.j_basis):
+        raise RuntimeError("Gamma-equivalence directions are dependent")
+    if extend_basis(gs.space.basis, gs.j_basis):
+        raise RuntimeError("Gamma-equivalence directions leave the solution kernel")
+    complement = extend_basis(gs.j_basis, gs.space.basis)
     combos = gf2.span(np.array(complement, dtype=object)).tolist()
-    return [matrix_from_vec(gs.space.particular ^ c, n) for c in combos]
+    return [matrix_from_vec(gs.space.particular ^ c, gs.n) for c in combos]
 
 
 def zero_extensions(g: VBF) -> list[tuple[VBF, "InvariantSignature"]]:
@@ -311,33 +300,15 @@ def sample_quadratic_r(g: VBF, rng: random.Random) -> VBF:
     """Random homogeneous quadratic Boolean function drawn from a fixed
     complement of the span of g's coordinate quadratic parts."""
     n = g.n
-    monomials = [(1 << i) | (1 << j)
-                 for i in range(n) for j in range(i + 1, n)]
-    index = {m: t for t, m in enumerate(monomials)}
-    coeffs = _mobius(g.table)
-    span_rows = []
-    for c in range(n):
-        vec = 0
-        for mask, t in index.items():
-            vec |= ((int(coeffs[mask]) >> c) & 1) << t
-        span_rows.append(vec)
-    ech: list[int] = []
-    for v in span_rows:
-        _echelon_insert(ech, v)
-    complement = []
-    for t in range(len(monomials)):
-        if _echelon_insert(ech, 1 << t):
-            complement.append(t)
-    xs = np.arange(1 << n, dtype=np.uint16)
-    tab = np.zeros(1 << n, dtype=np.uint16)
+    monomials = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    # coordinate c of g's quadratic part as a word over the monomials
+    parts = gf2._transpose(_mobius(g.table)[monomials].tolist(), n)
+    units = extend_basis(parts, [1 << t for t in range(len(monomials))])
+    complement = [monomials[u.bit_length() - 1] for u in units]
     picks = rng.getrandbits(len(complement)) if complement else 0
-    for pos, t in enumerate(complement):
-        if (picks >> pos) & 1:
-            mask = monomials[t]
-            i = (mask & -mask).bit_length() - 1
-            j = mask.bit_length() - 1
-            tab ^= (xs >> i) & (xs >> j) & 1
-    return VBF(n, 1, tab)
+    anf = np.zeros(1 << n, dtype=np.uint16)
+    anf[complement] = [(picks >> pos) & 1 for pos in range(len(complement))]
+    return VBF(n, 1, _mobius(anf))
 
 
 class _BudgetExhausted(Exception):
@@ -425,11 +396,9 @@ def _search_one_r(g_tab: list[int], n: int, r_tab: list[int], budget: int,
         nodes += count
 
     def leaf() -> tuple:
-        cols = [c & (size - 1) for c in imgs]
-        ell = 0
-        for j, c in enumerate(imgs):
-            ell |= ((c >> n) & 1) << j
-        return GF2Matrix.from_columns(cols, n), ell
+        # bit j of row i of L is bit i of imgs[j]; bit j of ell is bit n
+        *rows, ell = gf2._transpose(imgs, n + 1)
+        return GF2Matrix(n, n, rows), ell
 
     def dfs(k: int) -> Optional[tuple]:
         h = 2 << k
@@ -532,10 +501,8 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
 
 def _write_checkpoint(path: str, g_id: str, r_cur: VBF,
                       assignment: list[int], nodes: int) -> None:
-    anf_bits = _mobius(r_cur.table)
-    packed = 0
-    for u, c in enumerate(anf_bits):
-        packed |= int(c & 1) << u
+    # bit u of the packed ANF is the coefficient of the monomial u
+    packed = gf2._transpose(_mobius(r_cur.table).tolist(), 1)[0]
     rec = {"g_id": g_id, "r_anf": f"{packed:x}",
            "assignment": assignment, "nodes": nodes}
     with open(path, "a", encoding="utf-8") as fh:

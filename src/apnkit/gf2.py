@@ -7,8 +7,9 @@ explicitly or read it from a context object (FieldSpec, GF2Matrix).
 Batches of linear systems are numpy arrays of uint64 words instead
 (``pack_words``). Each job has one routine: ``span`` lists every XOR
 combination of k words, ``_gauss_jordan`` reduces a batch of word arrays
-(``rref`` and ``solve_affine_batch`` both call it) and ``_echelon_insert``
-grows an echelon one vector at a time (``rank``, membership tests).
+(``rref`` and ``solve_affine_batch`` both call it), ``extend_basis`` keeps
+the words that enlarge a span (``rank``, membership tests, complements)
+and ``_transpose`` turns rows of bits into columns (``GF2Matrix``).
 Widths are capped at 16 so every table of 2**n entries stays in memory.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -172,7 +173,7 @@ def _field_eval_modulus(spec: FieldSpec) -> int:
 def default_field(n: int) -> FieldSpec:
     if n not in DEFAULT_MODULUS:
         raise ValueError(f"field degree {n} outside [1, {MAX_WIDTH}]")
-    return FieldSpec(n, DEFAULT_MODULUS[n])
+    return FieldSpec(n, DEFAULT_MODULUS[n], poly_mod(2, DEFAULT_MODULUS[n]))
 
 
 def field_mul(spec: FieldSpec, a: int, b: int) -> int:
@@ -213,15 +214,18 @@ def trace(spec: FieldSpec, x: int) -> int:
     return acc
 
 
+def _powers(spec: FieldSpec, x: int) -> tuple[int, ...]:
+    """Powers x^0, x^1, ... of a nonzero x up to (not including) its order."""
+    out = [1]
+    while (t := field_mul(spec, out[-1], x)) != 1:
+        out.append(t)
+    return tuple(out)
+
+
 @lru_cache(maxsize=64)
 def exp_table(spec: FieldSpec) -> tuple[int, ...]:
     """Powers g^0, g^1, ... of the generator up to (not including) its order."""
-    out = [1]
-    t = field_mul(spec, 1, spec.generator)
-    while t != 1:
-        out.append(t)
-        t = field_mul(spec, t, spec.generator)
-    return tuple(out)
+    return _powers(spec, spec.generator)
 
 
 @lru_cache(maxsize=64)
@@ -281,20 +285,10 @@ class GF2Matrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "GF2Matrix":
-        rows = [0] * nrows
-        for j, c in enumerate(cols):
-            for i in range(nrows):
-                rows[i] |= ((c >> i) & 1) << j
-        return cls(nrows, len(cols), tuple(rows))
-
-    def column(self, j: int) -> int:
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r >> j) & 1) << i
-        return out
+        return cls(nrows, len(cols), _transpose(cols, nrows))
 
     def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.ncols)]
+        return _transpose(self.rows, self.ncols)
 
     def mul_vec(self, x: int) -> int:
         out = 0
@@ -303,7 +297,7 @@ class GF2Matrix:
         return out
 
     def transpose(self) -> "GF2Matrix":
-        return GF2Matrix.from_columns(self.rows, self.ncols)
+        return GF2Matrix(self.ncols, self.nrows, self.columns())
 
     def __add__(self, other: "GF2Matrix") -> "GF2Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -350,20 +344,36 @@ def rref(mat: GF2Matrix) -> tuple[GF2Matrix, int, tuple[int, ...]]:
 
 
 def rank(mat: GF2Matrix) -> int:
-    echelon: list[int] = []
-    return sum(1 for r in mat.rows if _echelon_insert(echelon, r))
+    return len(extend_basis((), mat.rows))
 
 
-def _echelon_insert(echelon: list[int], v: int) -> int:
-    """Reduce v against the echelon (rows keyed by lowest set bit) and
-    insert the remainder if nonzero; returns the remainder."""
-    for row in echelon:
-        if v & (row & -row):
-            v ^= row
-    if v:
-        echelon.append(v)
-        echelon.sort(key=lambda r: r & -r)
-    return v
+def extend_basis(base: Sequence[int], candidates: Iterable[int]) -> list[int]:
+    """The candidates that lie outside the span of ``base`` and of the
+    candidates kept before them, in order. Words are ints of any width."""
+    pivots: dict[int, int] = {}     # an echelon: rows keyed by lowest set bit
+    kept = []
+    for k, v in enumerate((*base, *candidates)):
+        w = v
+        while w & -w in pivots:     # 0 is no key, so this stops at w = 0
+            w ^= pivots[w & -w]
+        if w:
+            pivots[w & -w] = w
+            if k >= len(base):
+                kept.append(v)
+    return kept
+
+
+def _transpose(words: Sequence[int], width: int) -> list[int]:
+    """The bit matrix with rows ``words``, cut to ``width`` columns, by
+    columns: out[i] has bit j equal to bit i of words[j]."""
+    out = [0] * width
+    mask = (1 << width) - 1
+    for j, w in enumerate(words):
+        w &= mask
+        while w:
+            out[(w & -w).bit_length() - 1] |= 1 << j
+            w &= w - 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,12 +399,7 @@ class AffineSolutionSpace:
             yield self.particular ^ s
 
     def __contains__(self, x: int) -> bool:
-        if self.empty:
-            return False
-        echelon: list[int] = []
-        for b in self.basis:
-            _echelon_insert(echelon, b)
-        return _echelon_insert(echelon, x ^ self.particular) == 0
+        return not self.empty and not extend_basis(self.basis, [x ^ self.particular])
 
 
 def solve_affine(mat: GF2Matrix, v: int) -> AffineSolutionSpace:

@@ -92,9 +92,7 @@ def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
     powers, p = gf2.exp_table(spec), 1
     while len(powers) < order:
         p += 1
-        powers = [1]
-        while (t := gf2.field_mul(spec, powers[-1], p)) != 1:
-            powers.append(t)
+        powers = gf2._powers(spec, p)
     powers = np.array(powers)
     tab = np.zeros(1 << n, dtype=np.uint16)
     tab[powers] = powers[-np.arange(order) * ((1 << i) + 1) % order]
@@ -104,6 +102,13 @@ def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
 # ---------------------------------------------------------------------------
 # invariant signatures
 # ---------------------------------------------------------------------------
+
+def spectrum_str(s: Optional[Spectrum]) -> str:
+    """A spectrum as "[(value,count)...]", or "-" for None."""
+    if s is None:
+        return "-"
+    return "[" + "".join(f"({v},{c})" for v, c in s) + "]"
+
 
 @dataclass(frozen=True)
 class InvariantSignature:
@@ -122,16 +127,11 @@ class InvariantSignature:
     ortho_walsh_spectrum: Optional[Spectrum]
 
     def canonical(self) -> str:
-        def spec_str(s: Optional[Spectrum]) -> str:
-            if s is None:
-                return "-"
-            return "[" + "".join(f"({v},{c})" for v, c in s) + "]"
-
         return ("sig{deg=%d;apn=%d;ds=%s;ews=%s;ods=%s;oews=%s}"
                 % (self.degree, int(self.apn),
-                   spec_str(self.diff_spectrum), spec_str(self.walsh_spectrum),
-                   spec_str(self.ortho_diff_spectrum),
-                   spec_str(self.ortho_walsh_spectrum)))
+                   spectrum_str(self.diff_spectrum), spectrum_str(self.walsh_spectrum),
+                   spectrum_str(self.ortho_diff_spectrum),
+                   spectrum_str(self.ortho_walsh_spectrum)))
 
     def key64(self) -> str:
         """Stable 64-bit hex key of the canonical serialization."""

@@ -10,6 +10,7 @@ signature classes that is invariant under EA-equivalence.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
@@ -427,12 +428,13 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
                   workers: int = 1) -> TrimSpectrum:
     """The trim spectrum of f. The hyperplanes are split into ``workers``
     strided shares; one share runs in this process, more run in a pool of
-    at most 2^n - 1 processes, one share each."""
+    at most min(2^n - 1, CPU count) processes, one share each: the shares
+    are CPU-bound, so more processes than CPUs cannot finish sooner."""
     check_trimmable(f, quadratic_reduced)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     alphas = range(1, 1 << f.n)
-    workers = min(workers, len(alphas))
+    workers = min(workers, len(alphas), os.cpu_count() or 1)
     args = ([f.table] * workers, [f.n] * workers,
             [alphas[i::workers] for i in range(workers)], [quadratic_reduced] * workers)
     if workers == 1:

@@ -149,11 +149,7 @@ def _degree_of_tables(tabs: np.ndarray, n: int) -> np.ndarray:
 
 
 def anf_and_degree(f: VBF) -> tuple[ANF, int]:
-    coeffs = _mobius(f.table)
-    weights = _POP16[: 1 << f.n]
-    nz = np.nonzero(coeffs)[0]
-    deg = int(weights[nz].max()) if nz.size else 0
-    return ANF(f.n, f.m, tuple(int(c) for c in coeffs)), deg
+    return ANF(f.n, f.m, tuple(_mobius(f.table).tolist())), f.degree
 
 
 def vbf_from_anf(n: int, m: int, coeffs: Sequence[int]) -> VBF:

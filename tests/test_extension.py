@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 from apnkit import catalog, extension, gf2, vbf
@@ -137,6 +138,9 @@ def test_gamma_representatives_gold5():
     narrowed = dataclasses.replace(gs, space=dataclasses.replace(gs.space, basis=()))
     with pytest.raises(RuntimeError, match="leave the solution kernel"):
         gamma_representatives(narrowed)
+    repeated = dataclasses.replace(gs, j_basis=gs.j_basis[:1] * 2 + gs.j_basis[2:])
+    with pytest.raises(RuntimeError, match="directions are dependent"):
+        gamma_representatives(repeated)
 
 
 def test_gamma_equivalence_closure_and_signatures():
@@ -258,6 +262,46 @@ def test_sample_quadratic_r_properties():
         assert all(bin(u).count("1") == 2 for u in anf.monomials(0))
         seen.add(r)
     assert len(seen) > 1
+
+
+def _sample_quadratic_r_by_loop(g, rng):
+    """sample_quadratic_r by an echelon loop over the monomial words and a
+    sum of monomial tables, with the same single draw."""
+    n = g.n
+    monomials = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    coeffs = vbf._mobius(g.table)
+    echelon = []
+
+    def insert(v):
+        for row in echelon:
+            if v & (row & -row):
+                v ^= row
+        if v:
+            echelon.append(v)
+            echelon.sort(key=lambda r: r & -r)
+        return v
+
+    for c in range(n):
+        insert(sum(((int(coeffs[m]) >> c) & 1) << t for t, m in enumerate(monomials)))
+    complement = [t for t in range(len(monomials)) if insert(1 << t)]
+    xs = np.arange(1 << n, dtype=np.uint16)
+    tab = np.zeros(1 << n, dtype=np.uint16)
+    picks = rng.getrandbits(len(complement)) if complement else 0
+    for pos, t in enumerate(complement):
+        if (picks >> pos) & 1:
+            i, j = (b for b in range(n) if monomials[t] >> b & 1)
+            tab ^= (xs >> i) & (xs >> j) & 1
+    return VBF(n, 1, tab)
+
+
+@pytest.mark.parametrize("name", ["G1", "G2", "G3", "G4", "gold5", "gold7", "T6"])
+def test_sample_quadratic_r_matches_loop(name):
+    g = catalog.fixture(name)
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert sample_quadratic_r(g, rng) == _sample_quadratic_r_by_loop(g, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_search_enumerates_exactly_gamma_for_zero_r():

@@ -9,6 +9,7 @@ from apnkit.gf2 import (
     field_mul, inner_product, is_irreducible, rank, rref, solve_affine,
     trace,
 )
+from apnkit.vbf import VBF
 
 
 def test_inner_product_examples():
@@ -173,6 +174,56 @@ def test_span_matches_brute_force():
     got = gf2.span(np.array(wide, dtype=object)).tolist()
     assert got == _span_by_loop(wide)
     assert max(got).bit_length() > 64
+
+
+def _kept_by_listing_spans(base, candidates):
+    """The candidates outside the span of base and of the candidates kept
+    before them, by listing that span."""
+    spanned, kept = {0}, []
+    for b in base:
+        spanned |= {s ^ b for s in spanned}
+    for c in candidates:
+        if c not in spanned:
+            kept.append(c)
+            spanned |= {s ^ c for s in spanned}
+    return kept
+
+
+@pytest.mark.parametrize("width", [1, 6, 64, 65, 150])
+def test_extend_basis_matches_span_membership(width):
+    rng = random.Random(200 + width)
+    for nbase in range(5):
+        for _ in range(10):
+            base = [rng.getrandbits(width) for _ in range(nbase)]
+            base += base[:1]                # a dependent base word
+            fresh = [rng.getrandbits(width) for _ in range(rng.randrange(6))]
+            # dependent candidates: sums with base words, repeats and 0
+            cands = fresh + [b ^ c for b, c in zip(base, fresh)] + fresh[:2] + [0]
+            rng.shuffle(cands)
+            assert gf2.extend_basis(base, cands) == _kept_by_listing_spans(base, cands)
+    assert gf2.extend_basis([], []) == []
+    assert gf2.extend_basis([1 << 149], [1 << 149, 3 << 148, 1 << 148]) == [3 << 148]
+
+
+def _transpose_by_bits(words, width):
+    return [sum(((w >> i) & 1) << j for j, w in enumerate(words)) for i in range(width)]
+
+
+@pytest.mark.parametrize("count,width", [(0, 0), (3, 0), (0, 5), (7, 7), (3, 9),
+                                         (9, 3), (5, 70), (70, 5)])
+def test_transpose_matches_bit_definition(count, width):
+    rng = random.Random(300 + 100 * count + width)
+    words = [rng.getrandbits(width + 3) for _ in range(count)]    # 3 bits are cut
+    cols = gf2._transpose(words, width)
+    assert cols == _transpose_by_bits(words, width)
+    if count:
+        assert gf2._transpose(cols, count) == [w % (1 << width) for w in words]
+
+
+def test_default_field_of_degree_1():
+    spec = default_field(1)
+    assert spec.generator == 1 and gf2.exp_table(spec) == (1,)
+    assert catalog.gold(1) == VBF.identity(1)
 
 
 def test_default_field_rejects_widths_outside_range():

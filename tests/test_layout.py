@@ -2,15 +2,19 @@
 module-level import of a module is used in it, no function imports from
 the package, and every private module-level function, class or constant
 is referenced somewhere in the package. Dunder names and the re-exports of
-__init__.py are exempt."""
+__init__.py are exempt. Every Python file of the repo also parses with the
+grammar of the oldest supported Python, 3.10."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apnkit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "apnkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+OLDEST_PYTHON = (3, 10)     # requires-python in pyproject.toml
 
 
 def _tree(path):
@@ -86,3 +90,15 @@ def test_private_definitions_are_referenced():
     unreferenced = [f"{name}:{d}" for name, tree in trees.items()
                     for d in _private_definitions(tree) if d not in referenced]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_with_the_oldest_supported_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=OLDEST_PYTHON)
+
+
+def test_oldest_grammar_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=OLDEST_PYTHON)

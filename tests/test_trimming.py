@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import random
 from collections import Counter
 
@@ -558,15 +559,21 @@ class _SerialPool:
 
 
 def test_trim_spectrum_pool_size_is_capped(monkeypatch):
+    """A pool has min(workers, 2^n - 1, CPU count) processes; with one CPU,
+    or an unknown count, the spectrum runs in process."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     _SerialPool.created.clear()
     for f, reduced in _spectrum_inputs():
         serial = trim_spectrum(f, reduced)
         assert _SerialPool.created == []
-        for workers, started in ((2, 2), (3, 3), (1 << f.n, (1 << f.n) - 1),
-                                 (5000, (1 << f.n) - 1)):
+        top = (1 << f.n) - 1
+        for cpus, workers, started in ((1000, 2, [2]), (1000, 3, [3]), (1000, 1 << f.n, [top]),
+                                       (1000, 5000, [top]), (4, 100_000, [4]), (4, 3, [3]),
+                                       (1, 100_000, []), (None, 100_000, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert trim_spectrum(f, reduced, workers=workers) == serial
-            assert _SerialPool.created.pop() == started
+            assert _SerialPool.created == started
+            _SerialPool.created.clear()
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
                 trim_spectrum(f, reduced, workers=workers)
