@@ -22,8 +22,7 @@ import numpy as np
 from . import gf2
 from .gf2 import AffineSolutionSpace, GF2Matrix, extend_basis, inner_product
 from .ortho import invariant_signature, ortho_derivative
-from .vbf import (_PAR16, VBF, _fwht, _mobius, _row_chunks, derivative, is_apn, linearity,
-                  walsh)
+from .vbf import _PAR16, VBF, _fwht, _mobius, _row_chunks, derivative, is_apn, walsh
 
 __all__ = [
     "ExtensionSpec", "GammaSpace", "build_extension", "zero_ext_apn_test",
@@ -227,10 +226,10 @@ def zero_extensions(g: VBF) -> list[tuple[VBF, "InvariantSignature"]]:
             continue
         for lin in gamma_representatives(gs):
             t = build_extension(g, None, lin, gs.ell)
-            if t.degree > 2 or not is_apn(t) or linearity(t) != (1 << n):
+            sig = invariant_signature(t)
+            if sig.degree > 2 or not sig.apn or sig.walsh_spectrum[-1][0] != (1 << n):
                 raise RuntimeError(
                     "zero-extension output violates its invariants")
-            sig = invariant_signature(t)
             if sig not in seen:
                 seen.add(sig)
                 out.append((t, sig))

@@ -10,7 +10,11 @@ combination of k words, ``_gauss_jordan`` reduces a batch of word arrays
 (``rref`` and ``solve_affine_batch`` both call it), ``extend_basis`` keeps
 the words that enlarge a span (``rank``, membership tests, complements)
 and ``_transpose`` turns rows of bits into columns (``GF2Matrix``).
-Widths are capped at 16 so every table of 2**n entries stays in memory.
+Field elements are n-bit words reduced modulo a FieldSpec's modulus, and
+X is always the generator: ``exp_table`` and ``log_table`` hold its
+powers, ``_primitive_powers`` those of a primitive element, from which
+univariate tables are read. Widths are capped at 16 so every table of
+2**n entries stays in memory.
 """
 
 from __future__ import annotations
@@ -132,13 +136,14 @@ DEFAULT_MODULUS = {
 class FieldSpec:
     """The field F_{2^n} = F_2[X]/(modulus), elements packed as n-bit words.
 
-    ``generator`` is the class of X (word value 2) unless overridden; every
-    g^k coefficient in univariate representations refers to its powers.
+    The generator is always the class of X, the word X mod modulus (2 for
+    n > 1, 1 for n = 1); ``exp_table`` lists its powers and the g^k
+    coefficients of univariate representations refer to them, whether or
+    not X is primitive.
     """
 
     n: int
     modulus: int
-    generator: int = 2
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_WIDTH:
@@ -148,32 +153,19 @@ class FieldSpec:
                 f"modulus {self.modulus:#x} does not have degree {self.n}")
         if not is_irreducible(self.modulus):
             raise ValueError(f"modulus {self.modulus:#x} is reducible")
-        if not 0 < self.generator < (1 << self.n):
-            raise ValueError("generator out of range")
-        if self.n > 1 and _field_eval_modulus(self) != 0:
-            raise ValueError("generator is not a root of the modulus")
+        if not self.modulus & 1:
+            raise ValueError(f"modulus {self.modulus:#x} makes the generator X zero")
 
     @property
-    def size(self) -> int:
-        return 1 << self.n
-
-
-def _field_eval_modulus(spec: FieldSpec) -> int:
-    acc, m = 0, spec.modulus
-    k = 0
-    while m:
-        if m & 1:
-            acc ^= field_pow(spec, spec.generator, k)
-        m >>= 1
-        k += 1
-    return acc
+    def generator(self) -> int:
+        return poly_mod(2, self.modulus)
 
 
 @lru_cache(maxsize=None)
 def default_field(n: int) -> FieldSpec:
     if n not in DEFAULT_MODULUS:
         raise ValueError(f"field degree {n} outside [1, {MAX_WIDTH}]")
-    return FieldSpec(n, DEFAULT_MODULUS[n], poly_mod(2, DEFAULT_MODULUS[n]))
+    return FieldSpec(n, DEFAULT_MODULUS[n])
 
 
 def field_mul(spec: FieldSpec, a: int, b: int) -> int:
@@ -231,6 +223,19 @@ def exp_table(spec: FieldSpec) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def log_table(spec: FieldSpec) -> dict[int, int]:
     return {v: k for k, v in enumerate(exp_table(spec))}
+
+
+@lru_cache(maxsize=64)
+def _primitive_powers(spec: FieldSpec) -> np.ndarray:
+    """Powers p^0 .. p^(2^n - 2) of a primitive element p, read-only: the
+    generator when it is primitive, else the smallest word that is."""
+    powers, p = exp_table(spec), 1
+    while len(powers) < (1 << spec.n) - 1:
+        p += 1
+        powers = _powers(spec, p)
+    out = np.array(powers, dtype=np.uint16)
+    out.flags.writeable = False
+    return out
 
 
 def trace_form(spec: FieldSpec) -> int:

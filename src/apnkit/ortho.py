@@ -87,13 +87,7 @@ def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
     if n % 2 == 0 or math.gcd(i, n) != 1:
         raise ValueError("Gold function is not APN for these parameters")
     order = (1 << n) - 1
-    # the powers of a primitive element p: the generator when it is one,
-    # else the smallest word that is
-    powers, p = gf2.exp_table(spec), 1
-    while len(powers) < order:
-        p += 1
-        powers = gf2._powers(spec, p)
-    powers = np.array(powers)
+    powers = gf2._primitive_powers(spec)
     tab = np.zeros(1 << n, dtype=np.uint16)
     tab[powers] = powers[-np.arange(order) * ((1 << i) + 1) % order]
     return VBF(n, n, tab)

@@ -555,9 +555,9 @@ def trimming_graph(functions: Sequence[VBF]) -> TrimmingGraph:
     nodes: set[GraphNode] = set()
     edges: set[tuple[GraphNode, GraphNode]] = set()
     for f in functions:
-        if not is_apn(f):
-            raise ValueError("trimming graph inputs must be APN")
         parent = GraphNode(f.n, invariant_signature(f))
+        if not parent.signature.apn:
+            raise ValueError("trimming graph inputs must be APN")
         nodes.add(parent)
         for _, sig in apn_trims(f):
             child = GraphNode(f.n - 1, sig)

@@ -64,7 +64,9 @@ class VBF:
     @classmethod
     def from_univariate(cls, spec: FieldSpec,
                         terms: Sequence[tuple[int, int]]) -> "VBF":
-        """Table of x -> sum c_i * x^(e_i) over F_{2^n}."""
+        """Table of x -> sum c_i * x^(e_i) over F_{2^n}, a term at a time on
+        all points: c * x^e = p^((log c + e * log x) mod (2^n - 1)) for a
+        primitive p and c, x != 0, and 0^0 = 1."""
         n = spec.n
         size = 1 << n
         for coeff, exp in terms:
@@ -72,12 +74,14 @@ class VBF:
                 raise ValueError(f"exponent {exp} outside [0, {size - 1}]")
             if not 0 <= coeff < size:
                 raise ValueError(f"coefficient {coeff:#x} is not an {n}-bit word")
+        powers = gf2._primitive_powers(spec)
+        log = np.zeros(size, dtype=np.int64)
+        log[powers] = np.arange(size - 1)
         tab = np.zeros(size, dtype=np.uint16)
-        for x in range(size):
-            acc = 0
-            for coeff, exp in terms:
-                acc ^= gf2.field_mul(spec, coeff, gf2.field_pow(spec, x, exp))
-            tab[x] = acc
+        for coeff, exp in terms:
+            if coeff:
+                tab[1:] ^= powers[(log[coeff] + exp * log[1:]) % (size - 1)]
+                tab[0] ^= coeff if exp == 0 else 0
         return cls(n, n, tab)
 
     def __call__(self, x: int) -> int:

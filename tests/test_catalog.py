@@ -50,6 +50,19 @@ def test_parse_univariate_small():
     assert gpow.to_vbf()(1) == 2
 
 
+def test_parse_univariate_of_degree_1():
+    # X = 1 in F_2[X]/(X + 1), so 0x02^k is 1 and 0^0 = 1
+    rec = parse_function("uni n=1 mod=0x3: (0x1,0)")
+    assert rec.to_vbf() == VBF.constant(1, 1, 1)
+    text = serialize_record(rec)
+    assert text == "uni id=uni1 n=1 mod=0x3: (0x02^0,0)"
+    again = parse_function(text)
+    assert again == rec and serialize_record(again) == text
+    assert parse_function("uni n=1 mod=0x3: (0x02^5,1)").to_vbf() == VBF.identity(1)
+    with pytest.raises(ParseError, match="generator X zero"):
+        parse_function("uni n=1 mod=0x2: (0x1,0)")
+
+
 def test_parse_errors_are_positioned():
     with pytest.raises(ParseError, match="expected"):
         parse_function("nonsense")
@@ -75,9 +88,9 @@ def test_parse_rejects_dimensions_outside_vbf_range(text):
 
 
 def test_parse_errors_from_field_and_number_checks():
-    # F_2 has no generator X: the field check surfaces as a parse error
-    with pytest.raises(ParseError, match="generator"):
-        parse_function("uni n=1 mod=0x3: (0x1,0)")
+    # FieldSpec is the one field validator: its errors surface as parse errors
+    with pytest.raises(ParseError, match="0x15 does not have degree 3"):
+        parse_function("uni n=3 mod=0x15: (0x1,3)")
     # a number too long for int() is not read as one
     with pytest.raises(ParseError, match="term 0"):
         parse_function("uni n=3 mod=0xb: (0x1," + "1" * 5000 + ")")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apnkit import catalog, extension, gf2, vbf
+from apnkit.cli import main
 from apnkit.extension import (
     ExtensionSpec, build_extension, canonical_form_check, derivative_matrix,
     gamma_representatives, gamma_space, matrix_from_vec,
@@ -618,6 +619,20 @@ def test_zero_extensions_checks_g_once(name, monkeypatch):
     assert [(t.table.tolist(), sig) for t, sig in got] == \
         [(t.table.tolist(), sig) for t, sig in want]
     assert checked.count(g.n) == 1
+
+
+def test_zero_extensions_raise_on_an_extension_that_is_not_apn(monkeypatch, capsys):
+    # with L = 0, T(x, y) + T(x, y + 1) = (0, l(x)) is 0 on the kernel of l,
+    # so every extension built is not APN and fails the signature check
+    g = catalog.gold(5)
+    zero = GF2Matrix.zeros(5, 5)
+    monkeypatch.setattr(extension, "gamma_representatives", lambda gs: [zero])
+    ell = next(e for e in range(1, 32) if not gamma_space(g, e).empty)
+    assert not is_apn(build_extension(g, None, zero, ell))
+    with pytest.raises(RuntimeError, match="violates its invariants"):
+        zero_extensions(g)
+    assert main(["zero-extend", "fixture:gold5"]) == 2
+    assert "violates its invariants" in capsys.readouterr().err
 
 
 def _gamma_space_by_loop(g, ell):

@@ -47,6 +47,9 @@ def test_fieldspec_validation():
         FieldSpec(4, 0b10101)   # reducible
     with pytest.raises(ValueError):
         FieldSpec(17, (1 << 17) | 0b1011)
+    # X is irreducible, but X = 0 modulo X has no powers to generate F_2*
+    with pytest.raises(ValueError, match="generator X zero"):
+        FieldSpec(1, 0b10)
 
 
 def test_field_mul_identities():
@@ -224,6 +227,20 @@ def test_default_field_of_degree_1():
     spec = default_field(1)
     assert spec.generator == 1 and gf2.exp_table(spec) == (1,)
     assert catalog.gold(1) == VBF.identity(1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_primitive_powers_cover_the_multiplicative_group(n):
+    powers = gf2._primitive_powers(default_field(n)).tolist()
+    assert powers[0] == 1 and 0 not in powers
+    assert len(set(powers)) == len(powers) == (1 << n) - 1
+
+
+def test_primitive_powers_when_x_is_not_primitive():
+    spec = FieldSpec(9, 0b1000000011)      # X has order 73
+    powers = gf2._primitive_powers(spec).tolist()
+    assert len(gf2.exp_table(spec)) == 73
+    assert powers[0] == 1 and sorted(powers) == list(range(1, 512))
 
 
 def test_default_field_rejects_widths_outside_range():

@@ -9,9 +9,9 @@ from apnkit.gf2 import default_field, field_mul, inner_product
 from apnkit.ortho import invariant_signature, signatures_of_tables
 from apnkit.vbf import (
     VBF, anf_and_degree, apn_by_moments, ddt, ddt_rows, derivative,
-    differential_spectrum, extended_walsh_spectrum, fourth_moment, is_apn,
-    linearity, random_ea_transform, random_function, random_quadratic,
-    vbf_from_anf, walsh, walsh_rows,
+    differential_spectrum, differential_uniformity, extended_walsh_spectrum,
+    fourth_moment, is_apn, linearity, random_ea_transform, random_function,
+    random_quadratic, vbf_from_anf, walsh, walsh_rows,
 )
 
 
@@ -70,12 +70,56 @@ def test_from_univariate_cube_oracle():
         assert cube(x) == field_mul(spec, x, field_mul(spec, x, x))
 
 
+def _from_univariate_by_loop(spec, terms):
+    """The per-element reference: one field_mul(field_pow) per point and term."""
+    tab = [0] * (1 << spec.n)
+    for x in range(1 << spec.n):
+        for coeff, e in terms:
+            tab[x] ^= field_mul(spec, coeff, gf2.field_pow(spec, x, e))
+    return VBF(spec.n, spec.n, tab)
+
+
+_UNIVARIATE_FIELDS = ([default_field(n) for n in range(1, 11)]
+                      + [gf2.FieldSpec(9, 0b1000000011),       # X has order 73
+                         gf2.FieldSpec(6, catalog._EP6_MODULUS)])
+
+
+@pytest.mark.parametrize("spec", _UNIVARIATE_FIELDS,
+                         ids=[f"{s.n}-{s.modulus:#x}" for s in _UNIVARIATE_FIELDS])
+def test_from_univariate_matches_per_element_loop(spec):
+    n, top = spec.n, (1 << spec.n) - 1
+    rng = random.Random(spec.modulus)
+    terms = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(3)]
+    # coefficient 0, exponent 0 (so 0^0 = 1), exponent 2^n - 1 and a
+    # repeated exponent
+    terms += [(0, rng.randrange(1 << n)), (top, 0), (spec.generator, top),
+              (1, terms[0][1]), (top, terms[0][1])]
+    for t in [terms, terms[:1], [(1, 0)], [(spec.generator, top)], []]:
+        assert VBF.from_univariate(spec, t) == _from_univariate_by_loop(spec, t)
+
+
 def test_from_univariate_errors():
     spec = default_field(3)
     with pytest.raises(ValueError):
         VBF.from_univariate(spec, [(1, 8)])
     with pytest.raises(ValueError):
         VBF.from_univariate(spec, [(9, 1)])
+
+
+@pytest.mark.parametrize("name", ["gold3", "gold5", "G1", "T6", "EP6_1_2"])
+def test_differential_uniformity_of_apn_fixtures(name):
+    assert differential_uniformity(catalog.fixture(name)) == 2
+
+
+def test_differential_uniformity_of_inverse_on_8_bits():
+    assert differential_uniformity(VBF.from_univariate(default_field(8), [(1, 254)])) == 4
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 2), (5, 5), (6, 4)])
+def test_differential_uniformity_is_the_largest_ddt_entry(n, m):
+    rng = random.Random(40 + n + m)
+    for f in (random_function(n, m, rng), random_quadratic(n, m, rng)):
+        assert differential_uniformity(f) == int(ddt(f).counts[1:].max())
 
 
 def test_appendix_table_matches_univariate_form():
