@@ -24,15 +24,6 @@ from .gf2 import AffineSolutionSpace, GF2Matrix, extend_basis, inner_product
 from .ortho import invariant_signature, ortho_derivative
 from .vbf import _PAR16, VBF, _fwht, _mobius, _row_chunks, derivative, is_apn, walsh
 
-__all__ = [
-    "ExtensionSpec", "GammaSpace", "build_extension", "zero_ext_apn_test",
-    "gamma_space", "gamma_representatives", "zero_extensions",
-    "max_linearity_walsh_profile", "canonical_form_check",
-    "r_extension_search", "sample_quadratic_r", "matrix_from_vec",
-    "vec_from_matrix", "derivative_matrix",
-]
-
-
 @dataclass(frozen=True)
 class ExtensionSpec:
     """Data (G, r, L, l) of one extension in standard form; r = None means
@@ -60,7 +51,7 @@ class ExtensionSpec:
 
 def build_extension(g: VBF, r: Optional[VBF], lin: GF2Matrix, ell: int) -> VBF:
     """T(x, y) with input bit n as y and output bit n as r(x) + l(x)y."""
-    spec = ExtensionSpec(g, r, lin, ell)
+    ExtensionSpec(g, r, lin, ell)
     n = g.n
     xs = np.arange(1 << n, dtype=np.uint32)
     l_tab = np.array(lin.lut(), dtype=np.uint16)
@@ -79,11 +70,10 @@ def _require_quadratic_apn(g: VBF, who: str) -> None:
 def zero_ext_apn_test(g: VBF, lin: GF2Matrix, ell: int) -> bool:
     """Whether (G, 0, L, l) yields an APN extension, decided through the
     ortho-derivative condition instead of building the table."""
+    ExtensionSpec(g, None, lin, ell)
     if g.degree > 2:
         raise ValueError("zero_ext_apn_test requires degree <= 2")
-    if lin.nrows != g.n or lin.ncols != g.n:
-        raise ValueError("L must be n x n")
-    if ell == 0 or ell >> g.n:
+    if ell == 0:
         raise ValueError("ell must be a nonzero linear form on n bits")
     if g.degree != 2 or not is_apn(g):
         return False
@@ -276,19 +266,16 @@ def canonical_form_check(t: VBF, gamma: int) -> bool:
     n = nn - 1
     if t.m != nn or n < 1:
         raise ValueError("T must have n = m >= 2")
-    if gamma == 0 or gamma >> n:
+    if gamma == 0:
         raise ValueError("gamma must be a nonzero n-bit form")
-    size = 1 << n
-    tab = t.table
-    g_tab = tab[:size]
+    g_tab = t.table[: 1 << n]
     if (g_tab >> n).any():
         raise ValueError("T(x, 0) must have a zero last coordinate")
-    xs = np.arange(size, dtype=np.uint16)
-    expect = (g_tab ^ xs) ^ (_PAR16[xs & np.uint16(gamma)].astype(np.uint16) << n)
-    if not np.array_equal(tab[size:], expect):
-        raise ValueError("T is not in canonical form (L = id, l = <gamma,.>)")
     g = VBF(n, n, g_tab)
-    return g.degree <= 2 and zero_ext_apn_test(g, GF2Matrix.identity(n), gamma)
+    ident = GF2Matrix.identity(n)
+    if t != build_extension(g, None, ident, gamma):
+        raise ValueError("T is not in canonical form (L = id, l = <gamma,.>)")
+    return g.degree <= 2 and zero_ext_apn_test(g, ident, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +350,17 @@ def _passing_candidates(free: np.ndarray, values: int,
     return _fwht(acc) == 0
 
 
-def _search_one_r(g_tab: list[int], n: int, r_tab: list[int], budget: int,
-                  mask: int, fixed_ell: Optional[int],
-                  find_all: bool, sink: list) -> tuple[Optional[tuple], int, list[int]]:
-    """Depth-first construction of (L, l) by basis images; returns
-    (first solution or None, nodes used, assignment at stop).
+def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: Optional[int],
+                  sink: Optional[list]) -> tuple[Optional[tuple], int, list[int]]:
+    """Depth-first construction of (L, l) by basis images from out0, the
+    int32 table of (G(x), r(x)) with r(x) as bit n; returns (first solution
+    or None, nodes used, assignment at stop). With a ``sink`` list, every
+    solution is appended to it and the search runs on to the end.
 
     Level k tries the images c = t ^ mask of e_k for t = 0, 1, ..., one node
     each (skipping those whose l-bit differs from fixed_ell's), and descends
     into those that keep the extension APN on the span assigned so far."""
-    size = 1 << n
-    values = size << 1
-    out0 = np.array(g_tab, dtype=np.int32) | (np.array(r_tab, dtype=np.int32) << n)
+    values = 2 << n
     # T at the points p = 2x + y, filled one level at a time
     o = np.zeros(values, dtype=np.int32)
     o[:2] = out0[0]
@@ -415,7 +401,7 @@ def _search_one_r(g_tab: list[int], n: int, r_tab: list[int], budget: int,
             imgs.append(cand)
             if k + 1 == n:
                 sol = leaf()
-                if not find_all:
+                if sink is None:
                     return sol
                 sink.append(sol)
             else:
@@ -449,9 +435,9 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
     Guesses r (homogeneous quadratic modulo g's coordinates) unless one is
     given, then assigns the images (L, l)(e_k) depth-first, descending only
     into images under which no difference vector inside the assigned span
-    repeats an output difference. Aborting at the node
-    budget returns None. With ``find_all`` the full list of (L, ell)
-    assignments for the (then mandatory) fixed r is returned instead.
+    repeats an output difference. Aborting at the node budget returns None.
+    With ``find_all``, every (L, ell) for the (then mandatory) fixed r goes
+    to a sink list, and that list is returned instead.
     """
     _require_quadratic_apn(g, "r_extension_search")
     n = g.n
@@ -466,20 +452,19 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
     if budget < 0 or (max_restarts is not None and max_restarts < 0):
         raise ValueError("budget and max_restarts must be at least 0")
     rng = rng if rng is not None else random.Random(0)
-    g_tab = [int(v) for v in g.table]
+    g_out = g.table.astype(np.int32)
     nodes_total = 0
     restarts = 0
-    solutions: list = []
+    solutions: Optional[list] = [] if find_all else None
     result: Optional[VBF] = None
     while nodes_total < budget:
         if max_restarts is not None and restarts >= max_restarts:
             break
         r_cur = r if r is not None else sample_quadratic_r(g, rng)
         mask = rng.getrandbits(n + 1)
-        r_tab = [int(v) for v in r_cur.table]
+        out0 = g_out | (r_cur.table.astype(np.int32) << n)
         found, used, partial = _search_one_r(
-            g_tab, n, r_tab, budget - nodes_total, mask, fixed_ell,
-            find_all, solutions)
+            out0, n, budget - nodes_total, mask, fixed_ell, solutions)
         nodes_total += used
         restarts += 1
         if checkpoint_path:

@@ -160,7 +160,7 @@ def signatures_of_columns(k: int, degrees: np.ndarray, ddt: Columns, walsh: Colu
         except ValueError as exc:
             raise RuntimeError("a function classified as quadratic APN "
                                "has a table that is not") from exc
-        hists = zip(vbf_mod._diff_counts_batch(pis, k, k), _batch_walsh_hists(pis, k))
+        hists = zip(vbf_mod._diff_counts_batch(pis, k), _batch_walsh_hists(pis, k))
         for b, (dh, wh) in zip(quad[lo:hi].tolist(), hists):
             ortho[b] = dh, wh
             keys[b] += dh.tobytes() + wh.tobytes()
@@ -189,7 +189,7 @@ def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
         stack = tabs[lo:hi]
         out += signatures_of_columns(
             k, vbf_mod._degree_of_tables(stack, k),
-            _columns(vbf_mod._diff_counts_batch(stack, k, k)),
+            _columns(vbf_mod._diff_counts_batch(stack, k)),
             _columns(_batch_walsh_hists(stack, k)), stack.__getitem__)
     return out
 

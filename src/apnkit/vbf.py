@@ -333,20 +333,20 @@ def ddt(f: VBF) -> DDTable:
     return DDTable(f.n, f.m, np.concatenate(blocks))
 
 
-def _diff_counts_batch(tabs: np.ndarray, n: int, m: int) -> np.ndarray:
+def _diff_counts_batch(tabs: np.ndarray, m: int) -> np.ndarray:
     """Per-table histogram of DDT entries over rows a != 0.
 
     ``tabs`` has shape (B, 2^n); the result has shape (B, 2^n + 1) with
     entry [b, v] counting DDT cells of table b equal to v.
     """
-    B = tabs.shape[0]
-    return sum(_row_hists(block.reshape(B, -1), (1 << n) + 1)
+    B, size = tabs.shape
+    return sum(_row_hists(block.reshape(B, -1), size + 1)
                for _, block in _ddt_blocks(tabs, m))
 
 
 def differential_spectrum(f: VBF) -> Spectrum:
     """Multiset of DDT entry values over all rows with a != 0."""
-    return _spectrum(_diff_counts_batch(f.table[None, :], f.n, f.m)[0])
+    return _spectrum(_diff_counts_batch(f.table[None, :], f.m)[0])
 
 
 def differential_uniformity(f: VBF) -> int:

@@ -77,6 +77,12 @@ def test_zero_ext_apn_test_examples():
             build_extension(g, None, lin, 1)
         with pytest.raises(ValueError, match="L must be n x n"):
             zero_ext_apn_test(g, lin, 1)
+    with pytest.raises(ValueError, match="ell out of range"):
+        zero_ext_apn_test(g, _l16_matrix(), 32)
+    # a G that is not n -> n bits is rejected, whatever its degree
+    for non_square in (random_quadratic(5, 4, random.Random(3)), VBF.constant(5, 4, 0)):
+        with pytest.raises(ValueError, match="G must have n = m"):
+            zero_ext_apn_test(non_square, GF2Matrix.identity(5), 1)
 
 
 def test_zero_ext_agrees_with_direct_ddt():
@@ -228,11 +234,20 @@ def test_canonical_form_check():
             break
     t_bad = build_extension(f, None, GF2Matrix.identity(5), tr5)
     assert canonical_form_check(t_bad, tr5) is False
-    with pytest.raises(ValueError):
-        canonical_form_check(catalog.t6(), 0)
-    with pytest.raises(ValueError):
-        # not in canonical form (L is not the identity)
-        canonical_form_check(catalog.t6(), tr5)
+    r = sample_quadratic_r(catalog.gold(5), random.Random(0))
+    assert r.table.any()
+    rejected = [
+        (build_extension(catalog.gold(5), r, GF2Matrix.identity(5), tr5), tr5,
+         "zero last coordinate"),
+        (catalog.t6(), tr5, "not in canonical form"),      # L is not the identity
+        (t, tr5 ^ 1, "not in canonical form"),             # l is not <gamma, .>
+        (t, 0, "gamma must be a nonzero"),
+        (t, 32, "ell out of range"),
+        (VBF.constant(6, 5, 0), 1, "T must have n = m"),
+    ]
+    for tab, gamma, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            canonical_form_check(tab, gamma)
 
 
 def test_canonical_form_check_is_zero_ext_apn_test_with_identity():
@@ -410,12 +425,12 @@ class _Exhausted(Exception):
     pass
 
 
-def _search_one_r_by_sets(g_tab, n, r_tab, budget, mask, fixed_ell, find_all, sink):
+def _search_one_r_by_sets(out0, n, budget, mask, fixed_ell, sink):
     """Reference DFS: one Python set of output differences per difference
     vector, extended and checked one point at a time."""
     size = 1 << n
     ymask = 1 << n
-    out0 = [g_tab[x] | (r_tab[x] << n) for x in range(size)]
+    out0 = [int(v) for v in out0]
     val = [0] * size
     out = [0] * (size << 1)
     out[0] = out0[0]
@@ -478,7 +493,7 @@ def _search_one_r_by_sets(g_tab, n, r_tab, budget, mask, fixed_ell, find_all, si
         nonlocal nodes
         if k == n:
             sol = leaf()
-            if find_all:
+            if sink is not None:
                 sink.append(sol)
                 return None
             return sol
@@ -528,12 +543,11 @@ def _dfs_cases(g, seeds):
 
 
 def _dfs_outcome(search, g, r, mask, fixed_ell, budget, find_all=False):
-    sink = []
-    found, nodes, partial = search([int(v) for v in g.table], g.n,
-                                   [int(v) for v in r.table], budget, mask,
-                                   fixed_ell, find_all, sink)
+    sink = [] if find_all else None
+    out0 = g.table.astype(np.int32) | (r.table.astype(np.int32) << g.n)
+    found, nodes, partial = search(out0, g.n, budget, mask, fixed_ell, sink)
     found = None if found is None else (found[0].rows, found[1])
-    return found, nodes, partial, [(lin.rows, ell) for lin, ell in sink]
+    return found, nodes, partial, [(lin.rows, ell) for lin, ell in sink or []]
 
 
 @pytest.mark.parametrize("name", _DFS_INPUTS)

@@ -239,9 +239,9 @@ def test_signatures_of_tables_chunked_path(monkeypatch):
     batches = []
     diff_counts = vbf_mod._diff_counts_batch
 
-    def recording(t, n, m):
+    def recording(t, m):
         batches.append(t.shape[0])
-        return diff_counts(t, n, m)
+        return diff_counts(t, m)
 
     monkeypatch.setattr(vbf_mod, "_diff_counts_batch", recording)
     monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 20)

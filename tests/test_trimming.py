@@ -428,9 +428,9 @@ def by_table(monkeypatch):
         seen["trims"] += out.shape[0]
         return out
 
-    def counting_ddt_hist(tabs, n, m):
+    def counting_ddt_hist(tabs, m):
         seen["ddt"] += tabs.shape[0]
-        return ddt_hist(tabs, n, m)
+        return ddt_hist(tabs, m)
 
     monkeypatch.setattr(trimming, "_tables_for_alpha", counting_tables)
     monkeypatch.setattr(vbf, "_diff_counts_batch", counting_ddt_hist)
