@@ -14,7 +14,6 @@ raw hex words. Both serializations are byte-deterministic.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -228,7 +227,7 @@ def _terms_from_exponents(spec: FieldSpec,
 def appendix_r() -> VBF:
     table = [int(t, 16) for t in _APPENDIX_R_HEX.split()]
     f = VBF(8, 8, table)
-    _verify(f, "appendixA_R", degree=2, apn=True)
+    _verify(f, "appendixA_R", degree=2)
     return f
 
 
@@ -242,18 +241,15 @@ def appendix_r_univariate() -> VBF:
 def g7(i: int) -> VBF:
     spec = default_field(7)
     f = VBF.from_univariate(spec, _terms_from_exponents(spec, _G7_TERMS[i]))
-    _verify(f, f"G{i}", degree=2, apn=True)
+    _verify(f, f"G{i}", degree=2)
     return f
 
 
 @lru_cache(maxsize=None)
-def gold(n: int, i: int = 1) -> VBF:
-    if math.gcd(i, n) != 1:
-        raise ValueError("Gold exponent needs gcd(i, n) = 1")
-    spec = default_field(n)
-    # x^(2^i) = x^(2^i mod (2^n - 1)) keeps the exponent below 2^n, also at n = 1
-    f = VBF.from_univariate(spec, [(1, (1 << i) % ((1 << n) - 1) + 1)])
-    _verify(f, f"gold{n}", degree=(2 if n > 1 else 1), apn=True)
+def gold(n: int) -> VBF:
+    # x^3, which is x at n = 1
+    f = VBF.from_univariate(default_field(n), [(1, 3 if n > 1 else 1)])
+    _verify(f, f"gold{n}", degree=(2 if n > 1 else 1))
     return f
 
 
@@ -266,7 +262,7 @@ def t6() -> VBF:
     cols = [gf2.field_pow(spec, 1 << j, 16) ^ (1 << j) for j in range(5)]
     lin = GF2Matrix.from_columns(cols, 5)
     f = build_extension(g, None, lin, gf2.trace_form(spec))
-    _verify(f, "T6", degree=2, apn=True, lin_value=32)
+    _verify(f, "T6", degree=2, lin_value=32)
     return f
 
 
@@ -275,7 +271,7 @@ def t8(i: int) -> VBF:
     """Maximum-linearity 8-bit representatives: (G_i(x), 0) + (x, Tr(x)) y."""
     f = build_extension(g7(i), None, GF2Matrix.identity(7),
                         gf2.trace_form(default_field(7)))
-    _verify(f, f"T8_{i}", degree=2, apn=True, lin_value=128)
+    _verify(f, f"T8_{i}", degree=2, lin_value=128)
     return f
 
 
@@ -287,16 +283,16 @@ def edelpott6(no: str) -> VBF:
         return t6()
     spec = FieldSpec(6, _EP6_MODULUS)
     f = VBF.from_univariate(spec, _terms_from_exponents(spec, _EP6_TERMS[no]))
-    _verify(f, f"EP6_{no}", degree=2, apn=True)
+    _verify(f, f"EP6_{no}", degree=2)
     return f
 
 
-def _verify(f: VBF, name: str, degree: int, apn: bool,
+def _verify(f: VBF, name: str, degree: int,
             lin_value: Optional[int] = None) -> None:
     if f.degree != degree:
         raise RuntimeError(f"fixture {name}: degree {f.degree} != {degree}")
-    if is_apn(f) != apn:
-        raise RuntimeError(f"fixture {name}: APN flag mismatch")
+    if not is_apn(f):
+        raise RuntimeError(f"fixture {name}: not APN")
     if lin_value is not None and linearity(f) != lin_value:
         raise RuntimeError(f"fixture {name}: linearity != {lin_value}")
 
@@ -350,14 +346,12 @@ class ResultRecord:
 
 
 def result_record(f: VBF, fid: str, provenance: str,
-                  sig: Optional[InvariantSignature] = None,
-                  timestamp: Optional[str] = None) -> ResultRecord:
+                  sig: Optional[InvariantSignature] = None) -> ResultRecord:
     sig = sig if sig is not None else invariant_signature(f)
     width = (f.m + 3) // 4
     lut_hex = "".join(f"{int(v):0{width}x}" for v in f.table)
-    ts = timestamp or datetime.now(timezone.utc).isoformat()
-    return ResultRecord(fid, f.n, f.m, lut_hex, sig.canonical(),
-                        provenance, ts)
+    return ResultRecord(fid, f.n, f.m, lut_hex, sig.canonical(), provenance,
+                        datetime.now(timezone.utc).isoformat())
 
 
 def persist_results(records: Sequence[ResultRecord], path: str) -> None:
@@ -371,20 +365,19 @@ def persist_results(records: Sequence[ResultRecord], path: str) -> None:
 
 
 def load_results(*paths: str) -> tuple[list[ResultRecord], int]:
-    """Load and merge result files, dropping records whose exact function
-    (n, m and table) an earlier record already holds (first record wins);
-    functions that differ but share a signature are all kept. Returns
-    (records, skipped line count)."""
+    """Merge result files into (records, skipped line count). Only a record
+    whose exact function (n, m and table) an earlier one holds is dropped;
+    a line that is not UTF-8, JSON or a record (each decoded alone) is skipped."""
     out: list[ResultRecord] = []
     seen: set[VBF] = set()
     skipped = 0
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as fh:
+            for raw in fh:
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     d = json.loads(line)
                     rec = ResultRecord(d["id"], int(d["n"]),
                                        int(d.get("m", d["n"])),
@@ -392,7 +385,7 @@ def load_results(*paths: str) -> tuple[list[ResultRecord], int]:
                                        d.get("provenance", ""),
                                        d.get("timestamp", ""))
                     f = rec.to_vbf()
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError):  # UnicodeDecodeError too
                     skipped += 1
                     continue
                 if f in seen:

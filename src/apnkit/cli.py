@@ -93,7 +93,8 @@ def cmd_zero_extend(args) -> int:
     results = extension.zero_extensions(g)
     print(f"found={len(results)}")
     for idx, (t, sig) in enumerate(results):
-        print(f"extension={idx} linearity={linearity(t)} signature={sig.canonical()}")
+        # the top |Walsh| value, which zero_extensions checked is 2^n
+        print(f"extension={idx} linearity={sig.walsh_spectrum[-1][0]} signature={sig.canonical()}")
     if args.output:
         recs = [catalog.result_record(t, f"zeroext_{idx}", "zero-extend", sig)
                 for idx, (t, sig) in enumerate(results)]
@@ -142,17 +143,25 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _parallelism(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer (its default is $APNKIT_PARALLELISM), got {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, subcommands' too, raise ValueError, so main exits 1."""
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="apnkit",
         description="Analyze vectorial Boolean functions and construct APN "
                     "functions by trimming and one-dimension extension.")
-    raw_par = os.environ.get("APNKIT_PARALLELISM", "1")
-    try:
-        default_par = int(raw_par)
-    except ValueError:
-        raise ValueError(
-            f"APNKIT_PARALLELISM must be an integer, got {raw_par!r}") from None
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="degree/APN/linearity/spectra report")
@@ -163,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     ts = sub.add_parser("trim-spectrum", help="full trim spectrum summary")
     ts.add_argument("input")
     ts.add_argument("--quadratic-reduced", action="store_true")
-    ts.add_argument("--parallelism", "-j", type=int, default=default_par)
+    # argparse converts a string default only when -j is absent
+    ts.add_argument("--parallelism", "-j", type=_parallelism,
+                    default=os.environ.get("APNKIT_PARALLELISM", "1"))
     ts.add_argument("--output", "-o")
     ts.set_defaults(fn=cmd_trim_spectrum)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -44,9 +45,6 @@ class ExtensionSpec:
             raise ValueError("ell out of range")
         if self.r is not None and (self.r.n != n or self.r.m != 1):
             raise ValueError("r must map n bits to 1 bit")
-
-    def build(self) -> VBF:
-        return build_extension(self.g, self.r, self.lin, self.ell)
 
 
 def build_extension(g: VBF, r: Optional[VBF], lin: GF2Matrix, ell: int) -> VBF:
@@ -118,7 +116,6 @@ class GammaSpace:
     by the derivative matrices B_mu and the rank-one maps x -> l(x) nu."""
 
     n: int
-    g: VBF
     ell: int
     space: AffineSolutionSpace
     j_basis: tuple[int, ...]
@@ -178,7 +175,7 @@ def _gamma_spaces(g: VBF, forms: range) -> Iterator[GammaSpace]:
         spaces = gf2.solve_affine_batch(equations[kernel.reshape(-1, nrows)], nn)
         for ell, space in zip(range(lo, hi), spaces):
             j_basis = words + tuple(ell << (k * n) for k in range(n))
-            yield GammaSpace(n, g, ell, space, j_basis)
+            yield GammaSpace(n, ell, space, j_basis)
 
 
 def gamma_representatives(gs: GammaSpace) -> list[GF2Matrix]:
@@ -301,12 +298,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _level_chunks(k: int, n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+@lru_cache(maxsize=None)
+def _level_chunks(k: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
     """What the APN test of level k needs besides the outputs, per chunk of
-    differences w: the partner p + w of every point p, each pair's
-    bincount offset (its row, and whether it carries c once), and the
-    first row whose B_w can be nonempty. The differences inside the
-    assigned span without y come first: they never carry c."""
+    differences w: the partner p + w of every point p, each pair's bincount
+    offset (its row, and whether it carries c once), and the first row
+    whose B_w can be nonempty. The differences inside the assigned span
+    without y come first: they never carry c. Cached, with read-only arrays."""
     values = 2 << n
     h = 2 << k
     points = np.arange(2 * h, dtype=np.int32)
@@ -317,12 +315,13 @@ def _level_chunks(k: int, n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
         part = ws[lo:hi, None] ^ points
         row = np.arange(hi - lo, dtype=np.int32)[:, None]
         offset = (2 * row + (carries[part] ^ carries)) * values
+        part.flags.writeable = offset.flags.writeable = False
         chunks.append((part, offset, max(h // 2 - 1 - lo, 0)))
-    return chunks
+    return tuple(chunks)
 
 
 def _passing_candidates(free: np.ndarray, values: int,
-                        chunks: list[tuple[np.ndarray, np.ndarray, int]]) -> np.ndarray:
+                        chunks: tuple[tuple[np.ndarray, np.ndarray, int], ...]) -> np.ndarray:
     """Which of the 2^(n+1) = values images c of e_k keep the extension APN
     on the span of e_0 .. e_k and y, as a bool vector indexed by c.
 
@@ -369,7 +368,6 @@ def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: O
     orders = {None: order}
     for bit in (0, 1):
         orders[bit] = order[(order >> n) & 1 == bit]
-    levels: dict[int, list] = {}
     imgs: list[int] = []
     nodes = 0
 
@@ -388,10 +386,8 @@ def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: O
     def dfs(k: int) -> Optional[tuple]:
         h = 2 << k
         cands = orders[None if fixed_ell is None else (fixed_ell >> k) & 1]
-        if k not in levels:
-            levels[k] = _level_chunks(k, n)
         o[h: 2 * h] = o[:h] ^ steps[k]
-        passes = _passing_candidates(o[: 2 * h], values, levels[k])[cands]
+        passes = _passing_candidates(o[: 2 * h], values, _level_chunks(k, n))[cands]
         done = 0
         for i in np.flatnonzero(passes).tolist():
             # a node for cand and for each failing candidate before it

@@ -19,44 +19,32 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import gf2, vbf as vbf_mod
-from .gf2 import FieldSpec, GF2Matrix
+from .gf2 import FieldSpec
 from .vbf import VBF, Spectrum, _batch_walsh_hists, _spectrum
 
 # (values, counts): counts[b, j] entries of function b equal to values[j]
 Columns = tuple[np.ndarray, np.ndarray]
 
 
-def ortho_derivative(g: VBF, gram: Optional[GF2Matrix] = None) -> VBF:
-    """The ortho-derivative of a quadratic APN function.
-
-    ``gram`` selects the bilinear form: None means the plain bit inner
-    product; passing ``gf2.trace_gram(spec)`` computes orthogonality with
-    respect to Tr(u*v) on the field F_{2^n}.
-    """
+def ortho_derivative(g: VBF) -> VBF:
+    """The ortho-derivative of a quadratic APN function under the bit inner
+    product; the trace-pairing normal w maps to it as S w, S = trace_gram."""
     if g.n != g.m:
         raise ValueError("ortho-derivative requires n = m")
     if g.degree > 2:
         raise ValueError("ortho-derivative requires a quadratic function")
-    return _ortho_cached(g, gram)
+    return _ortho_cached(g)
 
 
 @lru_cache(maxsize=128)
-def _ortho_cached(g: VBF, gram: Optional[GF2Matrix]) -> VBF:
-    n = g.n
-    gram_lut = None
-    if gram is not None:
-        if gram.nrows != n or gram.ncols != n:
-            raise ValueError("gram matrix must be n x n")
-        gram_lut = np.array(gram.lut(), dtype=np.uint16)
-    return VBF(n, n, _ortho_derivatives(g.table[None, :], n, gram_lut)[0])
+def _ortho_cached(g: VBF) -> VBF:
+    return VBF(g.n, g.n, _ortho_derivatives(g.table[None, :], g.n)[0])
 
 
-def _ortho_derivatives(tabs: np.ndarray, k: int,
-                       gram_lut: Optional[np.ndarray] = None) -> np.ndarray:
+def _ortho_derivatives(tabs: np.ndarray, k: int) -> np.ndarray:
     """The ortho-derivatives of a stack of k-bit quadratic APN tables (shape
     (B, 2^k)), one row each, computed in chunks of rows (table, a != 0)
-    under _BATCH_CELL_LIMIT. ``gram_lut`` maps each B_a(e_j) through the
-    Gram matrix of the pairing before orthogonality is taken."""
+    under _BATCH_CELL_LIMIT."""
     B, size = tabs.shape
     shifts = np.arange(k, dtype=np.uint16)
     pi = np.zeros(B * size, dtype=np.uint16)
@@ -66,8 +54,6 @@ def _ortho_derivatives(tabs: np.ndarray, k: int,
         rows = t * size + a + 1
         # b[r, j] = B_a(e_j) of table t
         b = vbf_mod.derivative(tabs, rows[:, None], 1 << np.arange(k))
-        if gram_lut is not None:
-            b = gram_lut[b]
         # cols[r, i] packs bit i of every b[r, j], so span[r, w], the XOR of
         # cols[r, i] over the bits i of w, is 0 iff w is orthogonal to every
         # b[r, j]: to the image of B_a

@@ -500,13 +500,11 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
         k = g.n
         if k == 2:
             return True
-        tried: set[InvariantSignature] = set()
         # one hyperplane at a time, so the search stops at the first chain
         trims = (t for alpha in range(1, 1 << k) for t in _iter_apn_trims(g, (alpha,)))
         for _, t, sig in trims:
-            if sig in tried or sig in failed[k - 1]:
+            if sig in failed[k - 1]:
                 continue
-            tried.add(sig)
             chain.append(t)
             if descend(t):
                 return True

@@ -411,12 +411,12 @@ def affine_transform(f: VBF, out_mat: GF2Matrix, out_const: int,
     return VBF(f.n, f.m, tab)
 
 
-def random_ea_transform(f: VBF, rng, with_affine_part: bool = True) -> VBF:
+def random_ea_transform(f: VBF, rng) -> VBF:
     """A random EA-equivalent copy B o F o (A + a) + b + C."""
     A = gf2.random_invertible(f.n, rng)
     B = gf2.random_invertible(f.m, rng)
     a = rng.getrandbits(f.n)
     b = rng.getrandbits(f.m)
-    C = gf2.random_matrix(f.m, f.n, rng) if with_affine_part else None
-    c = rng.getrandbits(f.m) if with_affine_part else 0
+    C = gf2.random_matrix(f.m, f.n, rng)
+    c = rng.getrandbits(f.m)
     return affine_transform(f, B, b, A, a, C, c)

@@ -66,8 +66,11 @@ def test_criterion_02_gold_ortho_closed_form():
     with _Clock(30) as clock:
         for n in (3, 5, 7):
             spec = default_field(n)
-            computed = ortho_derivative(catalog.gold(n), gram=trace_gram(spec))
-            assert computed == gold_ortho(spec, 1), f"n={n}"
+            # trace_gram maps the trace-pairing normal to the bit-pairing one
+            to_bit_pairing = trace_gram(spec).lut()
+            closed_form = [to_bit_pairing[w] for w in gold_ortho(spec, 1).table]
+            computed = ortho_derivative(catalog.gold(n)).table.tolist()
+            assert computed == closed_form, f"n={n}"
     _report(2, clock, "ortho(x^3) = x^-3 entry-for-entry under trace pairing, n=3,5,7")
 
 

@@ -279,6 +279,16 @@ def test_load_skips_malformed_lines(tmp_path):
     assert len(loaded) == 1 and skipped == 2
 
 
+def test_load_skips_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bytes.jsonl"
+    rec = result_record(catalog.gold(4), "g4", "test")
+    persist_results([rec], str(path))
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    loaded, skipped = load_results(str(path))
+    assert loaded == [rec] and skipped == 1
+
+
 def test_persisted_zero_extension_reloads_with_t6_signature(tmp_path):
     from apnkit.extension import zero_extensions
 

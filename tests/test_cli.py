@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from apnkit import catalog
 from apnkit.cli import main
 from apnkit.ortho import invariant_signature
@@ -144,9 +146,33 @@ def test_parallelism_env_default(capsys, monkeypatch):
 
 def test_parallelism_env_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("APNKIT_PARALLELISM", "abc")
-    code, out, err = run(capsys, "analyze", "fixture:gold3")
+    code, out, err = run(capsys, "trim-spectrum", "fixture:gold3")
     assert code == 1 and out == ""
     assert "APNKIT_PARALLELISM" in err and "Traceback" not in err
+
+
+def test_parallelism_env_is_read_only_by_trim_spectrum(capsys, monkeypatch):
+    monkeypatch.setenv("APNKIT_PARALLELISM", "abc")
+    code, out, err = run(capsys, "analyze", "fixture:gold3")
+    assert code == 0 and "apn=true" in out and err == ""
+    code, out, _ = run(capsys, "trim-spectrum", "fixture:gold3", "-j", "1")
+    assert code == 0 and out.startswith("trims=")
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv in (["bogus"],
+                 ["r-extend", "fixture:gold5", "--budget", "xyz"],
+                 ["trim-spectrum"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["trim-spectrum", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_convert_to_uni_unsupported(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 
@@ -601,9 +602,23 @@ def test_dfs_chunked_path(monkeypatch):
     whole = [_dfs_outcome(extension._search_one_r, *c, 400, find_all=c[0].n <= 4)
              for c in cases]
     monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 100)
+    # level tables are cached per (k, n): build the small chunks in a fresh
+    # cache that goes with the patched limit
+    monkeypatch.setattr(extension, "_level_chunks",
+                        functools.lru_cache(extension._level_chunks.__wrapped__))
     assert [_dfs_outcome(extension._search_one_r, *c, 400, find_all=c[0].n <= 4)
             for c in cases] == whole
     assert any(sols for _, _, _, sols in whole)
+    assert extension._level_chunks.cache_info().currsize > 0
+
+
+def test_level_chunks_are_built_once_and_read_only():
+    first = extension._level_chunks(3, 5)
+    assert extension._level_chunks(3, 5) is first
+    for part, offset, _ in first:
+        assert not part.flags.writeable and not offset.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 0
 
 
 def _zero_extensions_by_public_gamma_space(g):

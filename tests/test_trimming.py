@@ -384,9 +384,9 @@ def test_trim_spectrum_ortho_stacks_follow_the_cell_limit(monkeypatch):
     stacks = []
     ortho_derivatives = ortho._ortho_derivatives
 
-    def recording(tabs, k, gram_lut=None):
+    def recording(tabs, k):
         stacks.append(tabs.shape[0])
-        return ortho_derivatives(tabs, k, gram_lut)
+        return ortho_derivatives(tabs, k)
 
     monkeypatch.setattr(ortho, "_ortho_derivatives", recording)
     monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 18)
