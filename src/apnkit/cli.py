@@ -16,7 +16,7 @@ import sys
 
 from . import catalog, extension, trimming
 from .ortho import invariant_signature, spectrum_str
-from .vbf import VBF, extended_walsh_spectrum, differential_spectrum, is_apn, linearity
+from .vbf import VBF, extended_walsh_spectrum, differential_spectrum
 
 
 def _load_function(token: str) -> VBF:
@@ -28,16 +28,19 @@ def _load_function(token: str) -> VBF:
 
 def cmd_analyze(args) -> int:
     f = _load_function(args.input)
+    sig = invariant_signature(f) if f.n == f.m else None
+    ds = sig.diff_spectrum if sig else differential_spectrum(f)
+    ews = sig.walsh_spectrum if sig else extended_walsh_spectrum(f)
     report = {
         "n": f.n, "m": f.m,
-        "degree": f.degree,
-        "apn": is_apn(f) if f.n == f.m else False,
-        "linearity": linearity(f),
-        "differential_spectrum": spectrum_str(differential_spectrum(f)),
-        "extended_walsh_spectrum": spectrum_str(extended_walsh_spectrum(f)),
+        "degree": sig.degree if sig else f.degree,
+        "apn": sig.apn if sig else False,
+        "linearity": ews[-1][0],                    # the top |Walsh| value
+        "differential_spectrum": spectrum_str(ds),
+        "extended_walsh_spectrum": spectrum_str(ews),
     }
-    if f.n == f.m:
-        report["signature"] = invariant_signature(f).canonical()
+    if sig:
+        report["signature"] = sig.canonical()
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:

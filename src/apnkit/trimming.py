@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from .gf2 import inner_product, lowest_set_bit, span
 from .ortho import (Columns, InvariantSignature, invariant_signature,
                     signatures_of_columns, signatures_of_tables)
-from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_hists,
-                  _walsh_blocks, derivative, is_apn)
+from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_chunks,
+                  _row_hists, _walsh_blocks, derivative, is_apn)
 
 SIDES = ("linear", "affine")
 
@@ -191,6 +192,13 @@ def _signatures(f: VBF, alpha: int, side: str, ddt: Columns, walsh: Columns,
 #     the same signature.
 # Only APN trims of degree 2 are built as tables, for their ortho spectra,
 # and only on the linear side.
+#
+# All hyperplanes at once: with B(a, x) = F(a + x) + F(a) + F(x) + F(0) on
+# F_2^n and W the Hadamard transform over a of c[a, beta] = #{x : B(a, x) =
+# beta}, beta occurs N(alpha, beta) = (W[0, beta] + 3 W[alpha, beta]) / 4
+# times in D, as B is symmetric and B(a, a + s) = B(a, s). Row a = 0 of D
+# holds 2^(n-1) zeros and every other row a power of two >= 2, so trim
+# (alpha, beta) is APN iff N(alpha, 0) = 3 * 2^(n-1) - 2 and N(alpha, beta) = 0.
 
 def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
     """D[x, y] over x, y in alpha-orthogonal, both in the coordinates of
@@ -198,14 +206,6 @@ def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
     v = _restricted_values(f, alpha, "linear")
     xs = np.arange(v.size)
     return derivative(v, xs[:, None], xs)
-
-
-def _apn_betas(d: np.ndarray, n: int) -> list[int]:
-    """The betas whose linear-side trim is APN."""
-    if ((d[1:] == 0).sum(axis=1) != 2).any():
-        return []
-    absent = np.bincount(d.ravel(), minlength=1 << n)[1:] == 0
-    return (np.nonzero(absent)[0] + 1).tolist()
 
 
 def _zeros_first(counts: np.ndarray, total: int) -> np.ndarray:
@@ -267,16 +267,27 @@ def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[Inva
     return sigs + twins
 
 
-def _quadratic_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[int, str, int]]:
+def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for a function of
-    degree <= 2, in (side, beta) order. The affine side is visited only for
-    trims of degree <= 1, as every other affine trim repeats the signature
-    of its linear twin; such trims are APN only for n = 2, since an affine
-    function on k >= 2 bits has DDT entries 2^k."""
-    betas = _apn_betas(_derivative_table(f, alpha), f.n)
-    for side in SIDES if f.n == 2 else ("linear",):
-        for beta in betas:
-            yield alpha, side, beta
+    degree <= 2, in ascending order, in blocks of at most _BATCH_CELL_LIMIT
+    / 2^8 cells (larger ones run no faster). The affine side is claimed only
+    for n = 2: for n > 2 its APN trims have degree 2 and repeat the
+    signatures of their linear twins."""
+    size = 1 << f.n
+    xs = np.arange(size, dtype=np.int32)
+    blocks = list(_row_chunks(0, size, size << 8))
+    c = np.empty((size, size), dtype=np.int32)                  # c[a, beta]
+    for lo, hi in blocks:
+        c[lo:hi] = _row_hists(derivative(f.table, xs[lo:hi, None], xs), size)
+    w0 = _fwht(c[:, 0].astype(np.int64))
+    alphas = np.flatnonzero(w0[0] + 3 * w0 == 6 * size - 8)    # N(alpha, 0)
+    apn = np.empty((alphas.size, size), dtype=bool)             # N(alpha, beta) = 0
+    for lo, hi in blocks:
+        w = _fwht(np.ascontiguousarray(c[:, lo:hi].T, dtype=np.int64))  # w[beta - lo, alpha]
+        apn[:, lo:hi] = (w[:, :1] + 3 * w[:, alphas] == 0).T
+    for alpha, row in zip(alphas.tolist(), apn):
+        for side in SIDES if f.n == 2 else ("linear",):
+            yield from ((alpha, side, beta) for beta in np.flatnonzero(row).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +359,19 @@ def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignatur
                        _trim_walsh_counts(v, f.n), _trim_degrees(v, f.n))
 
 
-def _general_apn_trims(f: VBF, alpha: int) -> Iterator[tuple[int, str, int]]:
+def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for any function,
-    in (side, beta) order."""
-    for side in SIDES:
-        vals, counts = _trim_ddt_counts(_restricted_values(f, alpha, side), f.n)
-        for beta in (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist():
-            yield alpha, side, beta
+    in ascending order, one hyperplane at a time as the caller reaches it."""
+    for alpha in range(1, 1 << f.n):
+        for side in SIDES:
+            vals, counts = _trim_ddt_counts(_restricted_values(f, alpha, side), f.n)
+            for beta in (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist():
+                yield alpha, side, beta
+
+
+def _apn_claims(f: VBF) -> Iterator[tuple[int, str, int]]:
+    """The trims (alpha, side, beta) the kernel for f's degree claims APN."""
+    return (_quadratic_apn_trims if f.degree <= 2 else _general_apn_trims)(f)
 
 
 def descriptor_count(n: int, quadratic_reduced: bool = False) -> int:
@@ -452,15 +469,11 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
     return TrimSpectrum(f.n, quadratic_reduced, dict(counts))
 
 
-def _iter_apn_trims(f: VBF, alphas: Sequence[int]
+def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]]
                     ) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
-    """APN trims of the hyperplanes ``alphas`` in ascending (alpha, side,
-    beta) order, with tables and signatures; for deg(F) <= 2, affine-side
-    trims that repeat the signature of their linear twin are skipped. The
-    trims a kernel claims are built and classified together; a claimed trim
-    whose table is not APN is an internal error."""
-    kernel = _quadratic_apn_trims if f.degree <= 2 else _general_apn_trims
-    trims = [t for alpha in alphas for t in kernel(f, alpha)]
+    """The claimed APN trims (alpha, side, beta) ``trims`` in their order,
+    with tables and signatures, built and classified together; a claimed
+    trim whose table is not APN is an internal error."""
     if not trims:
         return
     k = f.n - 1
@@ -477,7 +490,7 @@ def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:
     """Distinct APN trim signatures with one witness descriptor each."""
     check_trimmable(f)
     seen: dict[InvariantSignature, TrimDescriptor] = {}
-    for d, _, sig in _iter_apn_trims(f, range(1, 1 << f.n)):
+    for d, _, sig in _iter_apn_trims(f, list(_apn_claims(f))):
         if sig not in seen:
             seen[sig] = d
     return [(d, s) for s, d in seen.items()]
@@ -501,7 +514,8 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
         if k == 2:
             return True
         # one hyperplane at a time, so the search stops at the first chain
-        trims = (t for alpha in range(1, 1 << k) for t in _iter_apn_trims(g, (alpha,)))
+        hyperplanes = groupby(_apn_claims(g), key=lambda t: t[0])
+        trims = (t for _, claims in hyperplanes for t in _iter_apn_trims(g, list(claims)))
         for _, t, sig in trims:
             if sig in failed[k - 1]:
                 continue

@@ -1,11 +1,16 @@
 import json
+import random
 
 import pytest
 
 from apnkit import catalog
 from apnkit.cli import main
-from apnkit.ortho import invariant_signature
-from apnkit.vbf import VBF
+from apnkit.gf2 import default_field
+from apnkit.ortho import invariant_signature, spectrum_str
+from apnkit.vbf import (
+    VBF, differential_spectrum, extended_walsh_spectrum, is_apn, linearity,
+    random_function, random_quadratic,
+)
 
 
 def run(capsys, *argv):
@@ -59,6 +64,38 @@ def test_analyze_determinism(capsys):
     _, out1, _ = run(capsys, "analyze", "fixture:G1")
     _, out2, _ = run(capsys, "analyze", "fixture:G1")
     assert out1 == out2
+
+
+ANALYZE_INPUTS = {
+    "gold7": lambda: catalog.fixture("gold7"),
+    "T6": lambda: catalog.fixture("T6"),
+    "x^126": lambda: VBF.from_univariate(default_field(7), [(1, 126)]),
+    "identity(4)": lambda: VBF.identity(4),
+    "zero(3)": lambda: VBF.constant(3, 3),
+    "random_function(6, 6)": lambda: random_function(6, 6, random.Random(6)),
+    "random_function(5, 3)": lambda: random_function(5, 3, random.Random(5)),
+    "random_quadratic(4, 6)": lambda: random_quadratic(4, 6, random.Random(4)),
+}
+
+
+@pytest.mark.parametrize("name", ANALYZE_INPUTS)
+def test_analyze_fields_match_the_direct_calls(capsys, tmp_path, name):
+    """analyze reads its fields off the signature when n = m; both output
+    modes print what the direct calls give."""
+    f = ANALYZE_INPUTS[name]()
+    p = tmp_path / "f.lut"
+    p.write_text(catalog.serialize_record(catalog.record_from_vbf(f, "f")))
+    want = {"n": f.n, "m": f.m, "degree": f.degree,
+            "apn": is_apn(f) if f.n == f.m else False, "linearity": linearity(f),
+            "differential_spectrum": spectrum_str(differential_spectrum(f)),
+            "extended_walsh_spectrum": spectrum_str(extended_walsh_spectrum(f))}
+    line = " ".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}"
+                    for k, v in want.items()) + "\n"
+    if f.n == f.m:
+        want["signature"] = invariant_signature(f).canonical()
+        line += f"signature={want['signature']}\n"
+    assert run(capsys, "analyze", "--json", str(p)) == (0, json.dumps(want, sort_keys=True) + "\n", "")
+    assert run(capsys, "analyze", str(p)) == (0, line, "")
 
 
 def test_trim_spectrum_gold6(capsys):

@@ -1,7 +1,11 @@
 import concurrent.futures
 import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,32 +311,39 @@ def _table_spectra(f):
     return want
 
 
-def _iter_apn_trims_by_table(f, alphas):
-    """Every trim of the hyperplanes ``alphas`` built and classified by
-    table, in (alpha, side, beta) order; the reference for
-    trimming._iter_apn_trims, through which apn_trims and recursive_witness
-    both find their trims."""
+def _every_trim(f):
+    """Every trim (alpha, side, beta) of f in ascending order."""
+    top = 1 << f.n
+    return [(alpha, side, beta) for alpha in range(1, top) for side in SIDES
+            for beta in range(1, top)]
+
+
+def _iter_apn_trims_by_table(f, trims):
+    """The APN trims among ``trims`` (alpha, side, beta), in their order,
+    built and classified by table; with every trim claimed, the reference
+    for trimming._iter_apn_trims, through which apn_trims and
+    recursive_witness both find their trims."""
     n = f.n
-    for alpha in alphas:
-        for side in SIDES:
-            tabs = _hyperplane_tables(f, alpha, side)
-            apn = [b for b, t in enumerate(tabs) if is_apn(VBF(n - 1, n - 1, t))]
-            for beta0, sig in zip(apn, signatures_of_tables(tabs[apn], n - 1)):
-                d = TrimDescriptor.canonical(alpha, side, beta0 + 1)
-                yield d, VBF(n - 1, n - 1, tabs[beta0]), sig
+    ds = [TrimDescriptor.canonical(*t) for t in trims]
+    tabs = _tables_for_alpha(f, [d.hyperplane.alpha for d in ds], [d.epsilon for d in ds],
+                             [d.beta for d in ds], [d.gamma for d in ds])
+    apn = [i for i, t in enumerate(tabs) if is_apn(VBF(n - 1, n - 1, t))]
+    for i, sig in zip(apn, signatures_of_tables(tabs[apn], n - 1)):
+        yield ds[i], VBF(n - 1, n - 1, tabs[i]), sig
 
 
 def _apn_trims_and_witness_by_table(f, apn, monkeypatch):
     """apn_trims(f) and, if f is APN, recursive_witness(f), with every trim
-    built and classified by table; both must find their trims through the
-    reference, or fast would be compared with fast."""
+    claimed and then built and classified by table; both must find their
+    trims through the reference, or fast would be compared with fast."""
     seen = []
 
-    def reference(g, alphas):
+    def reference(g, trims):
         seen.append(g.n)
-        return _iter_apn_trims_by_table(g, alphas)
+        return _iter_apn_trims_by_table(g, trims)
 
     with monkeypatch.context() as m:
+        m.setattr(trimming, "_apn_claims", lambda g: iter(_every_trim(g)))
         m.setattr(trimming, "_iter_apn_trims", reference)
         trims = apn_trims(f)
         assert seen and set(seen) == {f.n}
@@ -359,8 +370,7 @@ def test_quadratic_kernel_matches_tables_where_trims_are_apn(name):
     every trim classified by table, on every hyperplane of T8_1 that holds
     APN trims (3 of 128 each) and on a few of gold7's (1 each)."""
     f = catalog.fixture(name)
-    alphas = [alpha for alpha in range(1, 1 << f.n)
-              if trimming._apn_betas(trimming._derivative_table(f, alpha), f.n)]
+    alphas = sorted({alpha for alpha, _, _ in trimming._quadratic_apn_trims(f)})
     if name == "T8_1":
         assert len(alphas) == 3
     else:
@@ -483,7 +493,8 @@ def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatc
 
 def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
     f = catalog.gold(5)
-    monkeypatch.setattr(trimming, "_apn_betas", lambda d, n: list(range(1, 1 << n)))
+    monkeypatch.setattr(trimming, "_quadratic_apn_trims", lambda g: (
+        t for t in _every_trim(g) if t[1] == "linear"))
     with pytest.raises(RuntimeError):
         apn_trims(f)
     monkeypatch.undo()
@@ -499,6 +510,128 @@ def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(trimming, "_quadratic_counts", all_apn)
     with pytest.raises(RuntimeError):
         trim_spectrum(f)
+
+
+def _random_affine(n, rng):
+    return vbf.vbf_from_anf(n, n, [rng.getrandbits(n) if u.bit_count() <= 1 else 0
+                                   for u in range(1 << n)])
+
+
+CLAIM_INPUTS = {
+    **{f"random_quadratic({n}, {n})": (lambda n: lambda rng: random_quadratic(n, n, rng))(n)
+       for n in range(2, 8)},
+    "random_quadratic(5, 5) homogeneous":
+        lambda rng: random_quadratic(5, 5, rng, homogeneous=True),
+    "gold3 copy": lambda rng: random_ea_transform(catalog.gold(3), rng),
+    "gold5 copy": lambda rng: random_ea_transform(catalog.gold(5), rng),
+    "gold6 copy": lambda rng: random_ea_transform(catalog.gold(6), rng),
+    "T6 copy": lambda rng: random_ea_transform(catalog.t6(), rng),
+    "random affine(2)": lambda rng: _random_affine(2, rng),
+    "random affine(4)": lambda rng: _random_affine(4, rng),
+    "identity(3)": lambda rng: VBF.identity(3),
+    "x0*x1 on 2 bits": lambda rng: VBF(2, 2, [0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", CLAIM_INPUTS)
+def test_quadratic_claims_match_tables_on_every_hyperplane(name):
+    """The whole-space pass claims exactly the trims that are APN by table:
+    on the linear side, and for n = 2 also on the affine side. An
+    affine-side trim is APN iff its linear twin is, so for n > 2 leaving
+    that side out misses no APN trim class."""
+    f = CLAIM_INPUTS[name](random.Random(name))
+    assert f.degree <= 2
+    n = f.n
+    apn = {side: [(alpha, beta + 1) for alpha in range(1, 1 << n)
+                  for beta, t in enumerate(_hyperplane_tables(f, alpha, side))
+                  if is_apn(VBF(n - 1, n - 1, t))] for side in SIDES}
+    assert apn["affine"] == apn["linear"]
+    sides = SIDES if n == 2 else ("linear",)
+    want = sorted(((alpha, side, beta) for alpha, beta in apn["linear"] for side in sides),
+                  key=lambda t: (t[0], SIDES.index(t[1]), t[2]))
+    assert list(trimming._quadratic_apn_trims(f)) == want
+
+
+def _apn_betas_of_hyperplane(f, alpha):
+    """The betas whose linear-side trim on alpha-orthogonal is APN, read off
+    that hyperplane's derivative table D alone: every row a != 0 of D has
+    exactly two zeros, and beta occurs nowhere in D."""
+    d = trimming._derivative_table(f, alpha)
+    if ((d[1:] == 0).sum(axis=1) != 2).any():
+        return []
+    absent = np.bincount(d.ravel(), minlength=1 << f.n)[1:] == 0
+    return (np.flatnonzero(absent) + 1).tolist()
+
+
+@pytest.mark.parametrize("name", ["gold7", "appendixA_R", "T8_1"])
+def test_quadratic_claims_match_the_per_hyperplane_criterion(name):
+    f = catalog.fixture(name)
+    want = [(alpha, "linear", beta) for alpha in range(1, 1 << f.n)
+            for beta in _apn_betas_of_hyperplane(f, alpha)]
+    assert want
+    assert list(trimming._quadratic_apn_trims(f)) == want
+
+
+def test_quadratic_claims_chunked_path(monkeypatch):
+    """Blocks of 3 rows at n = 7 and 6 at n = 6, the last one shorter, give
+    the claims of one block."""
+    inputs = [catalog.fixture("gold7"), catalog.fixture("G3"), catalog.t6(),
+              random_quadratic(6, 6, random.Random(3))]
+    want = [list(trimming._quadratic_apn_trims(f)) for f in inputs]
+    blocks = []
+    row_chunks = trimming._row_chunks
+
+    def recording(*args):
+        for lo, hi in row_chunks(*args):
+            blocks.append(hi - lo)
+            yield lo, hi
+
+    monkeypatch.setattr(trimming, "_row_chunks", recording)
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 15)
+    assert [list(trimming._quadratic_apn_trims(f)) for f in inputs] == want
+    assert max(blocks) == 6 and set(blocks) >= {2, 3, 4}
+
+
+def test_quadratic_claims_peak_rss_at_11_bits():
+    """The whole-space pass at n = 11 keeps its 2^22 counts in int32 and its
+    temporaries in blocks: peak RSS grows by under 48 MB. In blocks of the
+    full cell limit, here one block, it grew by about 110 MB."""
+    code = textwrap.dedent("""
+        import random, resource
+        from apnkit import trimming
+        from apnkit.vbf import random_quadratic
+        f = random_quadratic(11, 11, random.Random(11))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        claims = list(trimming._quadratic_apn_trims(f))
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+    """)
+    src = str(Path(trimming.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert float(out.stdout) < 48
+
+
+def test_recursive_witness_takes_one_claim_pass_per_node(monkeypatch):
+    """Each node of the search gets its claims from one whole-space pass,
+    and its trims are classified one hyperplane at a time."""
+    passes, hyperplanes = Counter(), []
+    claims, iter_apn_trims = trimming._quadratic_apn_trims, trimming._iter_apn_trims
+
+    def counting_claims(g):
+        passes[g.table.tobytes()] += 1
+        return claims(g)
+
+    def recording(g, trims):
+        hyperplanes.append({t[0] for t in trims})
+        return iter_apn_trims(g, trims)
+
+    monkeypatch.setattr(trimming, "_quadratic_apn_trims", counting_claims)
+    monkeypatch.setattr(trimming, "_iter_apn_trims", recording)
+    chain = recursive_witness(random_ea_transform(catalog.fixture("gold7"), random.Random(7)))
+    assert [g.n for g in chain] == [7, 6, 5, 4, 3, 2]
+    assert set(passes.values()) == {1} and len(passes) >= 5
+    assert all(len(h) == 1 for h in hyperplanes)
 
 
 def test_one_bit_functions_have_no_trims():
