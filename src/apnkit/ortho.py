@@ -14,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -118,46 +118,61 @@ class InvariantSignature:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def _stacks(count: int, k: int) -> Iterator[tuple[int, int]]:
-    """Row ranges over ``count`` k-bit tables of at most _BATCH_CELL_LIMIT /
-    2^8 DDT cells each: larger stacks run no faster and only grow the
-    temporaries."""
-    return vbf_mod._row_chunks(0, count, 1 << (2 * k + 8))
+def signature_keys(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
+                   tables: Optional[Callable[[np.ndarray], np.ndarray]]) -> list[bytes]:
+    """Keys of k-bit functions b = 0 .. B - 1 from their histogram columns:
+    ddt = (values, counts) with counts[b, j] DDT cells a != 0 equal to
+    values[j], walsh the same for |Walsh| values over beta != 0, both with
+    ascending values, and degrees[b]. The ortho spectra of the rows that
+    are APN of degree 2 come from tables(rows), the tables of those rows,
+    taken in stacks (None when there are no such rows); a table that is not
+    quadratic APN there is an internal error.
 
-
-def signatures_of_columns(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
-                          tables: Callable[[np.ndarray], np.ndarray]
-                          ) -> list[InvariantSignature]:
-    """Signatures of k-bit functions b = 0 .. B - 1 from their histogram
-    columns: ddt = (values, counts) with counts[b, j] DDT cells a != 0 equal
-    to values[j], walsh the same for |Walsh| values over beta != 0, both
-    with ascending values, and degrees[b]; one object per distinct row. The
-    ortho spectra of the rows that are APN of degree 2 come from
-    tables(rows), the tables of those rows, taken in stacks; a table that
-    is not quadratic APN there is an internal error."""
+    A key is the int64 words (degree, #ddt values, #walsh values, ddt
+    values, walsh values, ddt counts, walsh counts), followed for a quadratic
+    APN function by its ortho-derivative's DDT and |Walsh| histograms;
+    signature_of_key decodes it. Keys of equal signatures differ at most in
+    values whose count is 0."""
     (dvals, dcounts), (wvals, wcounts) = ddt, walsh
-    rows = np.ascontiguousarray(np.hstack([dcounts, wcounts, degrees[:, None]]), dtype=np.int64)
+    head = np.concatenate([[dvals.size, wvals.size], dvals, wvals])
+    rows = np.empty((degrees.size, 1 + head.size + dvals.size + wvals.size), dtype=np.int64)
+    rows[:, 0] = degrees
+    rows[:, 1:1 + head.size] = head
+    rows[:, 1 + head.size:] = np.hstack([dcounts, wcounts])
     keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
     quad = np.flatnonzero(~dcounts[:, dvals > 2].any(axis=1) & (degrees == 2))
-    ortho: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for lo, hi in _stacks(quad.size, k):
+    for lo, hi in vbf_mod._stacks(quad.size, 1 << (2 * k)):
         try:
             pis = _ortho_derivatives(tables(quad[lo:hi]), k)
         except ValueError as exc:
             raise RuntimeError("a function classified as quadratic APN "
                                "has a table that is not") from exc
-        hists = zip(vbf_mod._diff_counts_batch(pis, k), _batch_walsh_hists(pis, k))
-        for b, (dh, wh) in zip(quad[lo:hi].tolist(), hists):
-            ortho[b] = dh, wh
-            keys[b] += dh.tobytes() + wh.tobytes()
-    memo: dict[bytes, InvariantSignature] = {}
-    for b, key in enumerate(keys):
-        if key not in memo:
-            row = rows[b]
-            ds = _spectrum(row[:dvals.size], dvals)
-            ews = _spectrum(row[dvals.size:-1], wvals)
-            ods, oews = map(_spectrum, ortho[b]) if b in ortho else (None, None)
-            memo[key] = InvariantSignature(int(row[-1]), ds[-1][0] <= 2, ds, ews, ods, oews)
+        hists = np.hstack([vbf_mod._diff_counts_batch(pis, k),
+                           _batch_walsh_hists(pis, k)]).astype(np.int64)
+        for b, h in zip(quad[lo:hi].tolist(), hists):
+            keys[b] += h.tobytes()
+    return keys
+
+
+def signature_of_key(key: bytes) -> InvariantSignature:
+    """The signature a key of signature_keys stands for."""
+    words = np.frombuffer(key, dtype=np.int64)
+    degree, dv, wv = words[:3].tolist()
+    vals, counts = words[3:3 + dv + wv], words[3 + dv + wv:]
+    ds = _spectrum(counts[:dv], vals[:dv])
+    ews = _spectrum(counts[dv:dv + wv], vals[dv:])
+    ortho = counts[dv + wv:]
+    ods, oews = map(_spectrum, np.split(ortho, 2)) if ortho.size else (None, None)
+    return InvariantSignature(degree, ds[-1][0] <= 2, ds, ews, ods, oews)
+
+
+def signatures_of_columns(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
+                          tables: Callable[[np.ndarray], np.ndarray]
+                          ) -> list[InvariantSignature]:
+    """The signatures of the keys signature_keys gives for these arguments,
+    one object per distinct row."""
+    keys = signature_keys(k, degrees, ddt, walsh, tables)
+    memo = {key: signature_of_key(key) for key in set(keys)}
     return [memo[key] for key in keys]
 
 
@@ -171,7 +186,7 @@ def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
     """Signatures for a batch of k-bit tables (shape (B, 2^k)), classified
     in stacks."""
     out = []
-    for lo, hi in _stacks(tabs.shape[0], k):
+    for lo, hi in vbf_mod._stacks(tabs.shape[0], 1 << (2 * k)):
         stack = tabs[lo:hi]
         out += signatures_of_columns(
             k, vbf_mod._degree_of_tables(stack, k),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
@@ -20,9 +20,9 @@ import numpy as np
 
 from .gf2 import inner_product, lowest_set_bit, span
 from .ortho import (Columns, InvariantSignature, invariant_signature,
-                    signatures_of_columns, signatures_of_tables)
+                    signature_keys, signature_of_key, signatures_of_tables)
 from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_chunks,
-                  _row_hists, _walsh_blocks, derivative, is_apn)
+                  _row_hists, _stacks, _walsh_blocks, derivative, is_apn)
 
 SIDES = ("linear", "affine")
 
@@ -112,11 +112,12 @@ def trim(f: VBF, d: TrimDescriptor) -> VBF:
     return VBF(n - 1, n - 1, tabs[0])
 
 
-def _restricted_values(f: VBF, alpha: int, side: str) -> np.ndarray:
-    """F on the hyperplane (alpha, side) under canonical epsilon, in the
-    coordinates of hyperplane_basis(alpha)."""
-    eps = 0 if side == "linear" else lowest_set_bit(alpha)
-    return f.table[_embedded_points(alpha, f.n) ^ eps]
+def _restricted_values(f: VBF, hyperplanes: Sequence[tuple[int, str]]) -> np.ndarray:
+    """F on each hyperplane (alpha, side) of ``hyperplanes`` under canonical
+    epsilon, in the coordinates of hyperplane_basis(alpha), one row each."""
+    alpha = np.array([a for a, _ in hyperplanes], dtype=np.int64)[:, None]
+    affine = np.array([side == "affine" for _, side in hyperplanes])[:, None]
+    return f.table[_embedded_points(alpha, f.n) ^ affine * (alpha & -alpha)]
 
 
 def _tables_for_alpha(f: VBF, alpha, epsilon, beta, gamma) -> np.ndarray:
@@ -140,33 +141,44 @@ def _canonical_tables(f: VBF, trims: Sequence[tuple[int, str, int]]) -> np.ndarr
 
 
 def _sums_over_orthogonal(h: np.ndarray) -> np.ndarray:
-    """s[:, beta] = sum of h[:, v] over v != 0 orthogonal to beta, for every
-    beta at once, by one Hadamard transform along the last axis."""
+    """s[..., beta] = sum of h[..., v] over v != 0 orthogonal to beta, for
+    every beta at once, by one Hadamard transform along the last axis."""
     h = h.astype(np.int64)
-    h[:, 0] = 0
-    return (h.sum(axis=1, keepdims=True) + _fwht(h)) // 2
+    h[..., 0] = 0
+    return (h.sum(axis=-1, keepdims=True) + _fwht(h)) // 2
 
 
 def _trim_degrees(v: np.ndarray, n: int) -> np.ndarray:
-    """Degree of trim beta, for beta = 1 .. 2^n - 1, from the values v of F
-    on the hyperplane."""
-    top = np.zeros(1 << n, dtype=np.int64)       # top weight per ANF word
-    np.maximum.at(top, _mobius(v), _POP16[:v.size])
-    top[0] = 0
-    word = int(np.argmax(top))
-    deg = np.full(1 << n, top[word])
-    top[word] = 0
-    deg[word] = top.max()
-    return deg[1:]
+    """deg[h, beta - 1], the degree of trim beta of hyperplane h, for beta =
+    1 .. 2^n - 1, from the values v[h] of F on each hyperplane."""
+    rows = np.arange(v.shape[0])
+    top = np.zeros((rows.size, 1 << n), dtype=np.int64)     # top weight per ANF word
+    np.maximum.at(top, (rows[:, None], _mobius(v)), _POP16[:v.shape[1]])
+    top[:, 0] = 0
+    word = top.argmax(axis=1)
+    deg = np.repeat(top[rows, word][:, None], 1 << n, axis=1)
+    top[rows, word] = 0
+    deg[rows, word] = top.max(axis=1)
+    return deg[:, 1:]
 
 
-def _signatures(f: VBF, alpha: int, side: str, ddt: Columns, walsh: Columns,
-                degrees: np.ndarray) -> list[InvariantSignature]:
-    """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, from
-    a kernel's columns and degrees, row beta - 1 each; only the APN trims of
-    degree 2 are built as tables, for their ortho spectra."""
-    return signatures_of_columns(f.n - 1, degrees, ddt, walsh, lambda rows: _canonical_tables(
-        f, [(alpha, side, b + 1) for b in rows.tolist()]))
+def _trim_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]], ddt: Columns,
+               walsh: Columns, degrees: np.ndarray) -> list[bytes]:
+    """Keys (ortho.signature_keys) of the trims (alpha, side, beta) for each
+    (alpha, side) of ``hyperplanes`` and beta = 1 .. 2^n - 1, in that order,
+    from a kernel's columns and degrees, row (h, beta - 1) each; only the
+    APN trims of degree 2 are built as tables, for their ortho spectra."""
+    per = (1 << f.n) - 1
+    (dvals, dcounts), (wvals, wcounts) = ddt, walsh
+
+    def tables(rows: np.ndarray) -> np.ndarray:
+        h, b = np.divmod(rows, per)
+        return _canonical_tables(f, [(*hyperplanes[i], j + 1)
+                                     for i, j in zip(h.tolist(), b.tolist())])
+
+    return signature_keys(f.n - 1, degrees.reshape(-1),
+                          (dvals, dcounts.reshape(-1, dvals.size)),
+                          (wvals, wcounts.reshape(-1, wvals.size)), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,7 @@ def _signatures(f: VBF, alpha: int, side: str, ddt: Columns, walsh: Columns,
 def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
     """D[x, y] over x, y in alpha-orthogonal, both in the coordinates of
     hyperplane_basis(alpha)."""
-    v = _restricted_values(f, alpha, "linear")
+    v = _restricted_values(f, [(alpha, "linear")])[0]
     xs = np.arange(v.size)
     return derivative(v, xs[:, None], xs)
 
@@ -244,27 +256,32 @@ def _quadratic_counts(d: np.ndarray, n: int) -> tuple[Columns, Columns]:
     return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
 
 
-def _quadratic_signatures(f: VBF, alpha: int, sides: Sequence[str]) -> list[InvariantSignature]:
-    """Signatures of the trims (alpha, side, beta) of a function of degree
-    <= 2, beta = 1 .. 2^n - 1, for each side of ``sides``: ("linear",) or
+def _quadratic_keys(f: VBF, alpha: int, sides: Sequence[str]) -> list[bytes]:
+    """Keys of the trims (alpha, side, beta) of a function of degree <= 2,
+    beta = 1 .. 2^n - 1, for each side of ``sides``: ("linear",) or
     SIDES."""
     n = f.n
-    ddt, walsh = _quadratic_counts(_derivative_table(f, alpha), n)
-    flat = ~walsh[1][:, 1:-1].any(axis=1)       # no component with rho > 0
+    (dvals, ddt), (wvals, walsh) = _quadratic_counts(_derivative_table(f, alpha), n)
+    flat = np.flatnonzero(~walsh[:, 1:-1].any(axis=1))     # no component with rho > 0
 
     def degrees(side: str) -> np.ndarray:
-        deg = np.full(flat.size, 2)
-        if flat.any():
-            deg[flat] = _trim_degrees(_restricted_values(f, alpha, side), n)[flat]
+        deg = np.full(walsh.shape[0], 2)
+        if flat.size:
+            deg[flat] = _trim_degrees(_restricted_values(f, [(alpha, side)]), n)[0, flat]
         return deg
 
-    sigs = _signatures(f, alpha, "linear", ddt, walsh, degrees("linear"))
+    keys = _trim_keys(f, [(alpha, "linear")], (dvals, ddt), (wvals, walsh), degrees("linear"))
     if "affine" not in sides:
-        return sigs
-    # an affine-side trim differs from its linear twin by an affine map
-    twins = [s if s.degree == 2 else replace(s, degree=int(d))
-             for s, d in zip(sigs, degrees("affine"))]
-    return sigs + twins
+        return keys
+    # an affine-side trim differs from its linear twin by an affine map: the
+    # twins share their key where they have degree 2, and below degree 2
+    # only the degree differs and no table is needed
+    twins = list(keys)
+    low = signature_keys(n - 1, degrees("affine")[flat], (dvals, ddt[flat]),
+                         (wvals, walsh[flat]), tables=None)
+    for i, key in zip(flat.tolist(), low):
+        twins[i] = key
+    return keys + twins
 
 
 def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
@@ -303,60 +320,73 @@ def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
 #     (a, c) with delta[a, c] = s and delta[a, c + beta] = t is an XOR
 #     correlation, 2^-n WHT(sum_a WHT(S_a) WHT(T_a)) at beta, where S_a and
 #     T_a are the indicators of delta[a, .] = s and = t. Every partial sum
-#     stays below 2^(3n - 1), so int64 is exact.
+#     stays below 2^(3n - 1), so int64 is exact. Only s, t != 0 need it: a
+#     value has a partner at every cell where it occurs, so the pairs with
+#     a 0 are what the pairs among the other values leave.
 #   - The components of T are v.F|H for v != 0 orthogonal to beta, each
 #     once, so its |Walsh| histogram is the sum of the histograms of rows v
 #     of the Walsh matrix of F|H.
 #   - The ANF of T is P applied to the ANF words of F|H, so deg T is the
 #     largest weight of a monomial whose word is neither 0 nor beta.
 #   - T is APN iff no DDT value exceeds 2.
-# Only APN trims of degree 2 are built as tables, for their ortho spectra.
+# The kernels take a stack of hyperplanes, the values of F on each as one
+# row. Only APN trims of degree 2 are built as tables, for their ortho
+# spectra.
 
 def _trim_ddt_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts): counts[beta - 1, j] DDT cells a != 0 of trim beta
-    equal values[j], for beta = 1 .. 2^n - 1."""
-    size = v.size
+    """(values, counts): counts[h, beta - 1, j] DDT cells a != 0 of trim
+    beta of hyperplane h equal to values[j], for beta = 1 .. 2^n - 1, from
+    the values v[h] of F on each hyperplane. The values are those of the
+    whole stack; a value that one hyperplane lacks has an all-zero
+    indicator there, so its pairs count nothing."""
+    H, size = v.shape
     seen = np.zeros(size + 1, dtype=bool)
-    for _, delta in _ddt_blocks(v[None, :], n):
+    for _, delta in _ddt_blocks(v, n):
         seen[delta] = True
     vals = np.flatnonzero(seen)                   # vals[0] = 0: rows have zeros
+    m = vals.size
+    # prod[h, c, s, t] = sum_a WHT(S_a)(c) WHT(T_a)(c) for the values s, t
+    # != 0; the transform of an indicator is at most 2^n in magnitude
+    prod = np.zeros((H, 1 << n, m - 1, m - 1), dtype=np.int64)
+    for _, delta in _ddt_blocks(v, n, row_cells=m << n):
+        spec = _fwht((delta[:, :, None, :] == vals[1:, None]).astype(np.int32))
+        prod += np.einsum("hasc,hatc->hcst", spec, spec, dtype=np.int64)
+    # pairs[h, s, t, beta] = #{(a, c) : delta[a, c] = vals[s], delta[a, c +
+    # beta] = vals[t]}; value t occurs pairs[h, t, t, 0] times in all
+    pairs = np.empty((H, m, m, 1 << n), dtype=np.int64)
+    pairs[:, 1:, 1:] = _fwht(np.ascontiguousarray(prod.transpose(0, 2, 3, 1))) >> n
+    occurs = np.diagonal(pairs[:, 1:, 1:, 0], axis1=1, axis2=2)
+    pairs[:, 0, 1:] = occurs[:, :, None] - pairs[:, 1:, 1:].sum(axis=1)
+    pairs[:, 1:, 0] = pairs[:, 0, 1:]
+    pairs[:, 0, 0] = ((size - 1) << n) - occurs.sum(axis=1)[:, None] - pairs[:, 0, 1:].sum(axis=1)
     sums, pair = np.unique(vals[:, None] + vals[None, :], return_inverse=True)
     to_sum = (pair.reshape(-1, 1) == np.arange(sums.size)).astype(np.int64)
-    acc = np.zeros((1 << n, sums.size), dtype=np.int64)
-    for _, block in _ddt_blocks(v[None, :], n, row_cells=vals.size << n):
-        delta = block[0]
-        spec = np.empty((delta.shape[0], vals.size, 1 << n), dtype=np.int64)
-        spec[:, 1:] = _fwht((delta[:, None, :] == vals[1:, None]).astype(np.int64))
-        # the indicators of all values sum to 1, whose transform is 2^n at 0
-        spec[:, 0] = -spec[:, 1:].sum(axis=1)
-        spec[:, 0, 0] += 1 << n
-        spec = spec.transpose(2, 0, 1)                   # (c, a, s)
-        prod = np.matmul(spec.transpose(0, 2, 1), spec)  # (c, s, t)
-        acc += prod.reshape(1 << n, -1) @ to_sum
-    counts = _fwht(np.ascontiguousarray(acc.T)) >> (n + 1)
-    return sums, counts[:, 1:].T
+    counts = (pairs.reshape(H, m * m, 1 << n).transpose(0, 2, 1) @ to_sum) >> 1
+    return sums, counts[:, 1:]
 
 
 def _trim_walsh_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts): counts[beta - 1, j] |Walsh| values of trim beta
-    equal to values[j], for beta = 1 .. 2^n - 1."""
-    size = v.size
-    cols: dict[int, np.ndarray] = {}
-    for lo, w in _walsh_blocks(v[None, :], n):
-        h = _row_hists(np.abs(w[0], out=w[0]), size + 1)
-        for val in np.flatnonzero(h.any(axis=0)).tolist():
-            cols.setdefault(val, np.zeros(1 << n, dtype=np.int64))[lo:lo + len(h)] = h[:, val]
-    vals = sorted(cols)
-    counts = _sums_over_orthogonal(np.array([cols[x] for x in vals]))
-    return np.array(vals), counts[:, 1:].T
+    """(values, counts): counts[h, beta - 1, j] |Walsh| values of trim beta
+    of hyperplane h equal to values[j], for beta = 1 .. 2^n - 1, from the
+    values v[h] of F on each hyperplane."""
+    H, size = v.shape
+    hists = np.zeros((H, 1 << n, size + 1), dtype=np.int32)   # (h, component, |W|)
+    for lo, w in _walsh_blocks(v, n):
+        rows = w.shape[1]
+        hists[:, lo:lo + rows] = _row_hists(np.abs(w, out=w).reshape(H * rows, size),
+                                            size + 1).reshape(H, rows, size + 1)
+    vals = np.flatnonzero(hists.any(axis=(0, 1)))
+    counts = _sums_over_orthogonal(hists[:, :, vals].transpose(0, 2, 1))
+    return vals, counts[:, :, 1:].transpose(0, 2, 1)
 
 
-def _general_signatures(f: VBF, alpha: int, side: str) -> list[InvariantSignature]:
-    """Signatures of the trims (alpha, side, beta), beta = 1 .. 2^n - 1, of
-    a function of any degree."""
-    v = _restricted_values(f, alpha, side)
-    return _signatures(f, alpha, side, _trim_ddt_counts(v, f.n),
-                       _trim_walsh_counts(v, f.n), _trim_degrees(v, f.n))
+def _general_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]]) -> list[bytes]:
+    """Keys of the trims (alpha, side, beta) of a function of any degree, for
+    each (alpha, side) of ``hyperplanes`` and beta = 1 .. 2^n - 1, in that
+    order, from one stack through the kernels."""
+    v = _restricted_values(f, hyperplanes)
+    return _trim_keys(f, hyperplanes, _trim_ddt_counts(v, f.n), _trim_walsh_counts(v, f.n),
+                      _trim_degrees(v, f.n))
 
 
 def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
@@ -364,8 +394,8 @@ def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
     in ascending order, one hyperplane at a time as the caller reaches it."""
     for alpha in range(1, 1 << f.n):
         for side in SIDES:
-            vals, counts = _trim_ddt_counts(_restricted_values(f, alpha, side), f.n)
-            for beta in (np.flatnonzero(~counts[:, vals > 2].any(axis=1)) + 1).tolist():
+            vals, counts = _trim_ddt_counts(_restricted_values(f, [(alpha, side)]), f.n)
+            for beta in (np.flatnonzero(~counts[0][:, vals > 2].any(axis=1)) + 1).tolist():
                 yield alpha, side, beta
 
 
@@ -409,35 +439,23 @@ def check_trimmable(f: VBF, quadratic_reduced: bool = False) -> None:
         raise ValueError("quadratic-reduced trim spectrum needs degree <= 2")
 
 
-def _count_signatures(sigs: Sequence[InvariantSignature]) -> Counter:
-    """Counter(sigs), hashing each distinct object once: the kernels repeat
-    one memoized object per distinct signature, and a signature's hash
-    walks its nested spectra every time."""
-    objs = {id(s): s for s in sigs}
-    counts: Counter = Counter()
-    for i, c in Counter(map(id, sigs)).items():
-        counts[objs[i]] += c
-    return counts
-
-
-def _hyperplane_counts(f: VBF, alpha: int, quadratic_reduced: bool) -> Counter:
-    """Signature counts of the trims on alpha-orthogonal and, unless
-    quadratic_reduced, on its complement."""
-    sides = ("linear",) if quadratic_reduced else SIDES
-    if f.degree > 2:
-        return _count_signatures([s for side in sides
-                                  for s in _general_signatures(f, alpha, side)])
-    return _count_signatures(_quadratic_signatures(f, alpha, sides))
-
-
 def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
                     quadratic_reduced: bool) -> Counter:
-    """Signature counts of the trims on the hyperplanes ``alphas``; the
-    picklable worker of trim_spectrum."""
+    """Key counts (ortho.signature_keys) of the trims on the hyperplanes
+    ``alphas`` and, unless quadratic_reduced, their complements; the
+    picklable worker of trim_spectrum. A function of degree > 2 sends its
+    hyperplanes through the kernels in stacks (vbf._stacks) of hyperplanes
+    of 2^(2n - 1) DDT cells each, 8 at n = 7: taller ones ran slower."""
     f = VBF(n, n, table)
+    sides = ("linear",) if quadratic_reduced else SIDES
     counts: Counter = Counter()
-    for alpha in alphas:
-        counts.update(_hyperplane_counts(f, alpha, quadratic_reduced))
+    if f.degree <= 2:
+        for alpha in alphas:
+            counts.update(_quadratic_keys(f, alpha, sides))
+        return counts
+    hyperplanes = [(alpha, side) for alpha in alphas for side in sides]
+    for lo, hi in _stacks(len(hyperplanes), 1 << (2 * n - 1)):
+        counts.update(_general_keys(f, hyperplanes[lo:hi]))
     return counts
 
 
@@ -463,9 +481,14 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(_spectrum_share, *args))
-    counts: Counter = Counter()
+    keys: Counter = Counter()
     for share in shares:
-        counts.update(share)
+        keys.update(share)
+    # each distinct key is decoded once; keys that differ only in values
+    # counted 0 times stand for the same signature
+    counts: Counter = Counter()
+    for key, count in keys.items():
+        counts[signature_of_key(key)] += count
     return TrimSpectrum(f.n, quadratic_reduced, dict(counts))
 
 

@@ -215,6 +215,13 @@ def _row_chunks(start: int, stop: int, cells_per_row: int) -> Iterator[tuple[int
         yield lo, min(lo + step, stop)
 
 
+def _stacks(count: int, ddt_cells: int) -> Iterator[tuple[int, int]]:
+    """Row ranges over ``count`` functions of ``ddt_cells`` DDT cells each,
+    stacks of at most _BATCH_CELL_LIMIT / 2^8 DDT cells: larger stacks ran
+    no faster and only grew the temporaries."""
+    return _row_chunks(0, count, ddt_cells << 8)
+
+
 def _row_hists(rows: np.ndarray, width: int) -> np.ndarray:
     """hists[i, v] = #{j : rows[i, j] = v} for a 2-D array of values in
     [0, width)."""
@@ -370,7 +377,7 @@ def derivative(tab: np.ndarray, a, x) -> np.ndarray:
     for every a iff deg F <= 2. For a stack of tables (shape (B, 2^n)),
     ``a`` indexes the flattened stack: 2^n * t + a is point a of table t."""
     flat = tab.reshape(-1)
-    base = a & ~(tab.shape[-1] - 1)
+    base = a ^ (a & (tab.shape[-1] - 1))        # in a's dtype, signed or not
     return flat[a ^ x] ^ flat[a] ^ flat[base | x] ^ flat[base]
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,16 @@ import pytest
 
 from apnkit import catalog, gf2, ortho, trimming, vbf
 from apnkit.gf2 import inner_product
-from apnkit.ortho import invariant_signature, signatures_of_tables
+from apnkit.ortho import (
+    invariant_signature, signature_of_key, signatures_of_columns, signatures_of_tables,
+)
 from apnkit.trimming import (
-    SIDES, Hyperplane, TrimDescriptor, _general_signatures,
-    _quadratic_signatures, _tables_for_alpha, apn_trims, descriptor_count,
-    hyperplane_basis, project, recursive_witness, trim, trim_spectrum,
-    trimming_graph,
+    SIDES, Hyperplane, TrimDescriptor, _tables_for_alpha, apn_trims, descriptor_count,
+    hyperplane_basis, project, recursive_witness, trim, trim_spectrum, trimming_graph,
 )
 from apnkit.vbf import (
-    VBF, is_apn, random_ea_transform, random_function, random_quadratic,
+    VBF, _ddt_blocks, _fwht, _mobius, _POP16, _row_hists, _walsh_blocks, is_apn,
+    random_ea_transform, random_function, random_quadratic,
 )
 from test_gf2 import _span_by_loop
 
@@ -300,6 +302,18 @@ def _hyperplane_tables(f, alpha, side):
 
 def _table_signatures(f, alpha, side):
     return signatures_of_tables(_hyperplane_tables(f, alpha, side), f.n - 1)
+
+
+def _decoded(keys):
+    return [signature_of_key(key) for key in keys]
+
+
+def _quadratic_signatures(f, alpha, sides):
+    return _decoded(trimming._quadratic_keys(f, alpha, sides))
+
+
+def _general_signatures(f, alpha, side):
+    return _decoded(trimming._general_keys(f, [(alpha, side)]))
 
 
 def _table_spectra(f):
@@ -592,24 +606,33 @@ def test_quadratic_claims_chunked_path(monkeypatch):
     assert max(blocks) == 6 and set(blocks) >= {2, 3, 4}
 
 
-def test_quadratic_claims_peak_rss_at_11_bits():
-    """The whole-space pass at n = 11 keeps its 2^22 counts in int32 and its
-    temporaries in blocks: peak RSS grows by under 48 MB. In blocks of the
-    full cell limit, here one block, it grew by about 110 MB."""
-    code = textwrap.dedent("""
-        import random, resource
-        from apnkit import trimming
-        from apnkit.vbf import random_quadratic
-        f = random_quadratic(11, 11, random.Random(11))
+def _peak_rss_growth_mb(setup):
+    """How far peak RSS grows, in MB, while a fresh interpreter calls the
+    ``run`` that the code ``setup`` defines."""
+    code = textwrap.dedent(setup) + textwrap.dedent("""
+        import resource
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        claims = list(trimming._quadratic_apn_trims(f))
+        run()
         print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
     """)
     src = str(Path(trimming.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert float(out.stdout) < 48
+    return float(out.stdout)
+
+
+def test_quadratic_claims_peak_rss_at_11_bits():
+    """The whole-space pass at n = 11 keeps its 2^22 counts in int32 and its
+    temporaries in blocks: peak RSS grows by under 48 MB. In blocks of the
+    full cell limit, here one block, it grew by about 110 MB."""
+    assert _peak_rss_growth_mb("""
+        import random
+        from apnkit import trimming
+        from apnkit.vbf import random_quadratic
+        f = random_quadratic(11, 11, random.Random(11))
+        run = lambda: list(trimming._quadratic_apn_trims(f))
+    """) < 48
 
 
 def test_recursive_witness_takes_one_claim_pass_per_node(monkeypatch):
@@ -788,7 +811,8 @@ def test_kernels_match_tables_at_9_bits():
     linear = _table_signatures(quad, 0x1a5, "linear")
     assert _quadratic_signatures(quad, 0x1a5, ("linear",)) == linear
     both = Counter(linear + _table_signatures(quad, 0x1a5, "affine"))
-    assert trimming._hyperplane_counts(quad, 0x1a5, False) == both
+    share = trimming._spectrum_share(quad.table, 9, [0x1a5], False)
+    assert Counter(_decoded(share.elements())) == both
     inverse = _field_power(9, 510)
     assert inverse.degree == 8 and is_apn(inverse)
     for alpha, side in ((1, "affine"), (0x0ee, "linear")):
@@ -812,10 +836,215 @@ def test_general_kernel_disagreement_is_an_internal_error(monkeypatch):
     f = _gold5_plus_cubic()
 
     def all_apn(v, n):
-        return np.array([0, 2]), np.ones(((1 << n) - 1, 2), dtype=np.int64)
+        return np.array([0, 2]), np.ones((v.shape[0], (1 << n) - 1, 2), dtype=np.int64)
 
     monkeypatch.setattr(trimming, "_trim_ddt_counts", all_apn)
     with pytest.raises(RuntimeError):
         apn_trims(f)
     with pytest.raises(RuntimeError):
         trim_spectrum(f)
+
+
+# ---------------------------------------------------------------------------
+# stacked general kernels and keyed spectra, against the one-hyperplane
+# kernels and the counting of one signature object per trim they replaced
+# ---------------------------------------------------------------------------
+
+def _ddt_counts_one(v, n):
+    """The one-hyperplane DDT kernel: (values, counts) with counts[beta - 1,
+    j] DDT cells a != 0 of trim beta equal to values[j], from the values v
+    of F on one hyperplane."""
+    seen = np.zeros(v.size + 1, dtype=bool)
+    for _, delta in _ddt_blocks(v[None, :], n):
+        seen[delta] = True
+    vals = np.flatnonzero(seen)
+    sums, pair = np.unique(vals[:, None] + vals[None, :], return_inverse=True)
+    to_sum = (pair.reshape(-1, 1) == np.arange(sums.size)).astype(np.int64)
+    acc = np.zeros((1 << n, sums.size), dtype=np.int64)
+    for _, block in _ddt_blocks(v[None, :], n, row_cells=vals.size << n):
+        delta = block[0]
+        spec = np.empty((delta.shape[0], vals.size, 1 << n), dtype=np.int64)
+        spec[:, 1:] = _fwht((delta[:, None, :] == vals[1:, None]).astype(np.int64))
+        spec[:, 0] = -spec[:, 1:].sum(axis=1)
+        spec[:, 0, 0] += 1 << n
+        spec = spec.transpose(2, 0, 1)                   # (c, a, s)
+        prod = np.matmul(spec.transpose(0, 2, 1), spec)  # (c, s, t)
+        acc += prod.reshape(1 << n, -1) @ to_sum
+    counts = _fwht(np.ascontiguousarray(acc.T)) >> (n + 1)
+    return sums, counts[:, 1:].T
+
+
+def _walsh_counts_one(v, n):
+    """The one-hyperplane |Walsh| kernel, (values, counts) as above."""
+    cols = {}
+    for lo, w in _walsh_blocks(v[None, :], n):
+        h = _row_hists(np.abs(w[0], out=w[0]), v.size + 1)
+        for val in np.flatnonzero(h.any(axis=0)).tolist():
+            cols.setdefault(val, np.zeros(1 << n, dtype=np.int64))[lo:lo + len(h)] = h[:, val]
+    vals = sorted(cols)
+    h = np.array([cols[x] for x in vals])
+    h[:, 0] = 0
+    counts = (h.sum(axis=1, keepdims=True) + _fwht(h)) // 2
+    return np.array(vals), counts[:, 1:].T
+
+
+def _degrees_one(v, n):
+    """The one-hyperplane degree kernel."""
+    top = np.zeros(1 << n, dtype=np.int64)
+    np.maximum.at(top, _mobius(v), _POP16[:v.size])
+    top[0] = 0
+    word = int(np.argmax(top))
+    deg = np.full(1 << n, top[word])
+    top[word] = 0
+    deg[word] = top.max()
+    return deg[1:]
+
+
+def _by_value(vals, counts):
+    """{value: column of counts} without the columns that are all 0."""
+    return {int(x): counts[:, j].tolist() for j, x in enumerate(vals) if counts[:, j].any()}
+
+
+def _delta_values(v, n):
+    return tuple(np.unique(np.concatenate([b.ravel() for _, b in _ddt_blocks(v[None, :], n)])))
+
+
+@pytest.mark.parametrize("name", GENERAL_INPUTS)
+def test_stacked_kernels_match_the_one_hyperplane_kernels(name):
+    """A stack of hyperplane sides through the kernels gives each side the
+    columns of the one-hyperplane kernels. The stack holds the sides of 3
+    random hyperplanes and the first side with each set of DDT values, so
+    on the random functions it mixes sides whose values differ and the
+    stack's values are their union."""
+    f = _general_input(name)
+    n = f.n
+    every = [(alpha, side) for alpha in range(1, 1 << n) for side in SIDES]
+    first = {}
+    for h, row in zip(every, trimming._restricted_values(f, every)):
+        first.setdefault(_delta_values(row, n), h)
+    if name.startswith("random_function"):
+        assert len(first) > 1
+    rng = random.Random(name)
+    hyperplanes = [(alpha, side) for alpha in rng.sample(range(1, 1 << n), 3)
+                   for side in SIDES] + list(first.values())[:4]
+    v = trimming._restricted_values(f, hyperplanes)
+    (dvals, ddt), (wvals, walsh) = trimming._trim_ddt_counts(v, n), trimming._trim_walsh_counts(v, n)
+    degrees = trimming._trim_degrees(v, n)
+    assert ddt.shape[:2] == walsh.shape[:2] == degrees.shape == (len(v), (1 << n) - 1)
+    for h, row in enumerate(v):
+        assert _by_value(dvals, ddt[h]) == _by_value(*_ddt_counts_one(row, n))
+        assert _by_value(wvals, walsh[h]) == _by_value(*_walsh_counts_one(row, n))
+        assert degrees[h].tolist() == _degrees_one(row, n).tolist()
+
+
+def test_stacked_kernels_chunked_path(monkeypatch):
+    """Blocks of a few rows of a 6-hyperplane stack give the columns of one
+    block."""
+    inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
+              _gold5_plus_cubic()]
+    stacks = [trimming._restricted_values(f, [(alpha, side) for alpha in (1, 6, 29)
+                                              for side in SIDES]) for f in inputs]
+    kernels = (trimming._trim_ddt_counts, trimming._trim_walsh_counts)
+    want = [[kernel(v, f.n) for kernel in kernels] for f, v in zip(inputs, stacks)]
+    blocks = []
+    row_chunks = vbf._row_chunks
+
+    def recording(*args):
+        for lo, hi in row_chunks(*args):
+            blocks.append(hi - lo)
+            yield lo, hi
+
+    monkeypatch.setattr(vbf, "_row_chunks", recording)
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3000)
+    got = [[kernel(v, f.n) for kernel in kernels] for f, v in zip(inputs, stacks)]
+    for g, w in zip(got, want):
+        for (gv, gc), (wv, wc) in zip(g, w):
+            assert np.array_equal(gv, wv) and np.array_equal(gc, wc)
+    assert min(blocks) <= 2
+
+
+def test_general_spectrum_stacks_follow_the_cell_limit(monkeypatch):
+    """A 5-bit share of 62 hyperplane sides, 2^17 cells each, goes through
+    the kernels in one stack, and in stacks of 3 with room for 3; the
+    spectrum is the same."""
+    f = _field_power(5, 30)
+    stacks = []
+    general_keys = trimming._general_keys
+
+    def recording(g, hyperplanes):
+        stacks.append(len(hyperplanes))
+        return general_keys(g, hyperplanes)
+
+    monkeypatch.setattr(trimming, "_general_keys", recording)
+    want = trim_spectrum(f)
+    assert stacks == [62]
+    stacks.clear()
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 17)
+    assert trim_spectrum(f) == want
+    assert stacks == [3] * 20 + [2]
+
+
+def _reference_signatures(f, alpha, sides):
+    """The signatures of the trims on hyperplane alpha, one object per trim,
+    from the one-hyperplane kernels for degree > 2 and from the quadratic
+    kernel's columns, with the affine twins' degree replaced, otherwise."""
+    n = f.n
+
+    def tables(side):
+        return lambda rows: trimming._canonical_tables(
+            f, [(alpha, side, b + 1) for b in rows.tolist()])
+
+    def values(side):
+        return trimming._restricted_values(f, [(alpha, side)])[0]
+
+    if f.degree > 2:
+        return [s for side in sides for s in signatures_of_columns(
+            n - 1, _degrees_one(values(side), n), _ddt_counts_one(values(side), n),
+            _walsh_counts_one(values(side), n), tables(side))]
+    ddt, walsh = trimming._quadratic_counts(trimming._derivative_table(f, alpha), n)
+    flat = ~walsh[1][:, 1:-1].any(axis=1)
+    degrees = {side: np.where(flat, _degrees_one(values(side), n), 2) for side in SIDES}
+    sigs = signatures_of_columns(n - 1, degrees["linear"], ddt, walsh, tables("linear"))
+    if "affine" not in sides:
+        return sigs
+    return sigs + [s if s.degree == 2 else replace(s, degree=int(d))
+                   for s, d in zip(sigs, degrees["affine"])]
+
+
+def _reference_spectrum(f, quadratic_reduced):
+    """Counter of one signature object per trim, hyperplane by hyperplane."""
+    sides = ("linear",) if quadratic_reduced else SIDES
+    counts = Counter()
+    for alpha in range(1, 1 << f.n):
+        counts.update(_reference_signatures(f, alpha, sides))
+    return dict(counts)
+
+
+KEYED_SPECTRUM_INPUTS = {
+    **{name: (lambda name: lambda: _general_input(name))(name) for name in SMALL_GENERAL_INPUTS},
+    "gold5": lambda: catalog.gold(5),
+    "T6": catalog.t6,
+    "G1": lambda: catalog.g7(1),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", KEYED_SPECTRUM_INPUTS)
+def test_keyed_spectrum_matches_object_counting(name, workers):
+    f = KEYED_SPECTRUM_INPUTS[name]()
+    for reduced in (False, True) if f.degree <= 2 else (False,):
+        spec = trim_spectrum(f, reduced, workers=workers)
+        assert spec.counts == _reference_spectrum(f, reduced)
+        assert spec.total == descriptor_count(f.n, reduced)
+
+
+def test_general_spectrum_stacks_peak_rss_at_10_bits():
+    """One share's stacks at n = 10, the 8 sides of 4 hyperplanes of the APN
+    x^1022 in stacks of one: peak RSS grows by under 48 MB (19 MB
+    measured). As one stack, the whole share, it grew by about 110 MB."""
+    assert _peak_rss_growth_mb("""
+        from apnkit import gf2, trimming
+        from apnkit.vbf import VBF
+        f = VBF.from_univariate(gf2.default_field(10), [(1, 1022)])
+        run = lambda: trimming._spectrum_share(f.table, 10, range(1, 5), False)
+    """) < 48

@@ -290,6 +290,25 @@ def test_derivative_matches_definition(deg):
         assert linear == (deg == 2)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16, np.uint32])
+def test_derivative_index_dtypes(dtype):
+    """Signed and unsigned index arrays give the definition, on one table
+    and on a stack of tables indexed through the flattened stack."""
+    g = catalog.gold(5)
+    x = np.arange(32, dtype=dtype)
+    tab = g.table.astype(np.int64)
+    want = tab[x[:, None] ^ x] ^ tab[x[:, None]] ^ tab[x] ^ tab[0]
+    assert np.array_equal(derivative(g.table, x[:, None], x), want)
+    stack = np.stack([random_function(5, 5, random.Random(t)).table for t in range(3)]
+                     + [g.table])
+    rows = (32 * 3 + x).astype(dtype)
+    assert np.array_equal(derivative(stack, rows[:, None], x), want)
+    for t, tab in enumerate(stack[:3].astype(np.int64)):
+        rows = (32 * t + x).astype(dtype)
+        want = tab[x[:, None] ^ x] ^ tab[x[:, None]] ^ tab[x] ^ tab[0]
+        assert np.array_equal(derivative(stack, rows[:, None], x), want)
+
+
 def test_derivative_zero():
     g = catalog.gold(4)
     assert set(derivative(g.table, 0, np.arange(16)).tolist()) == {0}
