@@ -182,20 +182,20 @@ def _trim_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]], ddt: Columns,
 
 
 # ---------------------------------------------------------------------------
-# trims of functions of degree <= 2, read off the parent's derivative table
+# trims of functions of degree <= 2, read off whole-space tables
 # ---------------------------------------------------------------------------
 #
-# For deg(F) <= 2 and H = alpha-orthogonal (k = n - 1), the table
-# D[x, y] = F(x) + F(y) + F(x + y) + F(0) over x, y in H is bilinear, and the
-# linear-side trim T = P o F|H (P linear with kernel {0, beta}) satisfies
-# T(x) + T(x + a) = P(D[a, x]) + const. Hence, with c_a(v) = #{x : D[a, x] = v}:
+# For deg(F) <= 2, B(a, x) = F(a + x) + F(a) + F(x) + F(0) is bilinear and
+# alternating on F_2^n. On H = alpha-orthogonal (k = n - 1) let D be B on
+# H x H; the linear-side trim T = P o F|H (P linear with kernel {0, beta})
+# satisfies T(x) + T(x + a) = P(D[a, x]) + const. Hence, with c_a(v) =
+# #{x in H : D[a, x] = v}:
 #   - DDT row a of T holds 2^k / K entries equal to K = c_a(0) + c_a(beta)
-#     and zeros elsewhere; T is APN iff K = 2 for every a != 0, i.e. every
-#     row a != 0 of D has exactly two zeros and beta occurs nowhere in D.
-#   - The components of T are v.F|H for v != 0 orthogonal to beta. The
-#     alternating form v.D has a radical of size 2^(k - rho), and the
-#     component has |Walsh| 2^(k - rho/2) on 2^rho points, 0 elsewhere.
-#     T has degree 2 iff some such v has rho > 0.
+#     and zeros elsewhere.
+#   - The components of T are v.F|H for v != 0 orthogonal to beta. If the
+#     alternating form v.D has rank rho, the component has |Walsh| 2^(k -
+#     rho/2) on 2^rho points, 0 elsewhere. T has degree 2 iff some such v
+#     has rho > 0.
 #   - A trim of degree <= 1 needs no table: whether it has degree 0 or 1 is
 #     read off the ANF of F on its hyperplane (_trim_degrees), which is
 #     computed only for hyperplanes that have such trims.
@@ -205,106 +205,159 @@ def _trim_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]], ddt: Columns,
 # Only APN trims of degree 2 are built as tables, for their ortho spectra,
 # and only on the linear side.
 #
-# All hyperplanes at once: with B(a, x) = F(a + x) + F(a) + F(x) + F(0) on
-# F_2^n and W the Hadamard transform over a of c[a, beta] = #{x : B(a, x) =
-# beta}, beta occurs N(alpha, beta) = (W[0, beta] + 3 W[alpha, beta]) / 4
-# times in D, as B is symmetric and B(a, a + s) = B(a, s). Row a = 0 of D
-# holds 2^(n-1) zeros and every other row a power of two >= 2, so trim
-# (alpha, beta) is APN iff N(alpha, 0) = 3 * 2^(n-1) - 2 and N(alpha, beta) = 0.
+# Every hyperplane's numbers come from two tables over the whole space:
+#   - Pair counts. With c[a, beta] = #{x in F_2^n : B(a, x) = beta} and W
+#     its Hadamard transform over a, beta occurs N(alpha, beta) = (W[0,
+#     beta] + 3 W[alpha, beta]) / 4 times in D, as B is symmetric and B(a, a
+#     + s) = B(a, s). Row a = 0 of D holds 2^(n-1) zeros and every other
+#     row at least the two zeros {0, a}, a count that is a power of two.
+#     So N(alpha, 0) = 3 * 2^(n-1) - 2 iff every row a != 0 has c_a(0) = 2;
+#     then every K is 2 or 4, and K = 4 on exactly N(alpha, beta) / 2 rows
+#     (every hyperplane of an APN F is such). Trim (alpha, beta) is APN iff
+#     N(alpha, 0) = 3 * 2^(n-1) - 2 and N(alpha, beta) = 0. On any other
+#     hyperplane the K come from D itself.
+#   - Restricted ranks. Let G_v be the Gram matrix of v.B, of rank rho_v
+#     and radical R_v. On alpha-orthogonal the form v.B has rank rho_v - 2
+#     if alpha lies in the row space of G_v, and rho_v otherwise: if R_v is
+#     not inside alpha-orthogonal, the restricted radical is R_v meet
+#     alpha-orthogonal; otherwise some u has v.B(u, .) = <alpha, .>, u lies
+#     in alpha-orthogonal, and the restricted radical is R_v + <u>.
 
-def _derivative_table(f: VBF, alpha: int) -> np.ndarray:
-    """D[x, y] over x, y in alpha-orthogonal, both in the coordinates of
-    hyperplane_basis(alpha)."""
-    v = _restricted_values(f, [(alpha, "linear")])[0]
-    xs = np.arange(v.size)
-    return derivative(v, xs[:, None], xs)
-
-
-def _zeros_first(counts: np.ndarray, total: int) -> np.ndarray:
-    """counts behind a first column that brings every row's sum to total."""
-    return np.concatenate([total - counts.sum(axis=1, keepdims=True), counts], axis=1)
-
-
-def _quadratic_counts(d: np.ndarray, n: int) -> tuple[Columns, Columns]:
-    """((dvals, ddt), (wvals, walsh)): ddt[beta - 1, j] DDT cells a != 0 of
-    trim beta equal to dvals[j], and walsh[beta - 1, j] |Walsh| values of
-    its components equal to wvals[j], for beta = 1 .. 2^n - 1."""
-    k = n - 1
-    size = 1 << k
-    total = size * (size - 1)       # DDT cells a != 0; |Walsh| values v != 0
-    c = _row_hists(d, 1 << n)
-    kern = c[1:, :1] + c[1:, 1:]                       # (a != 0, beta)
-    # per_k[beta - 1, j - 1] rows a != 0 with K = 2^j, each with 2^k / K cells K
-    j = np.arange(1, k + 1)
-    per_k = _row_hists(np.log2(kern).astype(np.int64).T, k + 1)[:, 1:]
-    ddt = _zeros_first(per_k * (size >> j), total)
-
-    # rows[v, i] = row i of the Gram matrix of v.D on the coordinate basis;
-    # the radical is the set of x with sum_i x_i rows[v, i] = 0
-    unit = 1 << np.arange(k)
-    gram = d[np.ix_(unit, unit)]
-    vs = np.arange(1 << n, dtype=np.uint16)
-    bits = _PAR16[vs[:, None, None] & gram[None, :, :]].astype(np.uint16)
-    rows = (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
-    half = (k - np.log2((span(rows) == 0).sum(axis=1)).astype(np.int64)) // 2
-    # comps[beta - 1, r] = #{v != 0, v.beta = 0, rho_v = 2r}, by one Hadamard
-    # transform; such a component has |Walsh| 2^(k - r) on 4^r points
-    onehot = half[None, :] == np.arange(k // 2 + 1)[:, None]
-    comps = _sums_over_orthogonal(onehot)[:, 1:].T
-    r = np.arange(k // 2, -1, -1)
-    walsh = _zeros_first(comps[:, r] << 2 * r, total)
-    return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
-
-
-def _quadratic_keys(f: VBF, alpha: int, sides: Sequence[str]) -> list[bytes]:
-    """Keys of the trims (alpha, side, beta) of a function of degree <= 2,
-    beta = 1 .. 2^n - 1, for each side of ``sides``: ("linear",) or
-    SIDES."""
-    n = f.n
-    (dvals, ddt), (wvals, walsh) = _quadratic_counts(_derivative_table(f, alpha), n)
-    flat = np.flatnonzero(~walsh[:, 1:-1].any(axis=1))     # no component with rho > 0
-
-    def degrees(side: str) -> np.ndarray:
-        deg = np.full(walsh.shape[0], 2)
-        if flat.size:
-            deg[flat] = _trim_degrees(_restricted_values(f, [(alpha, side)]), n)[0, flat]
-        return deg
-
-    keys = _trim_keys(f, [(alpha, "linear")], (dvals, ddt), (wvals, walsh), degrees("linear"))
-    if "affine" not in sides:
-        return keys
-    # an affine-side trim differs from its linear twin by an affine map: the
-    # twins share their key where they have degree 2, and below degree 2
-    # only the degree differs and no table is needed
-    twins = list(keys)
-    low = signature_keys(n - 1, degrees("affine")[flat], (dvals, ddt[flat]),
-                         (wvals, walsh[flat]), tables=None)
-    for i, key in zip(flat.tolist(), low):
-        twins[i] = key
-    return keys + twins
-
-
-def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
-    """The trims (alpha, side, beta) the kernel claims APN for a function of
-    degree <= 2, in ascending order, in blocks of at most _BATCH_CELL_LIMIT
-    / 2^8 cells (larger ones run no faster). The affine side is claimed only
-    for n = 2: for n > 2 its APN trims have degree 2 and repeat the
-    signatures of their linear twins."""
+def _pair_counts(f: VBF) -> np.ndarray:
+    """N[alpha, beta] = #{(a, x) in alpha-orthogonal^2 : B(a, x) = beta} for
+    every alpha and beta of a function of degree <= 2 (alpha = 0 stands for
+    the whole space), 4^n int32 counts. c is built in blocks of rows a and
+    turned into N in place in blocks of columns beta, each of at most
+    _BATCH_CELL_LIMIT / 2^8 cells (larger ones run no faster)."""
     size = 1 << f.n
     xs = np.arange(size, dtype=np.int32)
     blocks = list(_row_chunks(0, size, size << 8))
     c = np.empty((size, size), dtype=np.int32)                  # c[a, beta]
     for lo, hi in blocks:
         c[lo:hi] = _row_hists(derivative(f.table, xs[lo:hi, None], xs), size)
-    w0 = _fwht(c[:, 0].astype(np.int64))
-    alphas = np.flatnonzero(w0[0] + 3 * w0 == 6 * size - 8)    # N(alpha, 0)
-    apn = np.empty((alphas.size, size), dtype=bool)             # N(alpha, beta) = 0
     for lo, hi in blocks:
         w = _fwht(np.ascontiguousarray(c[:, lo:hi].T, dtype=np.int64))  # w[beta - lo, alpha]
-        apn[:, lo:hi] = (w[:, :1] + 3 * w[:, alphas] == 0).T
-    for alpha, row in zip(alphas.tolist(), apn):
+        c[:, lo:hi] = ((w[:, :1] + 3 * w) >> 2).T
+    return c
+
+
+def _restricted_ranks(f: VBF) -> np.ndarray:
+    """half[alpha, v], half the rank of the form v.B on alpha-orthogonal, for
+    every alpha != 0 and every v of a function of degree <= 2, 4^n int8
+    values (row 0 stands for no hyperplane); the Gram matrices are spanned
+    in blocks of rows v as in _pair_counts."""
+    n = f.n
+    size = 1 << n
+    unit = 1 << np.arange(n)
+    gram = derivative(f.table, unit[:, None], unit)             # B(e_i, e_j)
+    vs = np.arange(size, dtype=np.uint16)
+    bits = _PAR16[vs[:, None, None] & gram].astype(np.uint16)
+    rows = (bits << np.arange(n, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)  # G_v
+    member = np.zeros((size, size), dtype=bool)    # alpha in the row space of G_v
+    half = np.empty(size, dtype=np.int8)
+    for lo, hi in _row_chunks(0, size, size << 8):
+        combos = span(rows[lo:hi])                 # the row space of G_v, once per w
+        half[lo:hi] = (n - np.log2((combos == 0).sum(axis=1)).astype(np.int8)) // 2
+        member[combos, vs[lo:hi, None]] = True
+    return half - member
+
+
+def _zeros_first(counts: np.ndarray, total: int) -> np.ndarray:
+    """counts behind a first column that brings every row's sum to total."""
+    return np.concatenate([total - counts.sum(axis=-1, keepdims=True), counts], axis=-1)
+
+
+def _derivative_tables(f: VBF, alphas: Sequence[int]) -> np.ndarray:
+    """D[h, x, y] over x, y in alphas[h]-orthogonal, both in the coordinates
+    of hyperplane_basis(alphas[h])."""
+    v = _restricted_values(f, [(alpha, "linear") for alpha in alphas])
+    xs = np.arange(v.shape[1])
+    return derivative(v, (xs.size * np.arange(len(v)))[:, None, None] + xs[:, None], xs)
+
+
+def _quadratic_columns(f: VBF, alphas: np.ndarray, pairs: np.ndarray,
+                       half: np.ndarray) -> tuple[Columns, Columns]:
+    """((dvals, ddt), (wvals, walsh)): ddt[h, beta - 1, j] DDT cells a != 0
+    of trim beta of hyperplane alphas[h] equal to dvals[j], and walsh[h,
+    beta - 1, j] |Walsh| values of its components equal to wvals[j], for
+    beta = 1 .. 2^n - 1, from the tables _pair_counts and
+    _restricted_ranks."""
+    n = f.n
+    k = n - 1
+    size = 1 << k
+    total = size * (size - 1)       # DDT cells a != 0; |Walsh| values v != 0
+    # per_k[h, beta - 1, j - 1] rows a != 0 with K = 2^j, each with 2^k / K
+    # cells K
+    per_k = np.zeros((alphas.size, (1 << n) - 1, k), dtype=np.int64)
+    npairs = pairs[alphas]
+    pure = npairs[:, 0] == 3 * size - 2                  # every K is 2 or 4
+    fours = npairs[pure, 1:] >> 1
+    per_k[pure, :, :2] = np.stack([size - 1 - fours, fours], axis=-1)[..., :k]
+    impure = np.flatnonzero(~pure)
+    if impure.size:
+        d = _derivative_tables(f, alphas[impure].tolist())
+        c = _row_hists(d.reshape(-1, size), 1 << n).reshape(impure.size, size, 1 << n)
+        kern = np.log2(c[:, 1:, :1] + c[:, 1:, 1:]).astype(np.int64)   # (h, a != 0, beta)
+        per_k[impure] = _row_hists(kern.transpose(0, 2, 1).reshape(-1, size - 1),
+                                   k + 1)[:, 1:].reshape(impure.size, -1, k)
+    j = np.arange(1, k + 1)
+    ddt = _zeros_first(per_k * (size >> j), total)
+    # comps[h, beta - 1, r] = #{v != 0, v.beta = 0, rho = 2r on hyperplane
+    # h}, by one Hadamard transform; such a component has |Walsh| 2^(k - r)
+    # on 4^r points
+    onehot = half[alphas][:, None, :] == np.arange(k // 2 + 1)[:, None]
+    comps = _sums_over_orthogonal(onehot)[:, :, 1:].transpose(0, 2, 1)
+    r = np.arange(k // 2, -1, -1)
+    walsh = _zeros_first(comps[..., r] << 2 * r, total)
+    return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
+
+
+def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
+                    pairs: np.ndarray, half: np.ndarray) -> list[bytes]:
+    """Keys of the trims (alpha, side, beta) of a function of degree <= 2,
+    beta = 1 .. 2^n - 1, for each alpha of ``alphas`` on the linear side
+    and then, if ``sides`` is SIDES, on the affine side, from the tables
+    _pair_counts and _restricted_ranks."""
+    n = f.n
+    alphas = np.asarray(alphas, dtype=np.int64)
+    (dvals, ddt), (wvals, walsh) = _quadratic_columns(f, alphas, pairs, half)
+    flat = ~walsh[..., 1:-1].any(axis=-1)          # no component with rho > 0
+    low = np.flatnonzero(flat.any(axis=1))
+
+    def degrees(side: str) -> np.ndarray:
+        deg = np.full(flat.shape, 2)
+        if low.size:
+            v = _restricted_values(f, [(alpha, side) for alpha in alphas[low].tolist()])
+            deg[low] = np.where(flat[low], _trim_degrees(v, n), 2)
+        return deg
+
+    keys = _trim_keys(f, [(alpha, "linear") for alpha in alphas.tolist()],
+                      (dvals, ddt), (wvals, walsh), degrees("linear"))
+    if "affine" not in sides:
+        return keys
+    # an affine-side trim differs from its linear twin by an affine map: the
+    # twins share their key where they have degree 2, and below degree 2
+    # only the degree differs and no table is needed
+    twins = list(keys)
+    rows = np.flatnonzero(flat)
+    low_keys = signature_keys(n - 1, degrees("affine").reshape(-1)[rows],
+                              (dvals, ddt.reshape(-1, dvals.size)[rows]),
+                              (wvals, walsh.reshape(-1, wvals.size)[rows]), tables=None)
+    for i, key in zip(rows.tolist(), low_keys):
+        twins[i] = key
+    return keys + twins
+
+
+def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
+    """The trims (alpha, side, beta) the kernel claims APN for a function of
+    degree <= 2, in ascending order, from _pair_counts. The affine side is
+    claimed only for n = 2: for n > 2 its APN trims have degree 2 and
+    repeat the signatures of their linear twins."""
+    pairs = _pair_counts(f)
+    for alpha in np.flatnonzero(pairs[:, 0] == 3 * (1 << (f.n - 1)) - 2).tolist():
+        betas = np.flatnonzero(pairs[alpha] == 0).tolist()
         for side in SIDES if f.n == 2 else ("linear",):
-            yield from ((alpha, side, beta) for beta in np.flatnonzero(row).tolist())
+            yield from ((alpha, side, beta) for beta in betas)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +444,14 @@ def _general_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]]) -> list[bytes]
 
 def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for any function,
-    in ascending order, one hyperplane at a time as the caller reaches it."""
-    for alpha in range(1, 1 << f.n):
-        for side in SIDES:
-            vals, counts = _trim_ddt_counts(_restricted_values(f, [(alpha, side)]), f.n)
-            for beta in (np.flatnonzero(~counts[0][:, vals > 2].any(axis=1)) + 1).tolist():
-                yield alpha, side, beta
+    in ascending order, one stack of hyperplane sides (vbf._stacks) at a
+    time as the caller reaches it."""
+    n = f.n
+    hyperplanes = [(alpha, side) for alpha in range(1, 1 << n) for side in SIDES]
+    for lo, hi in _stacks(len(hyperplanes), 1 << (2 * n - 1)):
+        vals, counts = _trim_ddt_counts(_restricted_values(f, hyperplanes[lo:hi]), n)
+        for h, apn in zip(hyperplanes[lo:hi], ~counts[:, :, vals > 2].any(axis=2)):
+            yield from ((*h, beta) for beta in (np.flatnonzero(apn) + 1).tolist())
 
 
 def _apn_claims(f: VBF) -> Iterator[tuple[int, str, int]]:
@@ -443,15 +498,18 @@ def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
                     quadratic_reduced: bool) -> Counter:
     """Key counts (ortho.signature_keys) of the trims on the hyperplanes
     ``alphas`` and, unless quadratic_reduced, their complements; the
-    picklable worker of trim_spectrum. A function of degree > 2 sends its
-    hyperplanes through the kernels in stacks (vbf._stacks) of hyperplanes
-    of 2^(2n - 1) DDT cells each, 8 at n = 7: taller ones ran slower."""
+    picklable worker of trim_spectrum. The hyperplanes go through the
+    kernels in stacks (vbf._stacks) of 2^(2n - 1) DDT cells each, 8 at n =
+    7: taller ones ran slower. A function of degree <= 2 stacks hyperplanes
+    alpha, read off its whole-space tables; one of degree > 2 stacks
+    hyperplane sides."""
     f = VBF(n, n, table)
     sides = ("linear",) if quadratic_reduced else SIDES
     counts: Counter = Counter()
     if f.degree <= 2:
-        for alpha in alphas:
-            counts.update(_quadratic_keys(f, alpha, sides))
+        pairs, half = _pair_counts(f), _restricted_ranks(f)
+        for lo, hi in _stacks(len(alphas), 1 << (2 * n - 1)):
+            counts.update(_quadratic_keys(f, alphas[lo:hi], sides, pairs, half))
         return counts
     hyperplanes = [(alpha, side) for alpha in alphas for side in sides]
     for lo, hi in _stacks(len(hyperplanes), 1 << (2 * n - 1)):

@@ -21,7 +21,7 @@ from apnkit.trimming import (
     hyperplane_basis, project, recursive_witness, trim, trim_spectrum, trimming_graph,
 )
 from apnkit.vbf import (
-    VBF, _ddt_blocks, _fwht, _mobius, _POP16, _row_hists, _walsh_blocks, is_apn,
+    VBF, _ddt_blocks, _fwht, _mobius, _PAR16, _POP16, _row_hists, _walsh_blocks, is_apn,
     random_ea_transform, random_function, random_quadratic,
 )
 from test_gf2 import _span_by_loop
@@ -309,7 +309,50 @@ def _decoded(keys):
 
 
 def _quadratic_signatures(f, alpha, sides):
-    return _decoded(trimming._quadratic_keys(f, alpha, sides))
+    pairs, half = trimming._pair_counts(f), trimming._restricted_ranks(f)
+    return _decoded(trimming._quadratic_keys(f, [alpha], sides, pairs, half))
+
+
+def _derivative_table(f, alpha):
+    return trimming._derivative_tables(f, [alpha])[0]
+
+
+def _half_ranks_one(d, n):
+    """half[v], half the rank of the form v.d, for every v, from the Gram
+    matrix of v.d on the coordinate basis of one hyperplane."""
+    k = n - 1
+    unit = 1 << np.arange(k)
+    gram = d[np.ix_(unit, unit)]
+    vs = np.arange(1 << n, dtype=np.uint16)
+    bits = _PAR16[vs[:, None, None] & gram[None, :, :]].astype(np.uint16)
+    rows = (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
+    return (k - np.log2((gf2.span(rows) == 0).sum(axis=1)).astype(np.int64)) // 2
+
+
+def _quadratic_counts_one(d, n):
+    """The one-hyperplane quadratic kernel: ((dvals, ddt), (wvals, walsh)),
+    ddt[beta - 1, j] DDT cells a != 0 of trim beta equal to dvals[j] and
+    walsh[beta - 1, j] |Walsh| values of its components equal to wvals[j],
+    from the derivative table d of one hyperplane alone: K = c_a(0) +
+    c_a(beta) from the rows of d, and the rank of every form v.d from a
+    Gram matrix spanned on that hyperplane."""
+    k = n - 1
+    size = 1 << k
+    total = size * (size - 1)
+
+    def zeros_first(counts):
+        return np.concatenate([total - counts.sum(axis=1, keepdims=True), counts], axis=1)
+
+    c = _row_hists(d, 1 << n)
+    kern = c[1:, :1] + c[1:, 1:]
+    j = np.arange(1, k + 1)
+    per_k = _row_hists(np.log2(kern).astype(np.int64).T, k + 1)[:, 1:]
+    ddt = zeros_first(per_k * (size >> j))
+    onehot = _half_ranks_one(d, n)[None, :] == np.arange(k // 2 + 1)[:, None]
+    comps = trimming._sums_over_orthogonal(onehot)[:, 1:].T
+    r = np.arange(k // 2, -1, -1)
+    walsh = zeros_first(comps[:, r] << 2 * r)
+    return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
 
 
 def _general_signatures(f, alpha, side):
@@ -513,15 +556,15 @@ def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
         apn_trims(f)
     monkeypatch.undo()
 
-    quadratic_counts = trimming._quadratic_counts
+    quadratic_columns = trimming._quadratic_columns
 
-    def all_apn(d, n):
+    def all_apn(g, alphas, pairs, half):
         # every trim claimed APN: half of its DDT cells a != 0 equal 2
-        (_, ddt), walsh = quadratic_counts(d, n)
-        size = 1 << (n - 1)
-        return (np.array([0, 2]), np.full((ddt.shape[0], 2), size * (size - 1) // 2)), walsh
+        (_, ddt), walsh = quadratic_columns(g, alphas, pairs, half)
+        size = 1 << (g.n - 1)
+        return (np.array([0, 2]), np.full(ddt.shape[:2] + (2,), size * (size - 1) // 2)), walsh
 
-    monkeypatch.setattr(trimming, "_quadratic_counts", all_apn)
+    monkeypatch.setattr(trimming, "_quadratic_columns", all_apn)
     with pytest.raises(RuntimeError):
         trim_spectrum(f)
 
@@ -570,7 +613,7 @@ def _apn_betas_of_hyperplane(f, alpha):
     """The betas whose linear-side trim on alpha-orthogonal is APN, read off
     that hyperplane's derivative table D alone: every row a != 0 of D has
     exactly two zeros, and beta occurs nowhere in D."""
-    d = trimming._derivative_table(f, alpha)
+    d = _derivative_table(f, alpha)
     if ((d[1:] == 0).sum(axis=1) != 2).any():
         return []
     absent = np.bincount(d.ravel(), minlength=1 << f.n)[1:] == 0
@@ -657,6 +700,113 @@ def test_recursive_witness_takes_one_claim_pass_per_node(monkeypatch):
     assert all(len(h) == 1 for h in hyperplanes)
 
 
+# ---------------------------------------------------------------------------
+# functions of degree <= 2: whole-space tables against one hyperplane at a time
+# ---------------------------------------------------------------------------
+
+RANK_INPUTS = {
+    **{f"random_quadratic({n}, {n})": (lambda n: lambda rng: random_quadratic(n, n, rng))(n)
+       for n in range(2, 10)},
+    "random affine(4)": lambda rng: _random_affine(4, rng),
+    "random affine(6)": lambda rng: _random_affine(6, rng),
+    "identity(2)": lambda rng: VBF.identity(2),
+    "x0*x1 on 2 bits": lambda rng: VBF(2, 2, [0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", RANK_INPUTS)
+def test_restricted_ranks_match_per_hyperplane_ranks(name):
+    """The rank of v.B on alpha-orthogonal is rho_v - 2 when alpha lies in
+    the row space of the whole-space Gram matrix G_v, rho_v otherwise:
+    against the Gram matrix of every hyperplane (48 of them at n = 9)."""
+    rng = random.Random(name)
+    f = RANK_INPUTS[name](rng)
+    n = f.n
+    assert f.degree <= 2
+    alphas = list(range(1, 1 << n)) if n < 9 else rng.sample(range(1, 1 << n), 48)
+    half = trimming._restricted_ranks(f)
+    assert half.dtype == np.int8 and half.shape == (1 << n, 1 << n)
+    for alpha, d in zip(alphas, trimming._derivative_tables(f, alphas)):
+        assert half[alpha].tolist() == _half_ranks_one(d, n).tolist()
+
+
+COLUMN_INPUTS = {
+    "gold5": lambda: catalog.gold(5),
+    "T6": catalog.t6,
+    "G1": lambda: catalog.g7(1),
+    "gold7": lambda: catalog.gold(7),
+    "T8_1": lambda: catalog.t8(1),
+    "x^3 + Tr(x^9) on 9 bits": lambda: VBF.from_univariate(
+        gf2.default_field(9), [(1, 3)] + [(1, (9 << i) % 511) for i in range(9)]),
+    # 8 of its 63 hyperplanes have c_a(0) = 2 on every row a != 0, 55 not
+    "random_quadratic(6, 6) not APN": lambda: random_quadratic(6, 6, random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_INPUTS)
+def test_whole_space_columns_match_the_one_hyperplane_kernel(name):
+    """The DDT columns from the pair counts N(alpha, beta) where every K is 2
+    or 4 (on every hyperplane of an APN function), from the hyperplane's
+    own derivative table elsewhere, and the |Walsh| columns from the
+    restricted ranks: against the one-hyperplane kernel on every
+    hyperplane (64 of them at n = 9)."""
+    f = COLUMN_INPUTS[name]()
+    n = f.n
+    alphas = np.arange(1, 1 << n)
+    if n == 9:
+        alphas = np.array(sorted(random.Random(name).sample(alphas.tolist(), 64)))
+    pairs = trimming._pair_counts(f)
+    pure = pairs[alphas, 0] == 3 * (1 << (n - 1)) - 2
+    assert pure.all() == is_apn(f)
+    if not pure.all():
+        assert pure.sum() == 8
+    (dvals, ddt), (wvals, walsh) = trimming._quadratic_columns(
+        f, alphas, pairs, trimming._restricted_ranks(f))
+    for alpha, dcol, wcol in zip(alphas.tolist(), ddt, walsh):
+        (rdvals, rddt), (rwvals, rwalsh) = _quadratic_counts_one(_derivative_table(f, alpha), n)
+        assert _by_value(dvals, dcol) == _by_value(rdvals, rddt)
+        assert _by_value(wvals, wcol) == _by_value(rwvals, rwalsh)
+
+
+def test_quadratic_spectrum_chunked_path(monkeypatch):
+    """Blocks of 3 hyperplanes and one block of rows v at n = 6, then blocks
+    of one hyperplane and 3 rows v, give the spectra of one block."""
+    inputs = [catalog.t6(), random_ea_transform(catalog.gold(6), random.Random(6)),
+              random_quadratic(6, 6, random.Random(1))]
+    want = [[trim_spectrum(f, reduced) for reduced in (False, True)] for f in inputs]
+    stacks, rows = [], []
+
+    def recording(log, chunks):
+        def wrapper(*args):
+            for lo, hi in chunks(*args):
+                log.append(hi - lo)
+                yield lo, hi
+        return wrapper
+
+    monkeypatch.setattr(trimming, "_stacks", recording(stacks, trimming._stacks))
+    monkeypatch.setattr(trimming, "_row_chunks", recording(rows, trimming._row_chunks))
+    for limit, stack, row in ((3 << 19, 3, 64), (3 << 14, 1, 3)):
+        monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", limit)
+        assert [[trim_spectrum(f, reduced) for reduced in (False, True)]
+                for f in inputs] == want
+        assert set(stacks) == {stack} and max(rows) == row
+        stacks.clear()
+        rows.clear()
+
+
+def test_quadratic_spectrum_share_peak_rss_at_11_bits():
+    """A share of two hyperplanes of x^3 on 11 bits reads its columns off
+    the whole-space tables, 4^11 int32 pair counts and int8 ranks: peak RSS
+    grows by under 48 MB (about 26 MB measured; about 93 MB with one
+    derivative table and its histograms per hyperplane)."""
+    assert _peak_rss_growth_mb("""
+        from apnkit import gf2, trimming
+        from apnkit.vbf import VBF
+        f = VBF.from_univariate(gf2.default_field(11), [(1, 3)])
+        run = lambda: trimming._spectrum_share(f.table, 11, range(1, 3), True)
+    """) < 48
+
+
 def test_one_bit_functions_have_no_trims():
     f = VBF.identity(1)
     assert is_apn(f)
@@ -678,10 +828,11 @@ def test_derivative_table_matches_definition(name):
     f = catalog.fixture(name)
     n = f.n
     tab = f.table.astype(np.int64)
-    for alpha in range(1, 1 << n):
+    alphas = range(1, 1 << n)
+    for alpha, d in zip(alphas, trimming._derivative_tables(f, alphas)):
         p = trimming._embedded_points(alpha, n).astype(np.int64)
         want = tab[p[:, None]] ^ tab[p[None, :]] ^ tab[p[:, None] ^ p[None, :]] ^ tab[0]
-        assert np.array_equal(trimming._derivative_table(f, alpha), want)
+        assert np.array_equal(d, want)
 
 
 def _spectrum_inputs():
@@ -845,6 +996,49 @@ def test_general_kernel_disagreement_is_an_internal_error(monkeypatch):
         trim_spectrum(f)
 
 
+def _general_claims_one_side_at_a_time(f):
+    """The claims of the DDT kernel run on one hyperplane side at a time."""
+    for alpha in range(1, 1 << f.n):
+        for side in SIDES:
+            vals, counts = trimming._trim_ddt_counts(
+                trimming._restricted_values(f, [(alpha, side)]), f.n)
+            for beta in (np.flatnonzero(~counts[0][:, vals > 2].any(axis=1)) + 1).tolist():
+                yield alpha, side, beta
+
+
+@pytest.mark.parametrize("name", [name for name in GENERAL_INPUTS
+                                  if GENERAL_INPUTS[name](random.Random(name)).n <= 7])
+def test_stacked_general_claims_match_one_side_at_a_time(name):
+    f = _general_input(name)
+    claims = list(trimming._general_apn_trims(f))
+    assert claims == list(_general_claims_one_side_at_a_time(f))
+    if name == "gold5 + x0*x1*x2":
+        assert claims
+
+
+def test_stacked_general_claims_follow_the_cell_limit(monkeypatch):
+    """With room for 3 five-bit sides per stack (2^17 cells each), the
+    claims come in 20 stacks of 3 sides and one of 2, the same claims in
+    the same order, and the first claim, on the first side, needs only the
+    first stack."""
+    f = _gold5_plus_cubic()
+    want = list(trimming._general_apn_trims(f))
+    stacks = []
+    ddt_counts = trimming._trim_ddt_counts
+
+    def recording(v, n):
+        stacks.append(v.shape[0])
+        return ddt_counts(v, n)
+
+    monkeypatch.setattr(trimming, "_trim_ddt_counts", recording)
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 17)
+    assert list(trimming._general_apn_trims(f)) == want
+    assert stacks == [3] * 20 + [2]
+    stacks.clear()
+    assert next(trimming._general_apn_trims(f)) == want[0] == (1, "linear", 2)
+    assert stacks == [3]
+
+
 # ---------------------------------------------------------------------------
 # stacked general kernels and keyed spectra, against the one-hyperplane
 # kernels and the counting of one signature object per trim they replaced
@@ -1001,7 +1195,7 @@ def _reference_signatures(f, alpha, sides):
         return [s for side in sides for s in signatures_of_columns(
             n - 1, _degrees_one(values(side), n), _ddt_counts_one(values(side), n),
             _walsh_counts_one(values(side), n), tables(side))]
-    ddt, walsh = trimming._quadratic_counts(trimming._derivative_table(f, alpha), n)
+    ddt, walsh = _quadratic_counts_one(_derivative_table(f, alpha), n)
     flat = ~walsh[1][:, 1:-1].any(axis=1)
     degrees = {side: np.where(flat, _degrees_one(values(side), n), 2) for side in SIDES}
     sigs = signatures_of_columns(n - 1, degrees["linear"], ddt, walsh, tables("linear"))
@@ -1025,6 +1219,8 @@ KEYED_SPECTRUM_INPUTS = {
     "gold5": lambda: catalog.gold(5),
     "T6": catalog.t6,
     "G1": lambda: catalog.g7(1),
+    "gold7 copy": lambda: random_ea_transform(catalog.gold(7), random.Random(7)),
+    "random_quadratic(6, 6) not APN": lambda: random_quadratic(6, 6, random.Random(1)),
 }
 
 
