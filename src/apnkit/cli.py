@@ -10,24 +10,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from . import catalog, extension, trimming
 from .ortho import invariant_signature, spectrum_str
-from .vbf import VBF, extended_walsh_spectrum, differential_spectrum
+from .vbf import extended_walsh_spectrum, differential_spectrum
 
 
-def _load_function(token: str) -> VBF:
+def _load_record(token: str) -> catalog.FunctionRecord:
+    """The function ``token`` names: ``fixture:NAME`` or a function file."""
     if token.startswith("fixture:"):
-        return catalog.fixture(token.split(":", 1)[1])
+        name = token.split(":", 1)[1]
+        return catalog.record_from_vbf(catalog.fixture(name), name)
     with open(token, encoding="utf-8") as fh:
-        return catalog.parse_function(fh.read()).to_vbf()
+        return catalog.parse_function(fh.read())
 
 
 def cmd_analyze(args) -> int:
-    f = _load_function(args.input)
+    f = _load_record(args.input).to_vbf()
     sig = invariant_signature(f) if f.n == f.m else None
     ds = sig.diff_spectrum if sig else differential_spectrum(f)
     ews = sig.walsh_spectrum if sig else extended_walsh_spectrum(f)
@@ -52,7 +53,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_trim_spectrum(args) -> int:
-    f = _load_function(args.input)
+    f = _load_record(args.input).to_vbf()
     spec = trimming.trim_spectrum(f, args.quadratic_reduced, args.parallelism)
     apn_sigs = spec.apn_signatures()
     print(f"trims={spec.total} distinct={spec.distinct()} apn_trims={len(apn_sigs)}")
@@ -67,7 +68,7 @@ def cmd_trim_spectrum(args) -> int:
 
 
 def cmd_trim_graph(args) -> int:
-    funcs = [_load_function(tok) for tok in args.inputs]
+    funcs = [_load_record(tok).to_vbf() for tok in args.inputs]
     graph = trimming.trimming_graph(funcs)
     print(f"nodes={len(graph.nonisolated())} edges={len(graph.edges)}")
     base = args.output
@@ -79,7 +80,7 @@ def cmd_trim_graph(args) -> int:
 
 
 def cmd_recursive(args) -> int:
-    f = _load_function(args.input)
+    f = _load_record(args.input).to_vbf()
     chain = trimming.recursive_witness(f)
     if chain is None:
         print("found=false")
@@ -92,7 +93,7 @@ def cmd_recursive(args) -> int:
 
 
 def cmd_zero_extend(args) -> int:
-    g = _load_function(args.input)
+    g = _load_record(args.input).to_vbf()
     results = extension.zero_extensions(g)
     print(f"found={len(results)}")
     for idx, (t, sig) in enumerate(results):
@@ -106,7 +107,7 @@ def cmd_zero_extend(args) -> int:
 
 
 def cmd_r_extend(args) -> int:
-    g = _load_function(args.input)
+    g = _load_record(args.input).to_vbf()
     rng = random.Random(args.seed)
     stats: dict = {}
     t = extension.r_extension_search(
@@ -126,13 +127,7 @@ def cmd_r_extend(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    if args.fixture:
-        rec = catalog.record_from_vbf(catalog.fixture(args.fixture), args.fixture)
-    elif args.input is None:
-        raise ValueError("convert needs an input file or --fixture")
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            rec = catalog.parse_function(fh.read())
+    rec = _load_record(args.input)
     if args.to == "lut" and rec.source != "lut":
         rec = catalog.record_from_vbf(rec.to_vbf(), rec.id)
     elif args.to == "uni" and rec.source != "uni":
@@ -144,14 +139,6 @@ def cmd_convert(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _parallelism(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer (its default is $APNKIT_PARALLELISM), got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts = sub.add_parser("trim-spectrum", help="full trim spectrum summary")
     ts.add_argument("input")
     ts.add_argument("--quadratic-reduced", action="store_true")
-    # argparse converts a string default only when -j is absent
-    ts.add_argument("--parallelism", "-j", type=_parallelism,
-                    default=os.environ.get("APNKIT_PARALLELISM", "1"))
+    ts.add_argument("--parallelism", "-j", type=int, default=1)
     ts.add_argument("--output", "-o")
     ts.set_defaults(fn=cmd_trim_spectrum)
 
@@ -211,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     re_.set_defaults(fn=cmd_r_extend)
 
     cv = sub.add_parser("convert", help="parse and re-serialize a function")
-    cv.add_argument("input", nargs="?")
-    cv.add_argument("--fixture", help="use a built-in fixture as the source")
+    cv.add_argument("input", help="function file or fixture:<name>")
     cv.add_argument("--to", choices=("lut", "uni"), default="lut")
     cv.add_argument("--output", "-o")
     cv.set_defaults(fn=cmd_convert)

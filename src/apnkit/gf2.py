@@ -385,7 +385,6 @@ def _transpose(words: Sequence[int], width: int) -> list[int]:
 class AffineSolutionSpace:
     """Solution set {x : Mx = v} as particular point plus kernel basis."""
 
-    dim: int
     particular: Optional[int]
     basis: tuple[int, ...]
 
@@ -464,7 +463,7 @@ def solve_affine_batch(aug: np.ndarray, ncols: int) -> list[AffineSolutionSpace]
     pivot_row, unused = _gauss_jordan(aug, ncols)
     # an unused row is zero on the matrix columns; a 1 left in it is 0 = 1
     empty = (unused & (aug != 0).any(axis=2)).any(axis=1)
-    out = [AffineSolutionSpace(ncols, None, ())] * aug.shape[0]
+    out = [AffineSolutionSpace(None, ())] * aug.shape[0]
     solvable = np.flatnonzero(~empty)
     if solvable.size == 0:
         return out
@@ -480,8 +479,7 @@ def solve_affine_batch(aug: np.ndarray, ncols: int) -> list[AffineSolutionSpace]
     kernel = bits[:, :, :ncols].transpose(0, 2, 1) | np.eye(ncols, dtype=bool)
     for k, s in enumerate(solvable.tolist()):
         free = np.flatnonzero(piv[k] < 0)
-        out[s] = AffineSolutionSpace(ncols, particular[k],
-                                     tuple(_ints(kernel[k, free])))
+        out[s] = AffineSolutionSpace(particular[k], tuple(_ints(kernel[k, free])))
     return out
 
 

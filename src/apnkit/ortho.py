@@ -166,16 +166,6 @@ def signature_of_key(key: bytes) -> InvariantSignature:
     return InvariantSignature(degree, ds[-1][0] <= 2, ds, ews, ods, oews)
 
 
-def signatures_of_columns(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
-                          tables: Callable[[np.ndarray], np.ndarray]
-                          ) -> list[InvariantSignature]:
-    """The signatures of the keys signature_keys gives for these arguments,
-    one object per distinct row."""
-    keys = signature_keys(k, degrees, ddt, walsh, tables)
-    memo = {key: signature_of_key(key) for key in set(keys)}
-    return [memo[key] for key in keys]
-
-
 def _columns(hists: np.ndarray) -> Columns:
     """(values, counts) of the columns of ``hists`` that are not all zero."""
     values = np.flatnonzero(hists.any(axis=0))
@@ -183,16 +173,17 @@ def _columns(hists: np.ndarray) -> Columns:
 
 
 def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
-    """Signatures for a batch of k-bit tables (shape (B, 2^k)), classified
-    in stacks."""
-    out = []
+    """Signatures for a batch of k-bit tables (shape (B, 2^k)), keyed in
+    stacks; each distinct key is decoded once."""
+    keys = []
     for lo, hi in vbf_mod._stacks(tabs.shape[0], 1 << (2 * k)):
         stack = tabs[lo:hi]
-        out += signatures_of_columns(
+        keys += signature_keys(
             k, vbf_mod._degree_of_tables(stack, k),
             _columns(vbf_mod._diff_counts_batch(stack, k)),
             _columns(_batch_walsh_hists(stack, k)), stack.__getitem__)
-    return out
+    memo = {key: signature_of_key(key) for key in set(keys)}
+    return [memo[key] for key in keys]
 
 
 def invariant_signature(f: VBF) -> InvariantSignature:

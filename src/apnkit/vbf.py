@@ -40,12 +40,17 @@ class VBF:
     def __init__(self, n: int, m: int, table):
         if not 1 <= n <= MAX_WIDTH or not 1 <= m <= MAX_WIDTH:
             raise ValueError(f"dimensions must be in [1, {MAX_WIDTH}]")
-        tab = np.asarray(table, dtype=np.uint16)
+        tab = np.asarray(table)
         if tab.shape != (1 << n,):
             raise ValueError(f"table must have 2^{n} entries, got {tab.shape}")
-        if m < 16 and tab.max(initial=0) >> m:
+        if tab.dtype.kind not in "biu":
+            raise ValueError(f"table entries must be integers, got dtype {tab.dtype}")
+        # uint16 entries need only the width check, and none at m = 16
+        if tab.dtype != np.uint16 and tab.min() < 0:
+            raise ValueError("table entry is negative")
+        if (m < 16 or tab.dtype != np.uint16) and int(tab.max()) >> m:
             raise ValueError(f"table entry exceeds {m} output bits")
-        tab = tab.copy()
+        tab = tab.astype(np.uint16)
         tab.setflags(write=False)
         self.n = n
         self.m = m
@@ -123,9 +128,6 @@ class ANF:
     m: int
     coeffs: tuple[int, ...]
 
-    def coefficient(self, u: int, coord: int) -> int:
-        return (self.coeffs[u] >> coord) & 1
-
     def monomials(self, coord: int) -> list[int]:
         return [u for u, c in enumerate(self.coeffs) if (c >> coord) & 1]
 
@@ -180,11 +182,6 @@ class WalshTable:
         if beta == 0:
             raise ValueError("beta must be nonzero")
         return int(self.values[beta, alpha])
-
-    def row(self, beta: int) -> np.ndarray:
-        if beta == 0:
-            raise ValueError("beta must be nonzero")
-        return self.values[beta]
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:

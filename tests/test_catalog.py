@@ -289,6 +289,16 @@ def test_load_skips_a_line_that_is_not_utf8(tmp_path):
     assert loaded == [rec] and skipped == 1
 
 
+def test_load_passes_over_blank_lines_without_counting_them(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n   \n")
+    rec = result_record(catalog.gold(4), "g4", "test")
+    persist_results([rec], str(path))
+    with open(path, "a") as fh:
+        fh.write("\n\t\n")
+    assert load_results(str(path)) == ([rec], 0)
+
+
 def test_persisted_zero_extension_reloads_with_t6_signature(tmp_path):
     from apnkit.extension import zero_extensions
 

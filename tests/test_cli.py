@@ -124,13 +124,10 @@ def test_trim_spectrum_parallel_matches_serial(capsys, tmp_path):
         assert code == 0 and par == serial
 
 
-def test_trim_spectrum_rejects_nonpositive_parallelism(capsys, monkeypatch):
+def test_trim_spectrum_rejects_nonpositive_parallelism(capsys):
     for argv in (["-j", "0"], ["-j", "-3"]):
         code, out, err = run(capsys, "trim-spectrum", "fixture:gold3", *argv)
         assert code == 1 and out == "" and "workers must be at least 1" in err
-    monkeypatch.setenv("APNKIT_PARALLELISM", "0")
-    code, _, err = run(capsys, "trim-spectrum", "fixture:gold3")
-    assert code == 1 and "workers" in err
 
 
 def test_trim_graph_command(capsys, tmp_path):
@@ -174,31 +171,10 @@ def test_recursive_appendix_chain_emits_reverifiable_functions(capsys):
         assert is_apn(f)
 
 
-def test_parallelism_env_default(capsys, monkeypatch):
-    from apnkit.cli import build_parser
-    monkeypatch.setenv("APNKIT_PARALLELISM", "3")
-    args = build_parser().parse_args(["trim-spectrum", "fixture:gold5"])
-    assert args.parallelism == 3
-
-
-def test_parallelism_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("APNKIT_PARALLELISM", "abc")
-    code, out, err = run(capsys, "trim-spectrum", "fixture:gold3")
-    assert code == 1 and out == ""
-    assert "APNKIT_PARALLELISM" in err and "Traceback" not in err
-
-
-def test_parallelism_env_is_read_only_by_trim_spectrum(capsys, monkeypatch):
-    monkeypatch.setenv("APNKIT_PARALLELISM", "abc")
-    code, out, err = run(capsys, "analyze", "fixture:gold3")
-    assert code == 0 and "apn=true" in out and err == ""
-    code, out, _ = run(capsys, "trim-spectrum", "fixture:gold3", "-j", "1")
-    assert code == 0 and out.startswith("trims=")
-
-
 def test_usage_errors_exit_1(capsys):
     for argv in (["bogus"],
                  ["r-extend", "fixture:gold5", "--budget", "xyz"],
+                 ["trim-spectrum", "fixture:gold3", "-j", "abc"],
                  ["trim-spectrum"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -273,14 +249,22 @@ def test_r_extend_rejects_negative_budget_or_restarts(capsys):
 def test_convert_without_input_is_a_usage_error(capsys):
     code, out, err = run(capsys, "convert")
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "--fixture" in err
+    assert err.startswith("error: ") and "the following arguments are required: input" in err
 
 
 def test_convert_fixture_round_trip(capsys):
-    code, out, _ = run(capsys, "convert", "--fixture", "G1")
+    code, out, _ = run(capsys, "convert", "fixture:G1")
     assert code == 0
     rec = catalog.parse_function(out.strip())
     assert rec.to_vbf() == catalog.g7(1)
+
+
+def test_convert_output_file_holds_the_printed_text(capsys, tmp_path):
+    code, out, _ = run(capsys, "convert", "fixture:G1")
+    assert code == 0
+    path = tmp_path / "g1.lut"
+    assert run(capsys, "convert", "fixture:G1", "-o", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_convert_uni_to_lut(capsys, tmp_path):

@@ -320,7 +320,7 @@ def _solve_affine_by_loop(mat, v):
         [mat.rows[i] | (((v >> i) & 1) << aug_col) for i in range(mat.nrows)], mat.ncols)
     for i in range(r, len(rows)):
         if rows[i]:
-            return AffineSolutionSpace(mat.ncols, None, ())
+            return AffineSolutionSpace(None, ())
     particular = 0
     for i, p in enumerate(pivots):
         particular |= ((rows[i] >> aug_col) & 1) << p
@@ -333,7 +333,7 @@ def _solve_affine_by_loop(mat, v):
         for i, p in enumerate(pivots):
             vec |= ((rows[i] >> free) & 1) << p
         basis.append(vec)
-    return AffineSolutionSpace(mat.ncols, particular, tuple(basis))
+    return AffineSolutionSpace(particular, tuple(basis))
 
 
 def _random_systems(rng, count, nrows, ncols):
@@ -412,7 +412,7 @@ def test_solve_affine_batch_rejects_bad_shapes():
 
 
 def test_solution_space_empty_contract():
-    s = AffineSolutionSpace(4, None, ())
+    s = AffineSolutionSpace(None, ())
     assert s.empty and s.size == 0 and list(s) == [] and 3 not in s
 
 

@@ -14,7 +14,7 @@ import pytest
 from apnkit import catalog, gf2, ortho, trimming, vbf
 from apnkit.gf2 import inner_product
 from apnkit.ortho import (
-    invariant_signature, signature_of_key, signatures_of_columns, signatures_of_tables,
+    invariant_signature, signature_keys, signature_of_key, signatures_of_tables,
 )
 from apnkit.trimming import (
     SIDES, Hyperplane, TrimDescriptor, _tables_for_alpha, apn_trims, descriptor_count,
@@ -251,6 +251,43 @@ def test_recursive_witness_chain_links_are_trims():
         assert is_apn(child)
         child_sigs = {s for _, s in apn_trims(parent)}
         assert invariant_signature(child) in child_sigs
+
+
+def test_recursive_witness_of_t8_1_is_none(monkeypatch):
+    """T8_1's 768 APN trims form one class, G1's, and G1 has no APN trims:
+    the search descends into the first trim only and skips the other 767 by
+    signature."""
+    apn_claims, descents = trimming._apn_claims, Counter()
+
+    def counting(g):
+        descents[g.n] += 1
+        return apn_claims(g)
+
+    monkeypatch.setattr(trimming, "_apn_claims", counting)
+    assert recursive_witness(catalog.t8(1)) is None
+    assert descents == {8: 1, 7: 1}
+
+
+def test_recursive_witness_backtracks_past_a_dead_child(monkeypatch):
+    """G3's first 6-bit child is made to dead-end: the search pops it, finds
+    a chain through another class, and never descends into the dead
+    signature again."""
+    g3 = catalog.g7(3)
+    assert len(apn_trims(g3)) == 3
+    apn_claims, descents = trimming._apn_claims, []
+
+    def first_child_dead_ends(g):
+        if g.n == 6:
+            descents.append(invariant_signature(g))
+            if len(descents) == 1:
+                return iter(())
+        return apn_claims(g)
+
+    monkeypatch.setattr(trimming, "_apn_claims", first_child_dead_ends)
+    chain = recursive_witness(g3)
+    assert [g.n for g in chain] == [7, 6, 5, 4, 3, 2]
+    dead = descents[0]
+    assert descents.count(dead) == 1 and invariant_signature(chain[1]) != dead
 
 
 def test_trimming_graph_of_appendix_chain():
@@ -1191,14 +1228,17 @@ def _reference_signatures(f, alpha, sides):
     def values(side):
         return trimming._restricted_values(f, [(alpha, side)])[0]
 
+    def signatures(*columns):
+        return [signature_of_key(key) for key in signature_keys(n - 1, *columns)]
+
     if f.degree > 2:
-        return [s for side in sides for s in signatures_of_columns(
-            n - 1, _degrees_one(values(side), n), _ddt_counts_one(values(side), n),
+        return [s for side in sides for s in signatures(
+            _degrees_one(values(side), n), _ddt_counts_one(values(side), n),
             _walsh_counts_one(values(side), n), tables(side))]
     ddt, walsh = _quadratic_counts_one(_derivative_table(f, alpha), n)
     flat = ~walsh[1][:, 1:-1].any(axis=1)
     degrees = {side: np.where(flat, _degrees_one(values(side), n), 2) for side in SIDES}
-    sigs = signatures_of_columns(n - 1, degrees["linear"], ddt, walsh, tables("linear"))
+    sigs = signatures(degrees["linear"], ddt, walsh, tables("linear"))
     if "affine" not in sides:
         return sigs
     return sigs + [s if s.degree == 2 else replace(s, degree=int(d))
