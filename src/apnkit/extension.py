@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import gf2
 from .gf2 import AffineSolutionSpace, GF2Matrix, extend_basis, inner_product
 from .ortho import invariant_signature, ortho_derivative
-from .vbf import _PAR16, VBF, _fwht, _mobius, _row_chunks, derivative, is_apn, walsh
+from .vbf import _PAR16, VBF, _mobius, _row_chunks, derivative, is_apn, walsh
 
 @dataclass(frozen=True)
 class ExtensionSpec:
@@ -298,76 +297,29 @@ class _BudgetExhausted(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _level_chunks(k: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-    """What the APN test of level k needs besides the outputs, per chunk of
-    differences w: the partner p + w of every point p, each pair's bincount
-    offset (its row, and whether it carries c once), and the first row
-    whose B_w can be nonempty. The differences inside the assigned span
-    without y come first: they never carry c. Cached, with read-only arrays."""
-    values = 2 << n
-    h = 2 << k
-    points = np.arange(2 * h, dtype=np.int32)
-    carries = (points >= h) & (points & 1 == 1)
-    ws = np.concatenate([points[2:h:2], points[1:h:2], points[h:]])
-    chunks = []
-    for lo, hi in _row_chunks(0, ws.size, 2 * values):
-        part = ws[lo:hi, None] ^ points
-        row = np.arange(hi - lo, dtype=np.int32)[:, None]
-        offset = (2 * row + (carries[part] ^ carries)) * values
-        part.flags.writeable = offset.flags.writeable = False
-        chunks.append((part, offset, max(h // 2 - 1 - lo, 0)))
-    return tuple(chunks)
-
-
-def _passing_candidates(free: np.ndarray, values: int,
-                        chunks: tuple[tuple[np.ndarray, np.ndarray, int], ...]) -> np.ndarray:
-    """Which of the 2^(n+1) = values images c of e_k keep the extension APN
-    on the span of e_0 .. e_k and y, as a bool vector indexed by c.
-
-    Points are p = 2x + y, so the assigned span is p < h = 2^(k+1) and the
-    new coset is h <= p < 2h. free[p] is the output at p for c = 0; c adds
-    itself to the outputs at the odd points of the new coset. For a
-    difference w, the values of the pairs {p, p + w} split into F_w (no c,
-    or c twice) and B_w (c once); c passes iff F_w and B_w have no repeat
-    and no f in F_w, b in B_w has f + b = c. The number of such (f, b) over
-    all w is an XOR correlation, counted for every c at once by
-    Walsh-Hadamard transforms; every pair is seen from both ends, so the
-    counts are doubled, and every sum is at most 2^(4n+2).
-    """
-    acc = np.zeros(values, dtype=np.int64)
-    for part, offset, first in chunks:
-        keys = offset + (np.take(free, part) ^ free)
-        counts = np.bincount(keys.ravel(), minlength=len(part) * 2 * values)
-        counts = counts.reshape(-1, 2, values)
-        if counts.max() > 2:
-            # a value repeats in some F_w or B_w, whatever c is
-            return np.zeros(values, dtype=bool)
-        if first < len(part):
-            spec = _fwht(counts[first:])
-            acc += (spec[:, 0] * spec[:, 1]).sum(axis=0)
-    return _fwht(acc) == 0
-
-
 def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: Optional[int],
                   sink: Optional[list]) -> tuple[Optional[tuple], int, list[int]]:
-    """Depth-first construction of (L, l) by basis images from out0, the
-    int32 table of (G(x), r(x)) with r(x) as bit n; returns (first solution
-    or None, nodes used, assignment at stop). With a ``sink`` list, every
-    solution is appended to it and the search runs on to the end.
+    """Depth-first construction of M = (L, l) by basis images from out0, the
+    int32 table of H = (G(x), r(x)) with r(x) as bit n; returns (first
+    solution or None, nodes used, assignment at stop). With a ``sink`` list,
+    every solution is appended to it and the search runs on to the end.
 
-    Level k tries the images c = t ^ mask of e_k for t = 0, 1, ..., one node
-    each (skipping those whose l-bit differs from fixed_ell's), and descends
-    into those that keep the extension APN on the span assigned so far."""
-    values = 2 << n
-    # T at the points p = 2x + y, filled one level at a time
-    o = np.zeros(values, dtype=np.int32)
-    o[:2] = out0[0]
-    steps = [np.repeat(out0[: 1 << k] ^ out0[1 << k: 2 << k], 2) for k in range(n)]
-    order = np.arange(values) ^ mask
+    For an APN G, T(x, y) = H(x) + y M(x) is APN iff M(a) is outside the
+    image of the linearized derivative B^H_a for every a != 0, a table
+    ok[a, c] built once. Level k tries the images c = t ^ mask of e_k for
+    t = 0, 1, ..., one node each (skipping those whose l-bit differs from
+    fixed_ell's), and descends into those with ok[2^k + s, c ^ M(s)] for
+    every s < 2^k."""
+    size = 1 << n
+    xs = np.arange(size)
+    ok = np.ones((size, 2 * size), dtype=bool)
+    ok[xs[:, None], derivative(out0, xs[:, None], xs)] = False
+    order = np.arange(2 * size) ^ mask
     orders = {None: order}
     for bit in (0, 1):
         orders[bit] = order[(order >> n) & 1 == bit]
+    # M on the assigned span: ms[s] for s < 2^k at level k
+    ms = np.zeros(size, dtype=order.dtype)
     imgs: list[int] = []
     nodes = 0
 
@@ -384,10 +336,9 @@ def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: O
         return GF2Matrix(n, n, rows), ell
 
     def dfs(k: int) -> Optional[tuple]:
-        h = 2 << k
+        h = 1 << k
         cands = orders[None if fixed_ell is None else (fixed_ell >> k) & 1]
-        o[h: 2 * h] = o[:h] ^ steps[k]
-        passes = _passing_candidates(o[: 2 * h], values, _level_chunks(k, n))[cands]
+        passes = ok[xs[h: 2 * h, None], cands ^ ms[:h, None]].all(axis=0)
         done = 0
         for i in np.flatnonzero(passes).tolist():
             # a node for cand and for each failing candidate before it
@@ -401,8 +352,7 @@ def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: O
                     return sol
                 sink.append(sol)
             else:
-                o[h: 2 * h] = o[:h] ^ steps[k]
-                o[h + 1: 2 * h: 2] ^= cand
+                ms[h: 2 * h] = ms[:h] ^ cand
                 found = dfs(k + 1)
                 if found is not None:
                     return found
@@ -429,9 +379,11 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
     """Search for an (n+1)-bit quadratic APN extension of g.
 
     Guesses r (homogeneous quadratic modulo g's coordinates) unless one is
-    given, then assigns the images (L, l)(e_k) depth-first, descending only
-    into images under which no difference vector inside the assigned span
-    repeats an output difference. Aborting at the node budget returns None.
+    given, then assigns the images M(e_k) of M = (L, l) depth-first,
+    descending only into images under which M(a) stays outside the image
+    of B^H_a, H = (G, r), for every nonzero a of the assigned span: over
+    the whole space, that is exactly the APN condition on the extension.
+    Aborting at the node budget returns None.
     With ``find_all``, every (L, ell) for the (then mandatory) fixed r goes
     to a sink list, and that list is returned instead.
     """

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import random
 
@@ -324,20 +323,53 @@ def test_sample_quadratic_r_matches_loop(name):
 def test_search_enumerates_exactly_gamma_for_zero_r():
     # exhaustive cross-validation of the APN criterion at n = 5: with r = 0
     # and the form fixed, the backtracking search must enumerate Gamma
-    # exactly (4,660,256 nodes in 145,633 level tests, about 13 s)
+    # exactly (410,656 nodes, about 0.2 s on a 2-core x86 host)
     g = catalog.gold(5)
     tr = gf2.trace_form(default_field(5))
     gs = gamma_space(g, tr)
     sols = r_extension_search(g, r=VBF.constant(5, 1, 0), fixed_ell=tr,
                               find_all=True, budget=50_000_000)
     assert len(sols) == gs.size
-    for lin, ell in sols[::97]:
+    for lin, ell in sols:
         assert ell == tr and lin in gs
+
+
+def test_search_finds_the_zero_extension_class_of_g1():
+    # known answer at n = 7: with r = 0 and l = x_0, the extensions are the
+    # 2^14 elements of Gamma_{G1,1}, all of G1's one 0-extension class
+    g1 = catalog.fixture("G1")
+    (_, sig), = zero_extensions(g1)
+    for seed in range(4):
+        t = r_extension_search(g1, r=VBF.constant(7, 1, 0), fixed_ell=1,
+                               rng=random.Random(seed), budget=100_000)
+        assert t is not None, seed
+        assert t.n == 8 and t.degree == 2 and is_apn(t)
+        assert invariant_signature(t) == sig
+
+
+def test_search_criterion_agrees_with_is_apn_on_one_bit_flips():
+    # every one-bit flip of L or l of sampled solutions: the flip is a
+    # solution of the exhaustive search iff its extension is APN
+    g = catalog.gold(5)
+    rng = random.Random(2)
+    r = sample_quadratic_r(g, rng)
+    sols = {(lin.rows, ell) for lin, ell in
+            r_extension_search(g, r=r, find_all=True, budget=10 ** 9)}
+    assert len(sols) == 47_136
+    for rows, ell in rng.sample(sorted(sols), 32):
+        # row i of L for i < 5, l for i = 5
+        for i in range(6):
+            for j in range(5):
+                words = [*rows, ell]
+                words[i] ^= 1 << j
+                flipped = tuple(words[:5]), words[5]
+                t = build_extension(g, r, GF2Matrix(5, 5, flipped[0]), flipped[1])
+                assert (flipped in sols) == is_apn(t), flipped
 
 
 def test_search_matches_brute_force_at_n3():
     # every (L, ell) pair is feasible to test directly at n = 3; the
-    # incremental difference-set pruning must enumerate exactly those
+    # search must enumerate exactly those
     import itertools
 
     g = catalog.gold(3)
@@ -551,25 +583,47 @@ def _dfs_outcome(search, g, r, mask, fixed_ell, budget, find_all=False):
     return found, nodes, partial, [(lin.rows, ell) for lin, ell in sink or []]
 
 
+def _is_solution(g, r, found):
+    lin, ell = found
+    return is_apn(build_extension(g, r, GF2Matrix(g.n, g.n, lin), ell))
+
+
+# The exact criterion prunes at least as much as the span-wise test of the
+# reference at every level and keeps every complete solution, so both walk
+# the same leaves in the same order; only the node counts (and the
+# assignment where a budget cuts a search) may differ, never upwards.
+
 @pytest.mark.parametrize("name", _DFS_INPUTS)
 def test_dfs_matches_set_search(name):
     for case in _dfs_cases(_dfs_input(name), range(3)):
         for budget in (1_500, 37):
-            fast = _dfs_outcome(extension._search_one_r, *case, budget)
-            slow = _dfs_outcome(_search_one_r_by_sets, *case, budget)
-            assert fast == slow, (name, case[2:], budget)
+            found, nodes, _, _ = _dfs_outcome(extension._search_one_r, *case, budget)
+            ref, ref_nodes, _, _ = _dfs_outcome(_search_one_r_by_sets, *case, budget)
+            assert nodes <= budget
+            if ref is not None:
+                assert found == ref and nodes <= ref_nodes, (name, case[2:], budget)
+            if found is not None:
+                assert _is_solution(case[0], case[1], found), (name, case[2:], budget)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_dfs_find_all_matches_set_search(n):
     for case in _dfs_cases(catalog.gold(n), range(2)):
-        fast = _dfs_outcome(extension._search_one_r, *case, 20_000, find_all=True)
-        slow = _dfs_outcome(_search_one_r_by_sets, *case, 20_000, find_all=True)
-        assert fast == slow, (n, case[2:])
+        _, nodes, _, sols = _dfs_outcome(extension._search_one_r, *case, 20_000,
+                                         find_all=True)
+        _, ref_nodes, _, ref_sols = _dfs_outcome(_search_one_r_by_sets, *case, 20_000,
+                                                 find_all=True)
+        assert nodes <= ref_nodes, (n, case[2:])
+        if ref_nodes < 20_000:
+            assert sols == ref_sols, (n, case[2:])
+        else:
+            # the budget cut the reference: it listed a prefix of the sink
+            assert sols[:len(ref_sols)] == ref_sols, (n, case[2:])
 
 
 def _whole_searches(tmp_path, tag):
-    """Output, stats and checkpoint lines of whole r_extension_search runs."""
+    """Output, stats, budget and checkpoint records of whole
+    r_extension_search runs."""
     g1, g5, g3 = catalog.fixture("G1"), catalog.gold(5), catalog.gold(3)
     runs = [(g5, dict(rng=random.Random(s))) for s in (3, 14)]
     runs += [(g1, dict(rng=random.Random(s), budget=1_000)) for s in (0, 3)]
@@ -584,41 +638,25 @@ def _whole_searches(tmp_path, tag):
             out = [(lin.rows, ell) for lin, ell in out]
         elif out is not None:
             out = out.table.tolist()
-        outs.append((out, stats, path.read_text().splitlines()))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        outs.append((out, stats, kw.get("budget", 10_000_000), records))
     return outs
 
 
 def test_r_extension_search_matches_set_search(tmp_path, monkeypatch):
     fast = _whole_searches(tmp_path, "fast")
     monkeypatch.setattr(extension, "_search_one_r", _search_one_r_by_sets)
-    assert fast == _whole_searches(tmp_path, "slow")
-    assert any(out is not None for out, _, _ in fast)
-
-
-def test_dfs_chunked_path(monkeypatch):
-    # a few differences w per chunk instead of the whole level at once
-    cases = [c for name in ("gold3", "gold4", "gold5", "G1")
-             for c in _dfs_cases(_dfs_input(name), range(2))]
-    whole = [_dfs_outcome(extension._search_one_r, *c, 400, find_all=c[0].n <= 4)
-             for c in cases]
-    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 100)
-    # level tables are cached per (k, n): build the small chunks in a fresh
-    # cache that goes with the patched limit
-    monkeypatch.setattr(extension, "_level_chunks",
-                        functools.lru_cache(extension._level_chunks.__wrapped__))
-    assert [_dfs_outcome(extension._search_one_r, *c, 400, find_all=c[0].n <= 4)
-            for c in cases] == whole
-    assert any(sols for _, _, _, sols in whole)
-    assert extension._level_chunks.cache_info().currsize > 0
-
-
-def test_level_chunks_are_built_once_and_read_only():
-    first = extension._level_chunks(3, 5)
-    assert extension._level_chunks(3, 5) is first
-    for part, offset, _ in first:
-        assert not part.flags.writeable and not offset.flags.writeable
-        with pytest.raises(ValueError):
-            part[0, 0] = 0
+    slow = _whole_searches(tmp_path, "slow")
+    for (out, stats, _, recs), (ref, ref_stats, budget, ref_recs) in zip(fast, slow):
+        assert (out, stats["restarts"]) == (ref, ref_stats["restarts"])
+        assert stats["nodes"] <= ref_stats["nodes"] and len(recs) == len(ref_recs)
+        for rec, ref_rec in zip(recs, ref_recs):
+            assert rec["nodes"] <= ref_rec["nodes"]
+            same = ("g_id", "r_anf") if ref_rec["nodes"] == budget else \
+                ("g_id", "r_anf", "assignment")
+            assert [rec[k] for k in same] == [ref_rec[k] for k in same]
+    assert any(out is not None for out, _, _, _ in fast)
+    assert any(ref_stats["nodes"] == budget for _, ref_stats, budget, _ in slow)
 
 
 def _zero_extensions_by_public_gamma_space(g):

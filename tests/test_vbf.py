@@ -35,7 +35,7 @@ def test_fwht_matches_the_hadamard_matrix(log_size, dtype):
         got = vbf_mod._fwht(a.copy())
         assert got.dtype == dtype and got.shape == shape
         assert (got == want).all()
-    # a leading-axis slice of a larger array, as the DFS level test passes
+    # a leading-axis slice of a larger array
     a = rng.integers(-9, 10, size=(5, 2, size)).astype(dtype)
     want = a[2:].astype(np.int64) @ h
     assert (vbf_mod._fwht(a[2:]) == want).all()
