@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .gf2 import inner_product, lowest_set_bit, span
 from .ortho import (Columns, InvariantSignature, invariant_signature,
                     signature_keys, signature_of_key, signatures_of_tables)
 from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_chunks,
-                  _row_hists, _stacks, _walsh_blocks, derivative, is_apn)
+                  _row_hists, _stacks, derivative, is_apn, walsh)
 
 SIDES = ("linear", "affine")
 
@@ -361,30 +361,31 @@ def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# trims of any function, read off F restricted to the hyperplane
+# trims of any function, read off the Walsh table of F
 # ---------------------------------------------------------------------------
 #
 # Let H = epsilon + alpha-orthogonal (k = n - 1) and T = P o F|H, where P is
-# linear with kernel {0, beta}. With delta[a, c] = #{x in H : F(x + a) +
-# F(x) = c} for a != 0 in alpha-orthogonal and c in F_2^n:
-#   - DDT cell (a, b) of T is delta[a, c] + delta[a, c + beta], where
-#     {c, c + beta} = P^-1(b); the DDT histogram of T is half the histogram
-#     of delta[a, c] + delta[a, c + beta] over all (a, c). The number of
-#     (a, c) with delta[a, c] = s and delta[a, c + beta] = t is an XOR
-#     correlation, 2^-n WHT(sum_a WHT(S_a) WHT(T_a)) at beta, where S_a and
-#     T_a are the indicators of delta[a, .] = s and = t. Every partial sum
-#     stays below 2^(3n - 1), so int64 is exact. Only s, t != 0 need it: a
-#     value has a partner at every cell where it occurs, so the pairs with
-#     a 0 are what the pairs among the other values leave.
+# linear with kernel {0, beta}. With W[v, u] the signed Walsh table of F and
+# u over the 2^k points with alpha's lowest bit clear, F|H has the Walsh
+# rows W_H(u, v) = (W[v, u] +- W[v, u + alpha]) / 2, + on the linear side,
+# - on the affine side (up to signs that |W_H| and W_H^4 do not see):
 #   - The components of T are v.F|H for v != 0 orthogonal to beta, each
-#     once, so its |Walsh| histogram is the sum of the histograms of rows v
-#     of the Walsh matrix of F|H.
-#   - The ANF of T is P applied to the ANF words of F|H, so deg T is the
-#     largest weight of a monomial whose word is neither 0 nor beta.
-#   - T is APN iff no DDT value exceeds 2.
-# The kernels take a stack of hyperplanes, the values of F on each as one
-# row. Only APN trims of degree 2 are built as tables, for their ortho
-# spectra.
+#     once, so its |Walsh| histogram sums those of the rows v of W_H.
+#   - With M4[v] = sum_u W_H(u, v)^4 and delta[a, c] = #{x in H : F(x + a) +
+#     F(x) = c}, S(beta) = 2^-2k sum of M4[v] over v != 0 orthogonal to beta
+#     is S2, the sum of the squared DDT cells a != 0 of T, for beta != 0 and
+#     4^k + 2 sum of delta[a, c]^2 over a != 0 for beta = 0. M4 <= 2^4k is
+#     kept as M4 / 2^k, so every sum is exact in int64 up to n = 12.
+#   - DDT cells are even and sum to S1 = 2^k (2^k - 1), so T is APN iff S2 =
+#     2 S1. A side is pure, every delta[a, c] 0 or 2 (as on every side of an
+#     APN F), iff S(0) = 4^k + 4 S1; then the cells of T are 0, 2 and 4, n4 =
+#     (S2 - 2 S1) / 8 of them 4 and n2 = (S1 - 4 n4) / 2 of them 2.
+#   - On an impure side, DDT cell (a, b) of T is delta[a, c] + delta[a, c +
+#     beta] with {c, c + beta} = P^-1(b); the (a, c) with delta[a, c] = s and
+#     delta[a, c + beta] = t are counted by XOR correlations, exact in int64.
+#   - deg T is the largest weight of a monomial of F|H whose ANF word is
+#     neither 0 nor beta, as the ANF of T is P applied to those words.
+# Only APN trims of degree 2 are built as tables, for their ortho spectra.
 
 def _trim_ddt_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): counts[h, beta - 1, j] DDT cells a != 0 of trim
@@ -398,8 +399,10 @@ def _trim_ddt_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         seen[delta] = True
     vals = np.flatnonzero(seen)                   # vals[0] = 0: rows have zeros
     m = vals.size
-    # prod[h, c, s, t] = sum_a WHT(S_a)(c) WHT(T_a)(c) for the values s, t
-    # != 0; the transform of an indicator is at most 2^n in magnitude
+    # prod[h, c, s, t] = sum_a WHT(S_a)(c) WHT(T_a)(c), S_a and T_a the
+    # indicators of delta[a, .] = s and = t, for the values s, t != 0 (the
+    # pairs with a 0 are what theirs leave); each transform is at most 2^n
+    # in magnitude, so every partial sum stays below 2^(3n - 1)
     prod = np.zeros((H, 1 << n, m - 1, m - 1), dtype=np.int64)
     for _, delta in _ddt_blocks(v, n, row_cells=m << n):
         spec = _fwht((delta[:, :, None, :] == vals[1:, None]).astype(np.int32))
@@ -418,40 +421,77 @@ def _trim_ddt_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, counts[:, 1:]
 
 
-def _trim_walsh_counts(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts): counts[h, beta - 1, j] |Walsh| values of trim beta
-    of hyperplane h equal to values[j], for beta = 1 .. 2^n - 1, from the
-    values v[h] of F on each hyperplane."""
-    H, size = v.shape
-    hists = np.zeros((H, 1 << n, size + 1), dtype=np.int32)   # (h, component, |W|)
-    for lo, w in _walsh_blocks(v, n):
-        rows = w.shape[1]
-        hists[:, lo:lo + rows] = _row_hists(np.abs(w, out=w).reshape(H * rows, size),
-                                            size + 1).reshape(H, rows, size + 1)
+def _side_moments(w: np.ndarray, alphas: Sequence[int], n: int) -> tuple[Columns, np.ndarray]:
+    """((values, counts), s2) of the sides product(alphas, SIDES), row h each,
+    from the Walsh table w[v, u] of F: counts[h, beta - 1, j] |Walsh| values
+    of trim beta equal to values[j], and s2[h, beta] = S(beta). W_H is taken
+    in blocks of rows v under _BATCH_CELL_LIMIT; row v = 0 counts nothing."""
+    k = n - 1
+    width = (1 << (k - 1)) + 1                          # |W_H| / 2: W_H is even
+    alpha = np.asarray(alphas, dtype=np.int64)[:, None]
+    u = _embedded_points(alpha, n) & ~(alpha & -alpha)   # alpha's lowest bit clear
+    hists = np.empty((1 << n, 2 * alpha.size, width), dtype=np.int32)
+    for lo, hi in _row_chunks(0, 1 << n, alpha.size << n):
+        a, b = w[lo:hi, u], w[lo:hi, u ^ alpha]         # (v, alpha, u)
+        wh = np.empty((hi - lo, alpha.size, 2, 1 << k), dtype=w.dtype)
+        np.abs(np.add(a, b, out=wh[:, :, 0]), out=wh[:, :, 0])
+        np.abs(np.subtract(a, b, out=wh[:, :, 1]), out=wh[:, :, 1])
+        wh >>= 2
+        hists[lo:hi] = _row_hists(wh.reshape(-1, 1 << k), width).reshape(hi - lo, -1, width)
+    hists = hists.transpose(1, 0, 2)                    # (h, v, |W_H| / 2)
     vals = np.flatnonzero(hists.any(axis=(0, 1)))
-    counts = _sums_over_orthogonal(hists[:, :, vals].transpose(0, 2, 1))
-    return vals, counts[:, :, 1:].transpose(0, 2, 1)
+    cols = hists[:, :, vals].astype(np.int64)
+    # one transform for the |Walsh| columns and M4 / 2^k, the last column
+    sums = _sums_over_orthogonal(np.dstack([cols, (cols @ vals ** 4 << 4) >> k]).transpose(0, 2, 1))
+    return (2 * vals, sums[:, :-1, 1:].transpose(0, 2, 1)), sums[:, -1] >> k
 
 
-def _general_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]]) -> list[bytes]:
-    """Keys of the trims (alpha, side, beta) of a function of any degree, for
-    each (alpha, side) of ``hyperplanes`` and beta = 1 .. 2^n - 1, in that
-    order, from one stack through the kernels."""
+def _on_values(vals, counts: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """counts (last axis over the values vals) widened to the values ``to``."""
+    out = np.zeros(counts.shape[:-1] + (to.size,), dtype=np.int64)
+    out[..., np.searchsorted(to, vals)] = counts
+    return out
+
+
+def _general_columns(f: VBF, w: np.ndarray, alphas: Sequence[int]) -> tuple[Columns, Columns]:
+    """((dvals, ddt), (wvals, walsh)) of the sides product(alphas, SIDES), as
+    _trim_ddt_counts and _side_moments give them, from the Walsh table w of
+    F; only impure sides go through _trim_ddt_counts."""
+    k = f.n - 1
+    s1 = (1 << k) * ((1 << k) - 1)
+    walsh_cols, s2 = _side_moments(w, alphas, f.n)
+    fours = (s2[:, 1:] - 2 * s1) >> 3                # n0 = S1 / 2 + n4 on pure sides
+    dvals = np.array([0, 2, 4])
+    ddt = np.stack([(s1 >> 1) + fours, (s1 >> 1) - 2 * fours, fours], axis=-1)
+    impure = np.flatnonzero(s2[:, 0] != (1 << 2 * k) + 4 * s1)
+    if impure.size:
+        sides = list(product(alphas, SIDES))
+        ivals, icounts = _trim_ddt_counts(_restricted_values(f, [sides[h] for h in impure]), f.n)
+        dvals, pure = np.union1d(dvals, ivals), dvals
+        ddt = _on_values(pure, ddt, dvals)
+        ddt[impure] = _on_values(ivals, icounts, dvals)
+    return (dvals, ddt), walsh_cols
+
+
+def _general_keys(f: VBF, w: np.ndarray, alphas: Sequence[int]) -> list[bytes]:
+    """Keys of the trims (alpha, side, beta), (alpha, side) in product(alphas,
+    SIDES) and beta = 1 .. 2^n - 1, in that order, from the Walsh table w."""
+    hyperplanes = list(product(alphas, SIDES))
     v = _restricted_values(f, hyperplanes)
-    return _trim_keys(f, hyperplanes, _trim_ddt_counts(v, f.n), _trim_walsh_counts(v, f.n),
-                      _trim_degrees(v, f.n))
+    return _trim_keys(f, hyperplanes, *_general_columns(f, w, alphas), _trim_degrees(v, f.n))
 
 
 def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for any function,
-    in ascending order, one stack of hyperplane sides (vbf._stacks) at a
-    time as the caller reaches it."""
+    in ascending order, one stack of hyperplanes (vbf._stacks) at a time as
+    the caller reaches it: those with S2(beta) = 2 S1."""
     n = f.n
-    hyperplanes = [(alpha, side) for alpha in range(1, 1 << n) for side in SIDES]
-    for lo, hi in _stacks(len(hyperplanes), 1 << (2 * n - 1)):
-        vals, counts = _trim_ddt_counts(_restricted_values(f, hyperplanes[lo:hi]), n)
-        for h, apn in zip(hyperplanes[lo:hi], ~counts[:, :, vals > 2].any(axis=2)):
-            yield from ((*h, beta) for beta in (np.flatnonzero(apn) + 1).tolist())
+    w = walsh(f).values
+    alphas = range(1, 1 << n)
+    for lo, hi in _stacks(len(alphas), 1 << (2 * n)):
+        apn = _side_moments(w, alphas[lo:hi], n)[1][:, 1:] == (1 << n) * ((1 << (n - 1)) - 1)
+        for h, row in zip(product(alphas[lo:hi], SIDES), apn):
+            yield from ((*h, beta) for beta in (np.flatnonzero(row) + 1).tolist())
 
 
 def _apn_claims(f: VBF) -> Iterator[tuple[int, str, int]]:
@@ -499,10 +539,10 @@ def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
     """Key counts (ortho.signature_keys) of the trims on the hyperplanes
     ``alphas`` and, unless quadratic_reduced, their complements; the
     picklable worker of trim_spectrum. The hyperplanes go through the
-    kernels in stacks (vbf._stacks) of 2^(2n - 1) DDT cells each, 8 at n =
-    7: taller ones ran slower. A function of degree <= 2 stacks hyperplanes
-    alpha, read off its whole-space tables; one of degree > 2 stacks
-    hyperplane sides."""
+    kernels in stacks (vbf._stacks) of 2^(2n - 1) DDT cells per side, read
+    off whole-space tables: a function of degree <= 2 stacks hyperplanes
+    alpha, 8 at n = 7, one of degree > 2 both sides of each, 4 alpha at n =
+    7. Taller stacks ran slower."""
     f = VBF(n, n, table)
     sides = ("linear",) if quadratic_reduced else SIDES
     counts: Counter = Counter()
@@ -511,9 +551,9 @@ def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
         for lo, hi in _stacks(len(alphas), 1 << (2 * n - 1)):
             counts.update(_quadratic_keys(f, alphas[lo:hi], sides, pairs, half))
         return counts
-    hyperplanes = [(alpha, side) for alpha in alphas for side in sides]
-    for lo, hi in _stacks(len(hyperplanes), 1 << (2 * n - 1)):
-        counts.update(_general_keys(f, hyperplanes[lo:hi]))
+    w = walsh(f).values
+    for lo, hi in _stacks(len(alphas), 1 << (2 * n)):
+        counts.update(_general_keys(f, w, alphas[lo:hi]))
     return counts
 
 

@@ -124,6 +124,24 @@ def test_trim_spectrum_parallel_matches_serial(capsys, tmp_path):
         assert code == 0 and par == serial
 
 
+def test_trim_spectrum_rejects_a_degree_3_function_above_12_bits(capsys, tmp_path, monkeypatch):
+    """A 13-bit function of degree > 2 has no Walsh table to read its trims
+    off: the command exits 1 with vbf.walsh's message before it reads any
+    hyperplane."""
+    from apnkit import trimming
+
+    def no_side_work(*args):
+        raise AssertionError("a hyperplane was read")
+
+    monkeypatch.setattr(trimming, "_side_moments", no_side_work)
+    monkeypatch.setattr(trimming, "_restricted_values", no_side_work)
+    f = random_function(13, 13, random.Random(13))
+    p = tmp_path / "f13.lut"
+    p.write_text(catalog.serialize_record(catalog.record_from_vbf(f, "f13")))
+    code, out, err = run(capsys, "trim-spectrum", str(p))
+    assert code == 1 and out == "" and "Walsh table too large" in err
+
+
 def test_trim_spectrum_rejects_nonpositive_parallelism(capsys):
     for argv in (["-j", "0"], ["-j", "-3"]):
         code, out, err = run(capsys, "trim-spectrum", "fixture:gold3", *argv)

@@ -22,7 +22,7 @@ from apnkit.trimming import (
 )
 from apnkit.vbf import (
     VBF, _ddt_blocks, _fwht, _mobius, _PAR16, _POP16, _row_hists, _walsh_blocks, is_apn,
-    random_ea_transform, random_function, random_quadratic,
+    random_ea_transform, random_function, random_quadratic, walsh,
 )
 from test_gf2 import _span_by_loop
 
@@ -392,8 +392,13 @@ def _quadratic_counts_one(d, n):
     return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
 
 
-def _general_signatures(f, alpha, side):
-    return _decoded(trimming._general_keys(f, [(alpha, side)]))
+def _general_signatures(f, alpha, side, w=None):
+    """The signatures of the trims on one side of hyperplane alpha, from the
+    Walsh table w of f (taken here unless given)."""
+    w = walsh(f).values if w is None else w
+    keys = trimming._general_keys(f, w, [alpha])
+    per = (1 << f.n) - 1
+    return _decoded(keys[:per] if side == "linear" else keys[per:])
 
 
 def _table_spectra(f):
@@ -1005,28 +1010,55 @@ def test_kernels_match_tables_at_9_bits():
     assert inverse.degree == 8 and is_apn(inverse)
     for alpha, side in ((1, "affine"), (0x0ee, "linear")):
         assert _general_signatures(inverse, alpha, side) == _table_signatures(inverse, alpha, side)
+    _assert_columns_match_one_side(inverse, walsh(inverse).values, [1, 0x0ee])
 
 
 def test_general_kernel_chunked_path(monkeypatch):
+    """The Walsh tables are taken before the limit is lowered: vbf.walsh
+    refuses a table above it."""
     inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
               _gold5_plus_cubic()]
-    want = [[_general_signatures(f, alpha, side) for alpha in (1, 6, 29)
-             for side in SIDES] for f in inputs]
+    ws = [walsh(f).values for f in inputs]
+    want = [[_general_signatures(f, alpha, side, w) for alpha in (1, 6, 29)
+             for side in SIDES] for f, w in zip(inputs, ws)]
     monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 200)
-    got = [[_general_signatures(f, alpha, side) for alpha in (1, 6, 29)
-            for side in SIDES] for f in inputs]
+    got = [[_general_signatures(f, alpha, side, w) for alpha in (1, 6, 29)
+            for side in SIDES] for f, w in zip(inputs, ws)]
     assert got == want
 
 
+def test_degree_3_functions_above_12_bits_are_refused_before_any_side(monkeypatch):
+    """Trims of degree > 2 are read off the Walsh table, which vbf.walsh
+    refuses above 2^24 cells: at n = 13 trim_spectrum and apn_trims raise
+    its ValueError before they read any hyperplane."""
+    def no_side_work(*args):
+        raise AssertionError("a hyperplane was read")
+
+    monkeypatch.setattr(trimming, "_side_moments", no_side_work)
+    monkeypatch.setattr(trimming, "_restricted_values", no_side_work)
+    f = random_function(13, 13, random.Random(13))
+    assert f.degree > 2
+    for call in (trim_spectrum, apn_trims):
+        with pytest.raises(ValueError, match="Walsh table too large"):
+            call(f)
+
+
 def test_general_kernel_disagreement_is_an_internal_error(monkeypatch):
-    """Every trim claimed APN: apn_trims finds tables that are not APN, and
-    the spectrum finds trims of degree 2 whose ortho-derivative fails."""
+    """Every side pure and every trim claimed APN by its moments: apn_trims
+    finds tables that are not APN, and the spectrum finds trims of degree 2
+    whose ortho-derivative fails."""
     f = _gold5_plus_cubic()
+    side_moments = trimming._side_moments
 
-    def all_apn(v, n):
-        return np.array([0, 2]), np.ones((v.shape[0], (1 << n) - 1, 2), dtype=np.int64)
+    def all_apn(w, alphas, n):
+        walsh_cols, s2 = side_moments(w, alphas, n)
+        k = n - 1
+        s1 = (1 << k) * ((1 << k) - 1)
+        s2 = np.full_like(s2, 2 * s1)
+        s2[:, 0] = (1 << 2 * k) + 4 * s1
+        return walsh_cols, s2
 
-    monkeypatch.setattr(trimming, "_trim_ddt_counts", all_apn)
+    monkeypatch.setattr(trimming, "_side_moments", all_apn)
     with pytest.raises(RuntimeError):
         apn_trims(f)
     with pytest.raises(RuntimeError):
@@ -1054,23 +1086,23 @@ def test_stacked_general_claims_match_one_side_at_a_time(name):
 
 
 def test_stacked_general_claims_follow_the_cell_limit(monkeypatch):
-    """With room for 3 five-bit sides per stack (2^17 cells each), the
-    claims come in 20 stacks of 3 sides and one of 2, the same claims in
-    the same order, and the first claim, on the first side, needs only the
-    first stack."""
+    """With room for 3 five-bit hyperplanes per stack (2^17 cells per side,
+    both sides of each), the claims come in 10 stacks of 3 hyperplanes and
+    one of 1, the same claims in the same order, and the first claim, on
+    the first side, needs only the first stack."""
     f = _gold5_plus_cubic()
     want = list(trimming._general_apn_trims(f))
     stacks = []
-    ddt_counts = trimming._trim_ddt_counts
+    side_moments = trimming._side_moments
 
-    def recording(v, n):
-        stacks.append(v.shape[0])
-        return ddt_counts(v, n)
+    def recording(w, alphas, n):
+        stacks.append(len(alphas))
+        return side_moments(w, alphas, n)
 
-    monkeypatch.setattr(trimming, "_trim_ddt_counts", recording)
-    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 17)
+    monkeypatch.setattr(trimming, "_side_moments", recording)
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 18)
     assert list(trimming._general_apn_trims(f)) == want
-    assert stacks == [3] * 20 + [2]
+    assert stacks == [3] * 10 + [1]
     stacks.clear()
     assert next(trimming._general_apn_trims(f)) == want[0] == (1, "linear", 2)
     assert stacks == [3]
@@ -1140,13 +1172,39 @@ def _delta_values(v, n):
     return tuple(np.unique(np.concatenate([b.ravel() for _, b in _ddt_blocks(v[None, :], n)])))
 
 
+def _sampled_alphas(f, name):
+    """Every hyperplane alpha up to n = 7, 8 sampled ones above."""
+    top = 1 << f.n
+    return range(1, top) if f.n <= 7 else sorted(random.Random(name).sample(range(1, top), 8))
+
+
+def _pure(s2, n):
+    """The moment purity flag of each side, from its s2 row."""
+    k = n - 1
+    return s2[:, 0] == (1 << 2 * k) + 4 * (1 << k) * ((1 << k) - 1)
+
+
+def _assert_columns_match_one_side(f, w, alphas):
+    """_general_columns of the sides of ``alphas`` against the one-hyperplane
+    kernels, side by side."""
+    n = f.n
+    (dvals, ddt), (wvals, walsh_counts) = trimming._general_columns(f, w, alphas)
+    sides = [(alpha, side) for alpha in alphas for side in SIDES]
+    assert ddt.shape[:2] == walsh_counts.shape[:2] == (len(sides), (1 << n) - 1)
+    for h, row in enumerate(trimming._restricted_values(f, sides)):
+        assert _by_value(dvals, ddt[h]) == _by_value(*_ddt_counts_one(row, n))
+        assert _by_value(wvals, walsh_counts[h]) == _by_value(*_walsh_counts_one(row, n))
+
+
 @pytest.mark.parametrize("name", GENERAL_INPUTS)
 def test_stacked_kernels_match_the_one_hyperplane_kernels(name):
-    """A stack of hyperplane sides through the kernels gives each side the
-    columns of the one-hyperplane kernels. The stack holds the sides of 3
-    random hyperplanes and the first side with each set of DDT values, so
-    on the random functions it mixes sides whose values differ and the
-    stack's values are their union."""
+    """The columns read off the Walsh table, in the spectrum's stacks of
+    hyperplanes, equal those of the one-hyperplane kernels on every side (8
+    sampled hyperplanes at n = 8). The DDT kernel of the impure sides and
+    the degree kernel take a stack of the sides of 3 random hyperplanes and
+    the first side with each set of DDT values, so on the random functions
+    it mixes sides whose values differ and the stack's values are their
+    union."""
     f = _general_input(name)
     n = f.n
     every = [(alpha, side) for alpha in range(1, 1 << n) for side in SIDES]
@@ -1159,35 +1217,88 @@ def test_stacked_kernels_match_the_one_hyperplane_kernels(name):
     hyperplanes = [(alpha, side) for alpha in rng.sample(range(1, 1 << n), 3)
                    for side in SIDES] + list(first.values())[:4]
     v = trimming._restricted_values(f, hyperplanes)
-    (dvals, ddt), (wvals, walsh) = trimming._trim_ddt_counts(v, n), trimming._trim_walsh_counts(v, n)
+    dvals, ddt = trimming._trim_ddt_counts(v, n)
     degrees = trimming._trim_degrees(v, n)
-    assert ddt.shape[:2] == walsh.shape[:2] == degrees.shape == (len(v), (1 << n) - 1)
+    assert ddt.shape[:2] == degrees.shape == (len(v), (1 << n) - 1)
     for h, row in enumerate(v):
         assert _by_value(dvals, ddt[h]) == _by_value(*_ddt_counts_one(row, n))
-        assert _by_value(wvals, walsh[h]) == _by_value(*_walsh_counts_one(row, n))
         assert degrees[h].tolist() == _degrees_one(row, n).tolist()
+    w = walsh(f).values
+    alphas = _sampled_alphas(f, name)
+    for lo, hi in vbf._stacks(len(alphas), 1 << (2 * n)):
+        _assert_columns_match_one_side(f, w, alphas[lo:hi])
+
+
+@pytest.mark.parametrize("name", GENERAL_INPUTS)
+def test_side_moments_give_ddt_squares_and_purity(name):
+    """s2[h, beta] off the Walsh table is, for beta != 0, the sum of the
+    squared DDT cells a != 0 of trim beta, taken from its table, and for beta
+    = 0, 4^k + 2 sum of delta^2 over a != 0; a side is pure, its delta
+    values 0 and 2 only, iff its flag says so. Every side up to n = 7, 8
+    sampled hyperplanes at n = 8; gold5 + x0*x1*x2 has sides of both kinds."""
+    f = _general_input(name)
+    n = f.n
+    k = n - 1
+    alphas = _sampled_alphas(f, name)
+    _, s2 = trimming._side_moments(walsh(f).values, alphas, n)
+    sides = [(alpha, side) for alpha in alphas for side in SIDES]
+    assert s2.shape == (len(sides), 1 << n)
+    pure = _pure(s2, n)
+    for h, (row, (alpha, side)) in enumerate(zip(trimming._restricted_values(f, sides), sides)):
+        delta = np.concatenate([b.ravel() for _, b in _ddt_blocks(row[None, :], n)])
+        assert s2[h, 0] == (1 << 2 * k) + 2 * int((delta ** 2).sum())
+        assert pure[h] == (set(_delta_values(row, n)) <= {0, 2})
+        hist = vbf._diff_counts_batch(_hyperplane_tables(f, alpha, side), k)
+        assert s2[h, 1:].tolist() == (hist @ np.arange(hist.shape[1]) ** 2).tolist()
+    if name == "gold5 + x0*x1*x2":
+        assert 0 < pure.sum() < pure.size
+
+
+def test_mixed_stacks_of_an_x254_copy(monkeypatch):
+    """Every hyperplane of this copy of x^254 over F_256 has one pure and one
+    impure side, so each stack mixes both; its columns and spectrum share
+    match the one-hyperplane kernels and the tables, also with room for a
+    few rows v of the Walsh table per block."""
+    f = random_ea_transform(_field_power(8, 254), random.Random(254))
+    w = walsh(f).values
+    alphas = [1, 0x5a, 0xff]
+    _, s2 = trimming._side_moments(w, alphas, 8)
+    assert _pure(s2, 8).reshape(-1, 2).sum(axis=1).tolist() == [1, 1, 1]
+    _assert_columns_match_one_side(f, w, alphas)
+    share = trimming._spectrum_share(f.table, 8, alphas[:1], False)
+    assert Counter(_decoded(share.elements())) == Counter(
+        _table_signatures(f, 1, "linear") + _table_signatures(f, 1, "affine"))
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 12)
+    _assert_columns_match_one_side(f, w, alphas)
 
 
 def test_stacked_kernels_chunked_path(monkeypatch):
-    """Blocks of a few rows of a 6-hyperplane stack give the columns of one
-    block."""
+    """Blocks of a few rows of a 3-hyperplane stack give the columns of one
+    block: rows v of the Walsh table, and rows a of the DDT kernel on the
+    impure sides. gold5 + x0*x1*x2 has pure and impure sides in the stack,
+    the other two impure sides only. The Walsh tables are taken before the
+    limit is lowered: vbf.walsh refuses a table above it."""
     inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
               _gold5_plus_cubic()]
-    stacks = [trimming._restricted_values(f, [(alpha, side) for alpha in (1, 6, 29)
-                                              for side in SIDES]) for f in inputs]
-    kernels = (trimming._trim_ddt_counts, trimming._trim_walsh_counts)
-    want = [[kernel(v, f.n) for kernel in kernels] for f, v in zip(inputs, stacks)]
+    ws = [walsh(f).values for f in inputs]
+    alphas = (1, 2, 29)
+    purity = [_pure(trimming._side_moments(w, alphas, f.n)[1], f.n).tolist()
+              for f, w in zip(inputs, ws)]
+    assert purity[:2] == [[False] * 6] * 2 and 0 < sum(purity[2]) < 6
+    want = [trimming._general_columns(f, w, alphas) for f, w in zip(inputs, ws)]
     blocks = []
-    row_chunks = vbf._row_chunks
 
-    def recording(*args):
-        for lo, hi in row_chunks(*args):
-            blocks.append(hi - lo)
-            yield lo, hi
+    def recording(row_chunks):
+        def chunks(*args):
+            for lo, hi in row_chunks(*args):
+                blocks.append(hi - lo)
+                yield lo, hi
+        return chunks
 
-    monkeypatch.setattr(vbf, "_row_chunks", recording)
+    monkeypatch.setattr(vbf, "_row_chunks", recording(vbf._row_chunks))
+    monkeypatch.setattr(trimming, "_row_chunks", recording(trimming._row_chunks))
     monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3000)
-    got = [[kernel(v, f.n) for kernel in kernels] for f, v in zip(inputs, stacks)]
+    got = [trimming._general_columns(f, w, alphas) for f, w in zip(inputs, ws)]
     for g, w in zip(got, want):
         for (gv, gc), (wv, wc) in zip(g, w):
             assert np.array_equal(gv, wv) and np.array_equal(gc, wc)
@@ -1195,24 +1306,24 @@ def test_stacked_kernels_chunked_path(monkeypatch):
 
 
 def test_general_spectrum_stacks_follow_the_cell_limit(monkeypatch):
-    """A 5-bit share of 62 hyperplane sides, 2^17 cells each, goes through
-    the kernels in one stack, and in stacks of 3 with room for 3; the
-    spectrum is the same."""
+    """A 5-bit share of 31 hyperplanes, 2^17 cells per side and both sides
+    of each, goes through the kernels in one stack, and in stacks of 3 with
+    room for 3; the spectrum is the same."""
     f = _field_power(5, 30)
     stacks = []
     general_keys = trimming._general_keys
 
-    def recording(g, hyperplanes):
-        stacks.append(len(hyperplanes))
-        return general_keys(g, hyperplanes)
+    def recording(g, w, alphas):
+        stacks.append(len(alphas))
+        return general_keys(g, w, alphas)
 
     monkeypatch.setattr(trimming, "_general_keys", recording)
     want = trim_spectrum(f)
-    assert stacks == [62]
+    assert stacks == [31]
     stacks.clear()
-    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 17)
+    monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 18)
     assert trim_spectrum(f) == want
-    assert stacks == [3] * 20 + [2]
+    assert stacks == [3] * 10 + [1]
 
 
 def _reference_signatures(f, alpha, sides):
@@ -1275,9 +1386,11 @@ def test_keyed_spectrum_matches_object_counting(name, workers):
 
 
 def test_general_spectrum_stacks_peak_rss_at_10_bits():
-    """One share's stacks at n = 10, the 8 sides of 4 hyperplanes of the APN
-    x^1022 in stacks of one: peak RSS grows by under 48 MB (19 MB
-    measured). As one stack, the whole share, it grew by about 110 MB."""
+    """One share's stacks at n = 10, 4 hyperplanes of x^1022 (not APN: its
+    linear sides are impure, its affine ones pure) in stacks of one
+    hyperplane with both sides: peak RSS grows by under 48 MB (31 MB
+    measured). The per-side kernels this path replaced grew it by 17 MB in
+    stacks of one side and by about 110 MB as one stack of all 8 sides."""
     assert _peak_rss_growth_mb("""
         from apnkit import gf2, trimming
         from apnkit.vbf import VBF
