@@ -235,24 +235,21 @@ def max_linearity_walsh_profile(t: VBF) -> tuple[int, int, int]:
         raise ValueError("expected a quadratic APN function on even bits >= 4")
     if t.degree != 2 or not is_apn(t):
         raise ValueError("expected a quadratic APN function")
-    w = walsh(t)
+    mags = np.abs(walsh(t).values[1:])
     top = 1 << (nn - 1)
-    if int(np.abs(w.values[1:]).max()) != top:
+    if int(mags.max()) != top:
         raise ValueError("function does not have maximum linearity")
     bent_mag = 1 << (nn // 2)
-    semi_mag = bent_mag << 1
-    bent = semibent = maxlin = 0
-    for beta in range(1, 1 << nn):
-        mags = set(np.unique(np.abs(w.values[beta])).tolist())
-        if mags == {bent_mag}:
-            bent += 1
-        elif mags == {0, semi_mag}:
-            semibent += 1
-        elif mags == {0, top}:
-            maxlin += 1
-        else:
-            raise ValueError(f"component {beta} fits no Walsh profile: {mags}")
-    return bent, semibent, maxlin
+    # a component counts under the first profile it fits, else under the last
+    # row (at nn = 4 semi-bent and top values are both 8); by Parseval no row is 0
+    fits = [(mags == bent_mag).all(axis=1)]
+    fits += [((mags == 0) | (mags == v)).all(axis=1) for v in (2 * bent_mag, top)]
+    profile = np.stack(fits + [np.ones(len(mags), dtype=bool)]).argmax(axis=0)
+    if (profile == 3).any():
+        beta = int(np.argmax(profile == 3)) + 1
+        raise ValueError(f"component {beta} fits no Walsh profile: "
+                         f"{set(np.unique(mags[beta - 1]).tolist())}")
+    return tuple(np.bincount(profile, minlength=3).tolist())
 
 
 def canonical_form_check(t: VBF, gamma: int) -> bool:

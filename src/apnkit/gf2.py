@@ -262,23 +262,23 @@ def trace_gram(spec: FieldSpec) -> "GF2Matrix":
 # matrices over GF(2), one word per row (bit j = column j)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class GF2Matrix:
     """A dense GF(2) matrix with word-packed rows."""
 
-    __slots__ = ("nrows", "ncols", "rows", "_lut")
+    nrows: int
+    ncols: int
+    rows: tuple[int, ...]
 
-    def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
-        rows = tuple(rows)
-        if len(rows) != nrows:
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, tuple):
+            object.__setattr__(self, "rows", tuple(self.rows))
+        if len(self.rows) != self.nrows:
             raise ValueError("row count mismatch")
-        mask = (1 << ncols) - 1
-        for r in rows:
+        mask = (1 << self.ncols) - 1
+        for r in self.rows:
             if r & ~mask:
                 raise ValueError("row exceeds declared width")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows
-        self._lut: Optional[tuple[int, ...]] = None
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
@@ -318,21 +318,7 @@ class GF2Matrix:
 
     def lut(self) -> tuple[int, ...]:
         """Images of all 2**ncols inputs: the span of the columns."""
-        if self._lut is None:
-            self._lut = tuple(span(np.array(self.columns(), dtype=object)).tolist())
-        return self._lut
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GF2Matrix)
-                and self.nrows == other.nrows
-                and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"GF2Matrix({self.nrows}x{self.ncols}, rows={self.rows!r})"
+        return tuple(span(np.array(self.columns(), dtype=object)).tolist())
 
 
 def rref(mat: GF2Matrix) -> tuple[GF2Matrix, int, tuple[int, ...]]:

@@ -265,8 +265,8 @@ def walsh_rows(f: VBF) -> Iterator[tuple[int, np.ndarray]]:
 
 def walsh(f: VBF) -> WalshTable:
     if (1 << (f.n + f.m)) > _BATCH_CELL_LIMIT:
-        raise ValueError(
-            "materialized Walsh table too large; iterate walsh_rows instead")
+        raise ValueError(f"Walsh table too large: 2^{f.n + f.m} cells, above the 2^"
+                         f"{_BATCH_CELL_LIMIT.bit_length() - 1}-cell limit; walsh_rows yields rows")
     return WalshTable(f.n, f.m, next(_walsh_blocks(f.table[None, :], f.m, 0))[1][0])
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from apnkit import catalog
+from apnkit import catalog, extension, trimming
 from apnkit.cli import main
 from apnkit.gf2 import default_field
 from apnkit.ortho import invariant_signature, spectrum_str
@@ -128,8 +128,6 @@ def test_trim_spectrum_rejects_a_degree_3_function_above_12_bits(capsys, tmp_pat
     """A 13-bit function of degree > 2 has no Walsh table to read its trims
     off: the command exits 1 with vbf.walsh's message before it reads any
     hyperplane."""
-    from apnkit import trimming
-
     def no_side_work(*args):
         raise AssertionError("a hyperplane was read")
 
@@ -140,6 +138,7 @@ def test_trim_spectrum_rejects_a_degree_3_function_above_12_bits(capsys, tmp_pat
     p.write_text(catalog.serialize_record(catalog.record_from_vbf(f, "f13")))
     code, out, err = run(capsys, "trim-spectrum", str(p))
     assert code == 1 and out == "" and "Walsh table too large" in err
+    assert "2^26 cells" in err and "2^24-cell limit" in err
 
 
 def test_trim_spectrum_rejects_nonpositive_parallelism(capsys):
@@ -197,6 +196,24 @@ def test_usage_errors_exit_1(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, module, routine", [
+    ("trim-spectrum", trimming, "_pair_counts"),
+    ("r-extend", extension, "_search_one_r"),
+])
+def test_a_table_too_large_for_memory_exits_1(capsys, monkeypatch, command, module, routine):
+    """A 16-bit quadratic needs a 16 GiB pair-count table for its trims and
+    an 8 GiB table for its r-extensions; the routine that allocates it is
+    made to raise as numpy would, so no test allocates it."""
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape "
+                          "(65536, 65536) and data type int32")
+
+    monkeypatch.setattr(module, routine, too_large)
+    code, out, err = run(capsys, command, "fixture:gold5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Unable to allocate 16.0 GiB") and "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

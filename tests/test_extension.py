@@ -209,12 +209,27 @@ def test_trim_inverse_property():
 
 
 def test_walsh_profile_counts():
+    # at nn = 4 semi-bent and top values are both 8: a component counts
+    # under the first profile it fits, so gold4 has no top one
+    assert max_linearity_walsh_profile(catalog.gold(4)) == (10, 5, 0)
     assert max_linearity_walsh_profile(catalog.t6()) == (46, 16, 1)
     assert max_linearity_walsh_profile(catalog.t8(1)) == (190, 64, 1)
     with pytest.raises(ValueError):
         max_linearity_walsh_profile(catalog.gold(7))   # almost bent input
     with pytest.raises(ValueError):
         max_linearity_walsh_profile(catalog.gold(6))   # linearity 2^4 only
+
+
+def test_walsh_profile_names_a_component_that_fits_none(monkeypatch):
+    t6 = catalog.t6()
+    table = vbf.walsh(t6)
+    values = table.values.copy()
+    beta = int(np.flatnonzero((np.abs(values[1:]) == 8).all(axis=1))[0]) + 1   # a bent row
+    values[beta, 0] = 16
+    monkeypatch.setattr(extension, "walsh",
+                        lambda f: dataclasses.replace(table, values=values))
+    with pytest.raises(ValueError, match=rf"component {beta} fits no Walsh profile: {{8, 16}}"):
+        max_linearity_walsh_profile(t6)
 
 
 def test_canonical_form_check():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -422,15 +423,32 @@ def test_matrix_ops():
     # column extraction round trip
     assert GF2Matrix.from_columns(m.columns(), 6) == m
     assert m.transpose().transpose() == m
-    # lut agrees with mul_vec
+    # lut agrees with mul_vec, also on columns wider than uint64 words
     lut = m.lut()
     for x in range(64):
         assert lut[x] == m.mul_vec(x)
+    tall = gf2.random_matrix(70, 3, random.Random(70))
+    assert tall.lut() == tuple(tall.mul_vec(x) for x in range(8))
+    assert max(tall.lut()).bit_length() > 64
     # matmul against composition of mul_vec
     b = gf2.random_matrix(6, 6, rng)
     prod = m @ b
     for x in range(64):
         assert prod.mul_vec(x) == m.mul_vec(b.mul_vec(x))
+
+
+def test_matrix_is_a_frozen_value():
+    """Rows given as a list, a tuple or a generator make equal matrices
+    with equal hashes, and no field can be assigned."""
+    rows = [5, 3, 6]
+    made = [GF2Matrix(3, 3, rows), GF2Matrix(3, 3, tuple(rows)),
+            GF2Matrix(3, 3, (r for r in rows))]
+    assert all(m == made[0] and hash(m) == hash(made[0]) for m in made)
+    assert all(m.rows == (5, 3, 6) for m in made)
+    assert made[0] != GF2Matrix(3, 3, [5, 3, 7])
+    for field in ("nrows", "ncols", "rows"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made[0], field, 0)
 
 
 def test_random_invertible():
