@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import inner_product, lowest_set_bit, span
+from .gf2 import inner_product, lowest_set_bit
 from .ortho import (Columns, InvariantSignature, invariant_signature,
                     signature_keys, signature_of_key, signatures_of_tables)
 from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_chunks,
@@ -216,12 +216,9 @@ def _trim_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]], ddt: Columns,
 #     (every hyperplane of an APN F is such). Trim (alpha, beta) is APN iff
 #     N(alpha, 0) = 3 * 2^(n-1) - 2 and N(alpha, beta) = 0. On any other
 #     hyperplane the K come from D itself.
-#   - Restricted ranks. Let G_v be the Gram matrix of v.B, of rank rho_v
-#     and radical R_v. On alpha-orthogonal the form v.B has rank rho_v - 2
-#     if alpha lies in the row space of G_v, and rho_v otherwise: if R_v is
-#     not inside alpha-orthogonal, the restricted radical is R_v meet
-#     alpha-orthogonal; otherwise some u has v.B(u, .) = <alpha, .>, u lies
-#     in alpha-orthogonal, and the restricted radical is R_v + <u>.
+#   - Restricted ranks. If v.B has rank rho on H, the Hadamard transform of
+#     N(alpha, .) at v is the sum of (-1)^(v.B(a, x)) over a, x in H: 2^k for
+#     each of the 2^(k - rho) points a of the radical, 0 elsewhere.
 
 def _pair_counts(f: VBF) -> np.ndarray:
     """N[alpha, beta] = #{(a, x) in alpha-orthogonal^2 : B(a, x) = beta} for
@@ -241,25 +238,15 @@ def _pair_counts(f: VBF) -> np.ndarray:
     return c
 
 
-def _restricted_ranks(f: VBF) -> np.ndarray:
-    """half[alpha, v], half the rank of the form v.B on alpha-orthogonal, for
-    every alpha != 0 and every v of a function of degree <= 2, 4^n int8
-    values (row 0 stands for no hyperplane); the Gram matrices are spanned
-    in blocks of rows v as in _pair_counts."""
-    n = f.n
-    size = 1 << n
-    unit = 1 << np.arange(n)
-    gram = derivative(f.table, unit[:, None], unit)             # B(e_i, e_j)
-    vs = np.arange(size, dtype=np.uint16)
-    bits = _PAR16[vs[:, None, None] & gram].astype(np.uint16)
-    rows = (bits << np.arange(n, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)  # G_v
-    member = np.zeros((size, size), dtype=bool)    # alpha in the row space of G_v
-    half = np.empty(size, dtype=np.int8)
-    for lo, hi in _row_chunks(0, size, size << 8):
-        combos = span(rows[lo:hi])                 # the row space of G_v, once per w
-        half[lo:hi] = (n - np.log2((combos == 0).sum(axis=1)).astype(np.int8)) // 2
-        member[combos, vs[lo:hi, None]] = True
-    return half - member
+def _restricted_ranks(pairs: np.ndarray, n: int) -> np.ndarray:
+    """half[alpha, v], half the rank of v.B on alpha-orthogonal, for every
+    alpha != 0 and v, 4^n int8 values (1 less in row 0, the whole space), in
+    blocks of rows as in _pair_counts; exact in int32: row alpha sums to 4^k."""
+    half = np.empty(pairs.shape, dtype=np.int8)
+    for lo, hi in _row_chunks(0, 1 << n, 1 << (n + 8)):
+        t = _fwht(pairs[lo:hi].astype(np.int32))          # 2^(2k - rho); astype copies
+        half[lo:hi] = n - 1 - (np.log2(t).astype(np.int8) >> 1)
+    return half
 
 
 def _zeros_first(counts: np.ndarray, total: int) -> np.ndarray:
@@ -547,7 +534,8 @@ def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
     sides = ("linear",) if quadratic_reduced else SIDES
     counts: Counter = Counter()
     if f.degree <= 2:
-        pairs, half = _pair_counts(f), _restricted_ranks(f)
+        pairs = _pair_counts(f)
+        half = _restricted_ranks(pairs, n)
         for lo, hi in _stacks(len(alphas), 1 << (2 * n - 1)):
             counts.update(_quadratic_keys(f, alphas[lo:hi], sides, pairs, half))
         return counts

@@ -405,6 +405,8 @@ def affine_transform(f: VBF, out_mat: GF2Matrix, out_const: int,
         raise ValueError("input matrix must be n x n")
     if out_mat.nrows != f.m or out_mat.ncols != f.m:
         raise ValueError("output matrix must be m x m")
+    if add_mat is not None and (add_mat.nrows != f.m or add_mat.ncols != f.n):
+        raise ValueError("additive matrix must be m x n")
     a_lut = np.array(in_mat.lut(), dtype=np.uint32)
     b_lut = np.array(out_mat.lut(), dtype=np.uint16)
     tab = b_lut[f.table[a_lut ^ np.uint32(in_const)]] ^ np.uint16(out_const)

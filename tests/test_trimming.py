@@ -346,7 +346,8 @@ def _decoded(keys):
 
 
 def _quadratic_signatures(f, alpha, sides):
-    pairs, half = trimming._pair_counts(f), trimming._restricted_ranks(f)
+    pairs = trimming._pair_counts(f)
+    half = trimming._restricted_ranks(pairs, f.n)
     return _decoded(trimming._quadratic_keys(f, [alpha], sides, pairs, half))
 
 
@@ -758,15 +759,15 @@ RANK_INPUTS = {
 
 @pytest.mark.parametrize("name", RANK_INPUTS)
 def test_restricted_ranks_match_per_hyperplane_ranks(name):
-    """The rank of v.B on alpha-orthogonal is rho_v - 2 when alpha lies in
-    the row space of the whole-space Gram matrix G_v, rho_v otherwise:
-    against the Gram matrix of every hyperplane (48 of them at n = 9)."""
+    """The rank rho of v.B on alpha-orthogonal, read off the Hadamard
+    transform 2^(2k - rho) of the pair counts N(alpha, .): against the
+    Gram matrix of every hyperplane (48 of them at n = 9)."""
     rng = random.Random(name)
     f = RANK_INPUTS[name](rng)
     n = f.n
     assert f.degree <= 2
     alphas = list(range(1, 1 << n)) if n < 9 else rng.sample(range(1, 1 << n), 48)
-    half = trimming._restricted_ranks(f)
+    half = trimming._restricted_ranks(trimming._pair_counts(f), n)
     assert half.dtype == np.int8 and half.shape == (1 << n, 1 << n)
     for alpha, d in zip(alphas, trimming._derivative_tables(f, alphas)):
         assert half[alpha].tolist() == _half_ranks_one(d, n).tolist()
@@ -803,11 +804,32 @@ def test_whole_space_columns_match_the_one_hyperplane_kernel(name):
     if not pure.all():
         assert pure.sum() == 8
     (dvals, ddt), (wvals, walsh) = trimming._quadratic_columns(
-        f, alphas, pairs, trimming._restricted_ranks(f))
+        f, alphas, pairs, trimming._restricted_ranks(pairs, n))
     for alpha, dcol, wcol in zip(alphas.tolist(), ddt, walsh):
         (rdvals, rddt), (rwvals, rwalsh) = _quadratic_counts_one(_derivative_table(f, alpha), n)
         assert _by_value(dvals, dcol) == _by_value(rdvals, rddt)
         assert _by_value(wvals, wcol) == _by_value(rwvals, rwalsh)
+
+
+def test_quadratic_spectrum_evaluates_derivatives_only_in_the_pair_count_pass(monkeypatch):
+    """On APN input no hyperplane takes its own derivative table, and the
+    ranks come from the pair counts: every derivative a quadratic spectrum
+    evaluates is a block of rows a of _pair_counts's whole-space pass, 2^n
+    columns each (a Gram matrix would be n x n)."""
+    shapes = []
+    derivative = trimming.derivative
+
+    def recording(*args):
+        out = derivative(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(trimming, "derivative", recording)
+    for f, reduced in ((random_ea_transform(catalog.g7(1), random.Random(1)), True),
+                       (catalog.t6(), False)):
+        shapes.clear()
+        trim_spectrum(f, reduced)
+        assert shapes and all(len(s) == 2 and s[1] == 1 << f.n for s in shapes)
 
 
 def test_quadratic_spectrum_chunked_path(monkeypatch):
@@ -839,7 +861,7 @@ def test_quadratic_spectrum_chunked_path(monkeypatch):
 def test_quadratic_spectrum_share_peak_rss_at_11_bits():
     """A share of two hyperplanes of x^3 on 11 bits reads its columns off
     the whole-space tables, 4^11 int32 pair counts and int8 ranks: peak RSS
-    grows by under 48 MB (about 26 MB measured; about 93 MB with one
+    grows by under 48 MB (about 23 MB measured; about 93 MB with one
     derivative table and its histograms per hyperplane)."""
     assert _peak_rss_growth_mb("""
         from apnkit import gf2, trimming

@@ -46,6 +46,14 @@ CHECKS = {
         lambda: vbf.affine_transform(NOT_SQUARE, GF2Matrix.identity(3), 0,
                                      GF2Matrix.identity(3), 0),
         "output matrix must be m x m"),
+    "affine_transform additive matrix": (
+        lambda: vbf.affine_transform(NOT_SQUARE, GF2Matrix.identity(2), 0,
+                                     GF2Matrix.identity(3), 0, GF2Matrix.identity(3)),
+        "additive matrix must be m x n"),
+    "affine_transform additive matrix with an extra zero row": (
+        lambda: vbf.affine_transform(catalog.fixture("gold5"), GF2Matrix.identity(5), 0,
+                                     GF2Matrix.identity(5), 0, GF2Matrix.zeros(6, 5)),
+        "additive matrix must be m x n"),
     "field_mul out of range": (
         lambda: gf2.field_mul(gf2.default_field(3), 8, 1), "operands must be 3-bit words"),
     "field_pow negative exponent": (
