@@ -9,7 +9,7 @@ from .gf2 import (
     solve_affine, trace, trace_form, trace_gram,
 )
 from .vbf import (
-    ANF, DDTable, VBF, WalshTable, anf_and_degree,
+    ANF, VBF, anf_and_degree,
     apn_by_moments, ddt, ddt_rows, derivative, differential_spectrum,
     differential_uniformity, extended_walsh_spectrum, fourth_moment,
     is_apn, linearity, random_ea_transform, random_function,

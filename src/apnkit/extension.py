@@ -22,7 +22,7 @@ import numpy as np
 from . import gf2
 from .gf2 import AffineSolutionSpace, GF2Matrix, extend_basis, inner_product
 from .ortho import invariant_signature, ortho_derivative
-from .vbf import _PAR16, VBF, _mobius, _row_chunks, derivative, is_apn, walsh
+from .vbf import VBF, _mobius, _row_chunks, derivative, is_apn, walsh
 
 @dataclass(frozen=True)
 class ExtensionSpec:
@@ -53,7 +53,7 @@ def build_extension(g: VBF, r: Optional[VBF], lin: GF2Matrix, ell: int) -> VBF:
     xs = np.arange(1 << n, dtype=np.uint32)
     l_tab = np.array(lin.lut(), dtype=np.uint16)
     r_tab = r.table if r is not None else np.zeros(1 << n, dtype=np.uint16)
-    ell_tab = _PAR16[xs & np.uint32(ell)].astype(np.uint16)
+    ell_tab = (np.bitwise_count(xs & np.uint32(ell)) & 1).astype(np.uint16)
     low0 = g.table | (r_tab << n)
     low1 = (g.table ^ l_tab) | ((r_tab ^ ell_tab) << n)
     return VBF(n + 1, n + 1, np.concatenate([low0, low1]))
@@ -170,7 +170,7 @@ def _gamma_spaces(g: VBF, forms: range) -> Iterator[GammaSpace]:
     nrows = (1 << (n - 1)) - 1
     for lo, hi in _row_chunks(forms.start, forms.stop, nrows * (nn + 1)):
         ells = np.arange(lo, hi)
-        kernel = np.nonzero(_PAR16[ells[:, None] & points] == 0)[1]
+        kernel = np.nonzero((np.bitwise_count(ells[:, None] & points) & 1) == 0)[1]
         spaces = gf2.solve_affine_batch(equations[kernel.reshape(-1, nrows)], nn)
         for ell, space in zip(range(lo, hi), spaces):
             j_basis = words + tuple(ell << (k * n) for k in range(n))
@@ -235,7 +235,7 @@ def max_linearity_walsh_profile(t: VBF) -> tuple[int, int, int]:
         raise ValueError("expected a quadratic APN function on even bits >= 4")
     if t.degree != 2 or not is_apn(t):
         raise ValueError("expected a quadratic APN function")
-    mags = np.abs(walsh(t).values[1:])
+    mags = np.abs(walsh(t)[1:])
     top = 1 << (nn - 1)
     if int(mags.max()) != top:
         raise ValueError("function does not have maximum linearity")

@@ -34,11 +34,6 @@ def inner_product(x: int, y: int) -> int:
     return (x & y).bit_count() & 1
 
 
-def lowest_set_bit(x: int) -> int:
-    """Keep only the least significant set bit of ``x`` (0 for x = 0)."""
-    return x & -x
-
-
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over GF(2), coefficients packed in ints
 # ---------------------------------------------------------------------------
@@ -383,10 +378,15 @@ class AffineSolutionSpace:
         return 0 if self.empty else 1 << len(self.basis)
 
     def __iter__(self) -> Iterator[int]:
+        """The points in span order, 2^16 at a time: the span of the first
+        16 basis words, offset by each point of the space of the rest."""
         if self.empty:
             return
-        for s in span(np.array(self.basis, dtype=object)).tolist():
-            yield self.particular ^ s
+        low = span(np.array(self.basis[:16], dtype=object)).tolist()
+        offsets = (AffineSolutionSpace(self.particular, self.basis[16:])
+                   if len(self.basis) > 16 else (self.particular,))
+        for offset in offsets:
+            yield from (offset ^ s for s in low)
 
     def __contains__(self, x: int) -> bool:
         return not self.empty and not extend_basis(self.basis, [x ^ self.particular])

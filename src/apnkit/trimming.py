@@ -18,11 +18,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import inner_product, lowest_set_bit
+from .gf2 import inner_product
 from .ortho import (Columns, InvariantSignature, invariant_signature,
                     signature_keys, signature_of_key, signatures_of_tables)
-from .vbf import (_POP16, _PAR16, VBF, _ddt_blocks, _fwht, _mobius, _row_chunks,
-                  _row_hists, _stacks, derivative, is_apn, walsh)
+from .vbf import (VBF, _ddt_blocks, _fwht, _mobius, _row_chunks, _row_hists, _stacks,
+                  derivative, is_apn, walsh)
 
 SIDES = ("linear", "affine")
 
@@ -66,8 +66,8 @@ class TrimDescriptor:
     @classmethod
     def canonical(cls, alpha: int, side: str, beta: int) -> "TrimDescriptor":
         """Lexicographically smallest valid epsilon and gamma."""
-        eps = 0 if side == "linear" else lowest_set_bit(alpha)
-        return cls(Hyperplane(alpha, side), beta, eps, lowest_set_bit(beta))
+        eps = 0 if side == "linear" else alpha & -alpha
+        return cls(Hyperplane(alpha, side), beta, eps, beta & -beta)
 
 
 def project(beta: int, gamma: int, x: int) -> int:
@@ -82,7 +82,7 @@ def hyperplane_basis(alpha: int, n: int) -> tuple[int, ...]:
     where i is the lowest set bit of alpha."""
     if not 0 < alpha < (1 << n):
         raise ValueError(f"alpha must lie in [1, 2^{n}), got {alpha}")
-    i = lowest_set_bit(alpha).bit_length() - 1
+    i = (alpha & -alpha).bit_length() - 1
     return tuple((1 << j) | (((alpha >> j) & 1) << i) for j in range(n) if j != i)
 
 
@@ -93,7 +93,7 @@ def _embedded_points(alpha, n: int) -> np.ndarray:
     bit = alpha & -alpha                            # lowest set bit of alpha
     xs = np.arange(1 << (n - 1))
     x0 = (xs & (bit - 1)) | ((xs & -bit) << 1)      # a 0 inserted at that bit
-    return x0 | _PAR16[x0 & alpha] * bit
+    return x0 | (np.bitwise_count(x0 & alpha) & 1) * bit
 
 
 def trim(f: VBF, d: TrimDescriptor) -> VBF:
@@ -127,7 +127,7 @@ def _tables_for_alpha(f: VBF, alpha, epsilon, beta, gamma) -> np.ndarray:
     alpha, epsilon, beta, gamma = (np.asarray(v, dtype=np.int64)[:, None]
                                    for v in (alpha, epsilon, beta, gamma))
     vals = f.table[_embedded_points(alpha, f.n) ^ epsilon].astype(np.int64)
-    vals ^= _PAR16[vals & gamma] * beta
+    vals ^= (np.bitwise_count(vals & gamma) & 1) * beta
     low = (gamma & -gamma) - 1
     return ((vals & low) | ((vals >> 1) & ~low)).astype(np.uint16)
 
@@ -153,7 +153,7 @@ def _trim_degrees(v: np.ndarray, n: int) -> np.ndarray:
     1 .. 2^n - 1, from the values v[h] of F on each hyperplane."""
     rows = np.arange(v.shape[0])
     top = np.zeros((rows.size, 1 << n), dtype=np.int64)     # top weight per ANF word
-    np.maximum.at(top, (rows[:, None], _mobius(v)), _POP16[:v.shape[1]])
+    np.maximum.at(top, (rows[:, None], _mobius(v)), np.bitwise_count(np.arange(v.shape[1])))
     top[:, 0] = 0
     word = top.argmax(axis=1)
     deg = np.repeat(top[rows, word][:, None], 1 << n, axis=1)
@@ -473,7 +473,7 @@ def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
     in ascending order, one stack of hyperplanes (vbf._stacks) at a time as
     the caller reaches it: those with S2(beta) = 2 S1."""
     n = f.n
-    w = walsh(f).values
+    w = walsh(f)
     alphas = range(1, 1 << n)
     for lo, hi in _stacks(len(alphas), 1 << (2 * n)):
         apn = _side_moments(w, alphas[lo:hi], n)[1][:, 1:] == (1 << n) * ((1 << (n - 1)) - 1)
@@ -539,7 +539,7 @@ def _spectrum_share(table: np.ndarray, n: int, alphas: Sequence[int],
         for lo, hi in _stacks(len(alphas), 1 << (2 * n - 1)):
             counts.update(_quadratic_keys(f, alphas[lo:hi], sides, pairs, half))
         return counts
-    w = walsh(f).values
+    w = walsh(f)
     for lo, hi in _stacks(len(alphas), 1 << (2 * n)):
         counts.update(_general_keys(f, w, alphas[lo:hi]))
     return counts

@@ -6,7 +6,8 @@ and via the fourth-moment identity), linearized derivatives, and
 EA-transform helpers for randomized invariance testing.
 
 Tables are numpy uint16 arrays indexed by the input word; all transforms
-use exact integer arithmetic.
+use exact integer arithmetic. ``walsh`` and ``ddt`` return plain numpy
+arrays, w[beta, alpha] and counts[a, b].
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ import numpy as np
 
 from . import gf2
 from .gf2 import MAX_WIDTH, FieldSpec, GF2Matrix
-
-# bit-parity and popcount lookup for 16-bit words
-_V = np.arange(1 << 16, dtype=np.uint32)
-_POP16 = np.zeros(1 << 16, dtype=np.uint8)
-_POP16 |= (_V & 1).astype(np.uint8)
-for _s in range(1, 16):
-    _POP16 += ((_V >> _s) & 1).astype(np.uint8)
-_PAR16 = (_POP16 & 1).astype(np.uint8)
-del _V, _s
 
 # spectra are computed in blocks of rows of at most this many cells
 _BATCH_CELL_LIMIT = 1 << 24
@@ -150,7 +142,7 @@ def _mobius(arr: np.ndarray) -> np.ndarray:
 
 def _degree_of_tables(tabs: np.ndarray, n: int) -> np.ndarray:
     anf = _mobius(tabs)
-    weights = _POP16[: 1 << n].astype(np.int16)
+    weights = np.bitwise_count(np.arange(1 << n)).astype(np.int16)
     return np.where(anf != 0, weights[None, :], -1).max(axis=1).clip(min=0)
 
 
@@ -165,24 +157,6 @@ def vbf_from_anf(n: int, m: int, coeffs: Sequence[int]) -> VBF:
 # ---------------------------------------------------------------------------
 # Walsh transform
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WalshTable:
-    """Signed Walsh coefficients, rows indexed by the output mask beta.
-
-    ``values[beta, alpha]`` for beta in [0, 2^m); the beta = 0 row is the
-    trivial one and is excluded from linearity and spectra.
-    """
-
-    n: int
-    m: int
-    values: np.ndarray
-
-    def value(self, beta: int, alpha: int) -> int:
-        if beta == 0:
-            raise ValueError("beta must be nonzero")
-        return int(self.values[beta, alpha])
-
 
 def _fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
@@ -241,7 +215,7 @@ def _walsh_blocks(tabs: np.ndarray, m: int, start: int = 1) -> Iterator[tuple[in
     B, size = tabs.shape
     for lo, hi in _row_chunks(start, 1 << m, B * size):
         betas = np.arange(lo, hi, dtype=np.uint16)
-        w = _PAR16[betas[:, None] & tabs[:, None, :]].astype(np.int32)
+        w = (np.bitwise_count(betas[:, None] & tabs[:, None, :]) & 1).astype(np.int32)
         w *= -2
         w += 1
         yield lo, _fwht(w)
@@ -263,11 +237,14 @@ def walsh_rows(f: VBF) -> Iterator[tuple[int, np.ndarray]]:
         yield from enumerate(w[0], lo)
 
 
-def walsh(f: VBF) -> WalshTable:
+def walsh(f: VBF) -> np.ndarray:
+    """Signed Walsh coefficients w[beta, alpha], int32, rows indexed by the
+    output mask beta in [0, 2^m); the beta = 0 row is the trivial one and
+    is excluded from linearity and spectra."""
     if (1 << (f.n + f.m)) > _BATCH_CELL_LIMIT:
         raise ValueError(f"Walsh table too large: 2^{f.n + f.m} cells, above the 2^"
                          f"{_BATCH_CELL_LIMIT.bit_length() - 1}-cell limit; walsh_rows yields rows")
-    return WalshTable(f.n, f.m, next(_walsh_blocks(f.table[None, :], f.m, 0))[1][0])
+    return next(_walsh_blocks(f.table[None, :], f.m, 0))[1][0]
 
 
 def linearity(f: VBF) -> int:
@@ -296,18 +273,6 @@ def apn_by_moments(f: VBF) -> bool:
 # DDT / differential spectrum / APN
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DDTable:
-    """Difference distribution counts[a, b] = #{x : F(x) + F(x+a) = b}."""
-
-    n: int
-    m: int
-    counts: np.ndarray
-
-    def row(self, a: int) -> np.ndarray:
-        return self.counts[a]
-
-
 def _ddt_blocks(tabs: np.ndarray, m: int, start: int = 1,
                 row_cells: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """DDT rows a = start .. 2^n - 1 of every table in ``tabs`` (shape
@@ -330,11 +295,13 @@ def ddt_rows(f: VBF) -> Iterator[tuple[int, np.ndarray]]:
         yield from enumerate(block[0], lo)
 
 
-def ddt(f: VBF) -> DDTable:
+def ddt(f: VBF) -> np.ndarray:
+    """Difference distribution counts[a, b] = #{x : F(x) + F(x+a) = b},
+    int64."""
     if f.n > 12:
         raise ValueError("dense DDT capped at n = 12; iterate ddt_rows instead")
     blocks = [block[0] for _, block in _ddt_blocks(f.table[None, :], f.m, 0)]
-    return DDTable(f.n, f.m, np.concatenate(blocks))
+    return np.concatenate(blocks)
 
 
 def _diff_counts_batch(tabs: np.ndarray, m: int) -> np.ndarray:

@@ -222,12 +222,10 @@ def test_walsh_profile_counts():
 
 def test_walsh_profile_names_a_component_that_fits_none(monkeypatch):
     t6 = catalog.t6()
-    table = vbf.walsh(t6)
-    values = table.values.copy()
+    values = vbf.walsh(t6)
     beta = int(np.flatnonzero((np.abs(values[1:]) == 8).all(axis=1))[0]) + 1   # a bent row
     values[beta, 0] = 16
-    monkeypatch.setattr(extension, "walsh",
-                        lambda f: dataclasses.replace(table, values=values))
+    monkeypatch.setattr(extension, "walsh", lambda f: values)
     with pytest.raises(ValueError, match=rf"component {beta} fits no Walsh profile: {{8, 16}}"):
         max_linearity_walsh_profile(t6)
 

@@ -275,6 +275,22 @@ def test_solve_affine_random_consistent_system():
         assert x0 in s
 
 
+def test_solve_affine_iterates_lazily():
+    """The first point of a 2^40-point space comes without listing the rest."""
+    assert next(iter(solve_affine(GF2Matrix.zeros(1, 40), 0))) == 0
+
+
+@pytest.mark.parametrize("dim", [0, 3, 16, 18])
+def test_affine_space_iterates_in_span_order(dim):
+    """Point t adds the basis words at the set bits of t, also past the
+    first block of 2^16 points."""
+    rng = random.Random(dim)
+    basis = tuple(rng.getrandbits(60) for _ in range(dim))
+    p = rng.getrandbits(60)
+    space = AffineSolutionSpace(p, basis)
+    assert list(space) == [p ^ s for s in gf2.span(np.array(basis, dtype=object)).tolist()]
+
+
 def test_solve_affine_complete_vs_exhaustive():
     rng = random.Random(6)
     for _ in range(5):

@@ -21,7 +21,7 @@ from apnkit.trimming import (
     hyperplane_basis, project, recursive_witness, trim, trim_spectrum, trimming_graph,
 )
 from apnkit.vbf import (
-    VBF, _ddt_blocks, _fwht, _mobius, _PAR16, _POP16, _row_hists, _walsh_blocks, is_apn,
+    VBF, _ddt_blocks, _fwht, _mobius, _row_hists, _walsh_blocks, is_apn,
     random_ea_transform, random_function, random_quadratic, walsh,
 )
 from test_gf2 import _span_by_loop
@@ -139,6 +139,28 @@ def test_trim_matches_definition():
         want = [coords[project(beta, gamma, int(f.table[p ^ eps]))] for p in points]
         d = TrimDescriptor(Hyperplane(alpha, side), beta, eps, gamma)
         assert trim(f, d).table.tolist() == want
+
+
+@pytest.mark.parametrize("alpha", [1, 0x8001, 0xffff])
+def test_embedded_points_at_16_bits(alpha):
+    points = trimming._embedded_points(alpha, 16)
+    assert points.tolist() == _span_by_loop(hyperplane_basis(alpha, 16))
+
+
+def test_trim_matches_project_at_16_bits():
+    """trim() of a 16-bit function on an affine hyperplane against its
+    definition, on 64 sampled points."""
+    rng = random.Random(42)
+    n = 16
+    f = random_function(n, n, rng)
+    alpha, beta = rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)
+    eps = rng.choice([e for e in range(1 << n) if inner_product(alpha, e)])
+    gamma = rng.choice([g for g in range(1 << n) if inner_product(beta, g)])
+    t = trim(f, TrimDescriptor(Hyperplane(alpha, "affine"), beta, eps, gamma))
+    points = _span_by_loop(hyperplane_basis(alpha, n))
+    coords = _span_by_loop(hyperplane_basis(gamma, n))
+    for y in rng.sample(range(1 << (n - 1)), 64):
+        assert coords[int(t.table[y])] == project(beta, gamma, f(eps ^ points[y]))
 
 
 def test_trim_rejects_bad_inputs():
@@ -362,7 +384,7 @@ def _half_ranks_one(d, n):
     unit = 1 << np.arange(k)
     gram = d[np.ix_(unit, unit)]
     vs = np.arange(1 << n, dtype=np.uint16)
-    bits = _PAR16[vs[:, None, None] & gram[None, :, :]].astype(np.uint16)
+    bits = (np.bitwise_count(vs[:, None, None] & gram[None, :, :]) & 1).astype(np.uint16)
     rows = (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
     return (k - np.log2((gf2.span(rows) == 0).sum(axis=1)).astype(np.int64)) // 2
 
@@ -396,7 +418,7 @@ def _quadratic_counts_one(d, n):
 def _general_signatures(f, alpha, side, w=None):
     """The signatures of the trims on one side of hyperplane alpha, from the
     Walsh table w of f (taken here unless given)."""
-    w = walsh(f).values if w is None else w
+    w = walsh(f) if w is None else w
     keys = trimming._general_keys(f, w, [alpha])
     per = (1 << f.n) - 1
     return _decoded(keys[:per] if side == "linear" else keys[per:])
@@ -1032,7 +1054,7 @@ def test_kernels_match_tables_at_9_bits():
     assert inverse.degree == 8 and is_apn(inverse)
     for alpha, side in ((1, "affine"), (0x0ee, "linear")):
         assert _general_signatures(inverse, alpha, side) == _table_signatures(inverse, alpha, side)
-    _assert_columns_match_one_side(inverse, walsh(inverse).values, [1, 0x0ee])
+    _assert_columns_match_one_side(inverse, walsh(inverse), [1, 0x0ee])
 
 
 def test_general_kernel_chunked_path(monkeypatch):
@@ -1040,7 +1062,7 @@ def test_general_kernel_chunked_path(monkeypatch):
     refuses a table above it."""
     inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
               _gold5_plus_cubic()]
-    ws = [walsh(f).values for f in inputs]
+    ws = [walsh(f) for f in inputs]
     want = [[_general_signatures(f, alpha, side, w) for alpha in (1, 6, 29)
              for side in SIDES] for f, w in zip(inputs, ws)]
     monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 200)
@@ -1176,7 +1198,7 @@ def _walsh_counts_one(v, n):
 def _degrees_one(v, n):
     """The one-hyperplane degree kernel."""
     top = np.zeros(1 << n, dtype=np.int64)
-    np.maximum.at(top, _mobius(v), _POP16[:v.size])
+    np.maximum.at(top, _mobius(v), np.bitwise_count(np.arange(v.size)))
     top[0] = 0
     word = int(np.argmax(top))
     deg = np.full(1 << n, top[word])
@@ -1245,7 +1267,7 @@ def test_stacked_kernels_match_the_one_hyperplane_kernels(name):
     for h, row in enumerate(v):
         assert _by_value(dvals, ddt[h]) == _by_value(*_ddt_counts_one(row, n))
         assert degrees[h].tolist() == _degrees_one(row, n).tolist()
-    w = walsh(f).values
+    w = walsh(f)
     alphas = _sampled_alphas(f, name)
     for lo, hi in vbf._stacks(len(alphas), 1 << (2 * n)):
         _assert_columns_match_one_side(f, w, alphas[lo:hi])
@@ -1262,7 +1284,7 @@ def test_side_moments_give_ddt_squares_and_purity(name):
     n = f.n
     k = n - 1
     alphas = _sampled_alphas(f, name)
-    _, s2 = trimming._side_moments(walsh(f).values, alphas, n)
+    _, s2 = trimming._side_moments(walsh(f), alphas, n)
     sides = [(alpha, side) for alpha in alphas for side in SIDES]
     assert s2.shape == (len(sides), 1 << n)
     pure = _pure(s2, n)
@@ -1282,7 +1304,7 @@ def test_mixed_stacks_of_an_x254_copy(monkeypatch):
     match the one-hyperplane kernels and the tables, also with room for a
     few rows v of the Walsh table per block."""
     f = random_ea_transform(_field_power(8, 254), random.Random(254))
-    w = walsh(f).values
+    w = walsh(f)
     alphas = [1, 0x5a, 0xff]
     _, s2 = trimming._side_moments(w, alphas, 8)
     assert _pure(s2, 8).reshape(-1, 2).sum(axis=1).tolist() == [1, 1, 1]
@@ -1302,7 +1324,7 @@ def test_stacked_kernels_chunked_path(monkeypatch):
     limit is lowered: vbf.walsh refuses a table above it."""
     inputs = [random_function(6, 6, random.Random(13)), _field_power(6, 7),
               _gold5_plus_cubic()]
-    ws = [walsh(f).values for f in inputs]
+    ws = [walsh(f) for f in inputs]
     alphas = (1, 2, 29)
     purity = [_pure(trimming._side_moments(w, alphas, f.n)[1], f.n).tolist()
               for f, w in zip(inputs, ws)]
