@@ -239,11 +239,12 @@ def _pair_counts(f: VBF) -> np.ndarray:
 
 
 def _restricted_ranks(pairs: np.ndarray, n: int) -> np.ndarray:
-    """half[alpha, v], half the rank of v.B on alpha-orthogonal, for every
-    alpha != 0 and v, 4^n int8 values (1 less in row 0, the whole space), in
-    blocks of rows as in _pair_counts; exact in int32: row alpha sums to 4^k."""
+    """half[h, v], half the rank of v.B on alpha-orthogonal, for the rows
+    pairs[h] = N(alpha, .) of _pair_counts and every v, int8 values (1 less
+    for alpha = 0, the whole space), in blocks of rows as in _pair_counts;
+    exact in int32: row alpha sums to 4^k."""
     half = np.empty(pairs.shape, dtype=np.int8)
-    for lo, hi in _row_chunks(0, 1 << n, 1 << (n + 8)):
+    for lo, hi in _row_chunks(0, pairs.shape[0], 1 << (n + 8)):
         t = _fwht(pairs[lo:hi].astype(np.int32))          # 2^(2k - rho); astype copies
         half[lo:hi] = n - 1 - (np.log2(t).astype(np.int8) >> 1)
     return half
@@ -289,14 +290,24 @@ def _quadratic_columns(f: VBF, alphas: np.ndarray, pairs: np.ndarray,
                                    k + 1)[:, 1:].reshape(impure.size, -1, k)
     j = np.arange(1, k + 1)
     ddt = _zeros_first(per_k * (size >> j), total)
-    # comps[h, beta - 1, r] = #{v != 0, v.beta = 0, rho = 2r on hyperplane
-    # h}, by one Hadamard transform; such a component has |Walsh| 2^(k - r)
-    # on 4^r points
-    onehot = half[alphas][:, None, :] == np.arange(k // 2 + 1)[:, None]
-    comps = _sums_over_orthogonal(onehot)[:, :, 1:].transpose(0, 2, 1)
+    comps = _component_ranks(half[alphas], k)[:, :, 1:].transpose(0, 2, 1)
+    return (np.append(0, 1 << j), ddt), _walsh_columns(comps, k)
+
+
+def _component_ranks(half: np.ndarray, k: int) -> np.ndarray:
+    """comps[h, r, beta] = #{v != 0 : v.beta = 0, half[h, v] = r}, the
+    components of trim beta of hyperplane h with rho = 2r, for every beta
+    at once by one Hadamard transform."""
+    return _sums_over_orthogonal(half[:, None, :] == np.arange(k // 2 + 1)[:, None])
+
+
+def _walsh_columns(comps: np.ndarray, k: int) -> Columns:
+    """(wvals, walsh): walsh[..., j] |Walsh| values equal to wvals[j] of the
+    k-bit trims with comps[..., r] components of rho = 2r; such a component
+    has |Walsh| 2^(k - r) on 4^r points."""
+    size = 1 << k
     r = np.arange(k // 2, -1, -1)
-    walsh = _zeros_first(comps[..., r] << 2 * r, total)
-    return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
+    return np.append(0, size >> r), _zeros_first(comps[..., r] << 2 * r, size * (size - 1))
 
 
 def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
@@ -335,16 +346,39 @@ def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
     return keys + twins
 
 
-def _quadratic_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
+def _quadratic_apn_trims(pairs: np.ndarray) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for a function of
-    degree <= 2, in ascending order, from _pair_counts. The affine side is
-    claimed only for n = 2: for n > 2 its APN trims have degree 2 and
-    repeat the signatures of their linear twins."""
-    pairs = _pair_counts(f)
-    for alpha in np.flatnonzero(pairs[:, 0] == 3 * (1 << (f.n - 1)) - 2).tolist():
+    degree <= 2, in ascending order, from its table _pair_counts. The
+    affine side is claimed only for n = 2: for n > 2 its APN trims have
+    degree 2 and repeat the signatures of their linear twins."""
+    size = pairs.shape[0]
+    for alpha in np.flatnonzero(pairs[:, 0] == 3 * (size >> 1) - 2).tolist():
         betas = np.flatnonzero(pairs[alpha] == 0).tolist()
-        for side in SIDES if f.n == 2 else ("linear",):
+        for side in SIDES if size == 4 else ("linear",):
             yield from ((alpha, side, beta) for beta in betas)
+
+
+def _quadratic_apn_keys(pairs: np.ndarray, trims: Sequence[tuple[int, str, int]],
+                        tabs: np.ndarray, n: int) -> list[bytes]:
+    """Keys of the claimed APN trims (alpha, "linear", beta) of a function
+    of degree <= 2 with n > 2, whose tables are tabs, off its table
+    _pair_counts: an APN trim has degree 2 and S1 / 2 DDT cells a != 0
+    equal to 0 and S1 / 2 equal to 2, and its |Walsh| columns come from
+    the restricted ranks of the claimed rows alpha, in stacks of them as
+    _spectrum_share stacks hyperplanes; the tables give only the ortho
+    spectra."""
+    k = n - 1
+    alpha, beta = (np.array([t[i] for t in trims]) for i in (0, 2))
+    alphas, row = np.unique(alpha, return_inverse=True)
+    comps = np.empty((len(trims), k // 2 + 1), dtype=np.int64)
+    for lo, hi in _stacks(alphas.size, 1 << (2 * n - 1)):
+        at = (lo <= row) & (row < hi)
+        half = _restricted_ranks(pairs[alphas[lo:hi]], n)
+        comps[at] = _component_ranks(half, k)[row[at] - lo, :, beta[at]]
+    s1 = (1 << k) * ((1 << k) - 1)
+    ddt = (np.array([0, 2]), np.full((len(trims), 2), s1 >> 1))
+    return signature_keys(k, np.full(len(trims), 2), ddt, _walsh_columns(comps, k),
+                          tabs.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +515,15 @@ def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
             yield from ((*h, beta) for beta in (np.flatnonzero(row) + 1).tolist())
 
 
-def _apn_claims(f: VBF) -> Iterator[tuple[int, str, int]]:
-    """The trims (alpha, side, beta) the kernel for f's degree claims APN."""
-    return (_quadratic_apn_trims if f.degree <= 2 else _general_apn_trims)(f)
+def _apn_claims(f: VBF) -> tuple[Iterator[tuple[int, str, int]], Optional[np.ndarray]]:
+    """(claims, pairs): the trims (alpha, side, beta) the kernel for f's
+    degree claims APN and, for f of degree <= 2 with n > 2, the table
+    _pair_counts they come from, off which _iter_apn_trims classifies them
+    (None otherwise: n = 2 has trims of degree <= 1)."""
+    if f.degree > 2:
+        return _general_apn_trims(f), None
+    pairs = _pair_counts(f)
+    return _quadratic_apn_trims(pairs), (pairs if f.n > 2 else None)
 
 
 def descriptor_count(n: int, quadratic_reduced: bool = False) -> int:
@@ -578,19 +618,27 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
     return TrimSpectrum(f.n, quadratic_reduced, dict(counts))
 
 
-def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]]
+def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]], pairs: Optional[np.ndarray]
                     ) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
     """The claimed APN trims (alpha, side, beta) ``trims`` in their order,
-    with tables and signatures, built and classified together; a claimed
-    trim whose table is not APN is an internal error."""
+    with tables and signatures: classified off the table pairs of
+    _apn_claims when there is one, by table otherwise. A claimed trim whose
+    table is not APN is an internal error; off pairs, the check on its
+    ortho-derivative in signature_keys finds it, which for a table of
+    degree <= 2 is the APN test."""
     if not trims:
         return
     k = f.n - 1
     tabs = _canonical_tables(f, trims)
-    sigs = signatures_of_tables(tabs, k)
-    bad = [t for t, sig in zip(trims, sigs) if not sig.apn]
-    if bad:
-        raise RuntimeError(f"kernel claims the trim {bad[0]} APN, but its table is not")
+    if pairs is None:
+        sigs = signatures_of_tables(tabs, k)
+        bad = [t for t, sig in zip(trims, sigs) if not sig.apn]
+        if bad:
+            raise RuntimeError(f"kernel claims the trim {bad[0]} APN, but its table is not")
+    else:
+        keys = _quadratic_apn_keys(pairs, trims, tabs, f.n)
+        memo = {key: signature_of_key(key) for key in set(keys)}
+        sigs = [memo[key] for key in keys]
     for (alpha, side, beta), tab, sig in zip(trims, tabs, sigs):
         yield TrimDescriptor.canonical(alpha, side, beta), VBF(k, k, tab), sig
 
@@ -599,7 +647,8 @@ def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:
     """Distinct APN trim signatures with one witness descriptor each."""
     check_trimmable(f)
     seen: dict[InvariantSignature, TrimDescriptor] = {}
-    for d, _, sig in _iter_apn_trims(f, list(_apn_claims(f))):
+    claims, pairs = _apn_claims(f)
+    for d, _, sig in _iter_apn_trims(f, list(claims), pairs):
         if sig not in seen:
             seen[sig] = d
     return [(d, s) for s, d in seen.items()]
@@ -623,8 +672,9 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
         if k == 2:
             return True
         # one hyperplane at a time, so the search stops at the first chain
-        hyperplanes = groupby(_apn_claims(g), key=lambda t: t[0])
-        trims = (t for _, claims in hyperplanes for t in _iter_apn_trims(g, list(claims)))
+        claims, pairs = _apn_claims(g)
+        hyperplanes = groupby(claims, key=lambda t: t[0])
+        trims = (t for _, group in hyperplanes for t in _iter_apn_trims(g, list(group), pairs))
         for _, t, sig in trims:
             if sig in failed[k - 1]:
                 continue

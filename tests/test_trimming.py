@@ -302,7 +302,7 @@ def test_recursive_witness_backtracks_past_a_dead_child(monkeypatch):
         if g.n == 6:
             descents.append(invariant_signature(g))
             if len(descents) == 1:
-                return iter(())
+                return iter(()), None
         return apn_claims(g)
 
     monkeypatch.setattr(trimming, "_apn_claims", first_child_dead_ends)
@@ -440,6 +440,11 @@ def _every_trim(f):
             for beta in range(1, top)]
 
 
+def _quadratic_claims(f):
+    """The trims the whole-space pass claims APN for f of degree <= 2."""
+    return list(trimming._quadratic_apn_trims(trimming._pair_counts(f)))
+
+
 def _iter_apn_trims_by_table(f, trims):
     """The APN trims among ``trims`` (alpha, side, beta), in their order,
     built and classified by table; with every trim claimed, the reference
@@ -460,12 +465,12 @@ def _apn_trims_and_witness_by_table(f, apn, monkeypatch):
     trims through the reference, or fast would be compared with fast."""
     seen = []
 
-    def reference(g, trims):
+    def reference(g, trims, pairs):
         seen.append(g.n)
         return _iter_apn_trims_by_table(g, trims)
 
     with monkeypatch.context() as m:
-        m.setattr(trimming, "_apn_claims", lambda g: iter(_every_trim(g)))
+        m.setattr(trimming, "_apn_claims", lambda g: (iter(_every_trim(g)), None))
         m.setattr(trimming, "_iter_apn_trims", reference)
         trims = apn_trims(f)
         assert seen and set(seen) == {f.n}
@@ -492,7 +497,7 @@ def test_quadratic_kernel_matches_tables_where_trims_are_apn(name):
     every trim classified by table, on every hyperplane of T8_1 that holds
     APN trims (3 of 128 each) and on a few of gold7's (1 each)."""
     f = catalog.fixture(name)
-    alphas = sorted({alpha for alpha, _, _ in trimming._quadratic_apn_trims(f)})
+    alphas = sorted({alpha for alpha, _, _ in _quadratic_claims(f)})
     if name == "T8_1":
         assert len(alphas) == 3
     else:
@@ -601,6 +606,51 @@ def test_quadratic_trim_spectrum_matches_tables(name, by_table):
     _assert_spectrum_table_work(by_table, want["linear"])
 
 
+def _classified_by_table(g, trims, pairs):
+    """trimming._iter_apn_trims with the claims classified by table, the
+    path of degree > 2 input: the reference for classifying off pairs."""
+    if not trims:
+        return
+    k = g.n - 1
+    tabs = trimming._canonical_tables(g, trims)
+    for t, tab, sig in zip(trims, tabs, signatures_of_tables(tabs, k)):
+        assert sig.apn
+        yield TrimDescriptor.canonical(*t), VBF(k, k, tab), sig
+
+
+APN_TRIM_INPUTS = {
+    **{f"{name} copy": (lambda name: lambda: random_ea_transform(
+        catalog.fixture(name), random.Random(name)))(name)
+       for name in ["gold5", "gold7", "T6", "G1", "G2", "G3", "G4", "appendixA_R", "T8_1"]},
+    "x^3 over F_2^9": lambda: VBF.from_univariate(gf2.default_field(9), [(1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", APN_TRIM_INPUTS)
+def test_quadratic_apn_trims_match_the_table_path(name, monkeypatch):
+    """Claims classified off the pair counts give what the table path gives
+    them: for each signature its first descriptor in claim order, and for
+    the APN inputs with n <= 7 the same recursive chain."""
+    f = APN_TRIM_INPUTS[name]()
+    assert f.degree == 2
+    fast = apn_trims(f)
+    witness = f.n <= 7 and is_apn(f)
+    fast_chain = recursive_witness(f) if witness else None
+    monkeypatch.setattr(trimming, "_iter_apn_trims", _classified_by_table)
+    assert fast == apn_trims(f)
+    if witness:
+        assert fast_chain == recursive_witness(f)
+
+
+def test_quadratic_apn_trims_take_one_ddt_histogram_per_trim(by_table):
+    """A gold7 copy's 127 APN trims are built as tables once, and only their
+    ortho-derivatives go through the DDT histogram."""
+    f = random_ea_transform(catalog.fixture("gold7"), random.Random(7))
+    by_table.clear()
+    assert len(apn_trims(f)) == 1
+    assert by_table == {"trims": 127, "ddt": 127}
+
+
 @pytest.mark.parametrize("name", QUADRATIC_INPUTS)
 def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatch):
     f = _quadratic_input(name)
@@ -615,10 +665,12 @@ def test_quadratic_apn_trims_and_witness_match_tables(name, by_table, monkeypatc
 
 def test_quadratic_kernel_disagreement_is_an_internal_error(monkeypatch):
     f = catalog.gold(5)
-    monkeypatch.setattr(trimming, "_quadratic_apn_trims", lambda g: (
-        t for t in _every_trim(g) if t[1] == "linear"))
+    monkeypatch.setattr(trimming, "_quadratic_apn_trims", lambda pairs: (
+        t for t in _every_trim(f) if t[1] == "linear"))
     with pytest.raises(RuntimeError):
         apn_trims(f)
+    with pytest.raises(RuntimeError):
+        recursive_witness(f)
     monkeypatch.undo()
 
     quadratic_columns = trimming._quadratic_columns
@@ -671,7 +723,7 @@ def test_quadratic_claims_match_tables_on_every_hyperplane(name):
     sides = SIDES if n == 2 else ("linear",)
     want = sorted(((alpha, side, beta) for alpha, beta in apn["linear"] for side in sides),
                   key=lambda t: (t[0], SIDES.index(t[1]), t[2]))
-    assert list(trimming._quadratic_apn_trims(f)) == want
+    assert _quadratic_claims(f) == want
 
 
 def _apn_betas_of_hyperplane(f, alpha):
@@ -691,7 +743,7 @@ def test_quadratic_claims_match_the_per_hyperplane_criterion(name):
     want = [(alpha, "linear", beta) for alpha in range(1, 1 << f.n)
             for beta in _apn_betas_of_hyperplane(f, alpha)]
     assert want
-    assert list(trimming._quadratic_apn_trims(f)) == want
+    assert _quadratic_claims(f) == want
 
 
 def test_quadratic_claims_chunked_path(monkeypatch):
@@ -699,7 +751,7 @@ def test_quadratic_claims_chunked_path(monkeypatch):
     the claims of one block."""
     inputs = [catalog.fixture("gold7"), catalog.fixture("G3"), catalog.t6(),
               random_quadratic(6, 6, random.Random(3))]
-    want = [list(trimming._quadratic_apn_trims(f)) for f in inputs]
+    want = [_quadratic_claims(f) for f in inputs]
     blocks = []
     row_chunks = trimming._row_chunks
 
@@ -710,7 +762,7 @@ def test_quadratic_claims_chunked_path(monkeypatch):
 
     monkeypatch.setattr(trimming, "_row_chunks", recording)
     monkeypatch.setattr(vbf, "_BATCH_CELL_LIMIT", 3 << 15)
-    assert [list(trimming._quadratic_apn_trims(f)) for f in inputs] == want
+    assert [_quadratic_claims(f) for f in inputs] == want
     assert max(blocks) == 6 and set(blocks) >= {2, 3, 4}
 
 
@@ -739,7 +791,7 @@ def test_quadratic_claims_peak_rss_at_11_bits():
         from apnkit import trimming
         from apnkit.vbf import random_quadratic
         f = random_quadratic(11, 11, random.Random(11))
-        run = lambda: list(trimming._quadratic_apn_trims(f))
+        run = lambda: list(trimming._quadratic_apn_trims(trimming._pair_counts(f)))
     """) < 48
 
 
@@ -747,17 +799,17 @@ def test_recursive_witness_takes_one_claim_pass_per_node(monkeypatch):
     """Each node of the search gets its claims from one whole-space pass,
     and its trims are classified one hyperplane at a time."""
     passes, hyperplanes = Counter(), []
-    claims, iter_apn_trims = trimming._quadratic_apn_trims, trimming._iter_apn_trims
+    pair_counts, iter_apn_trims = trimming._pair_counts, trimming._iter_apn_trims
 
     def counting_claims(g):
         passes[g.table.tobytes()] += 1
-        return claims(g)
+        return pair_counts(g)
 
-    def recording(g, trims):
+    def recording(g, trims, pairs):
         hyperplanes.append({t[0] for t in trims})
-        return iter_apn_trims(g, trims)
+        return iter_apn_trims(g, trims, pairs)
 
-    monkeypatch.setattr(trimming, "_quadratic_apn_trims", counting_claims)
+    monkeypatch.setattr(trimming, "_pair_counts", counting_claims)
     monkeypatch.setattr(trimming, "_iter_apn_trims", recording)
     chain = recursive_witness(random_ea_transform(catalog.fixture("gold7"), random.Random(7)))
     assert [g.n for g in chain] == [7, 6, 5, 4, 3, 2]
