@@ -111,8 +111,7 @@ def cmd_r_extend(args) -> int:
     rng = random.Random(args.seed)
     stats: dict = {}
     t = extension.r_extension_search(
-        g, rng=rng, budget=args.budget, max_restarts=args.restarts,
-        checkpoint_path=args.checkpoint, g_id=args.input, stats=stats)
+        g, rng=rng, budget=args.budget, max_restarts=args.restarts, stats=stats)
     found = 0 if t is None else 1
     print(f"found={found} nodes={stats['nodes']} restarts={stats['restarts']} seed={args.seed}")
     if t is not None:
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     re_.add_argument("--seed", type=int, default=0)
     re_.add_argument("--budget", type=int, default=10_000_000)
     re_.add_argument("--restarts", type=int, default=None)
-    re_.add_argument("--checkpoint")
     re_.add_argument("--output", "-o")
     re_.set_defaults(fn=cmd_r_extend)
 

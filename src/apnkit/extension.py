@@ -12,7 +12,6 @@ general r case.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -129,10 +128,6 @@ class GammaSpace:
 
     def __contains__(self, lin: GF2Matrix) -> bool:
         return vec_from_matrix(lin) in self.space
-
-    def matrices(self) -> Iterator[GF2Matrix]:
-        for v in self.space:
-            yield matrix_from_vec(v, self.n)
 
 
 def gamma_space(g: VBF, ell: int) -> GammaSpace:
@@ -295,10 +290,10 @@ class _BudgetExhausted(Exception):
 
 
 def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: Optional[int],
-                  sink: Optional[list]) -> tuple[Optional[tuple], int, list[int]]:
+                  sink: Optional[list]) -> tuple[Optional[tuple], int]:
     """Depth-first construction of M = (L, l) by basis images from out0, the
     int32 table of H = (G(x), r(x)) with r(x) as bit n; returns (first
-    solution or None, nodes used, assignment at stop). With a ``sink`` list,
+    solution or None, nodes used). With a ``sink`` list,
     every solution is appended to it and the search runs on to the end.
 
     For an APN G, T(x, y) = H(x) + y M(x) is APN iff M(a) is outside the
@@ -358,10 +353,9 @@ def _search_one_r(out0: np.ndarray, n: int, budget: int, mask: int, fixed_ell: O
         return None
 
     try:
-        found = dfs(0)
+        return dfs(0), nodes
     except _BudgetExhausted:
-        return None, nodes, list(imgs)
-    return found, nodes, list(imgs)
+        return None, nodes
 
 
 def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
@@ -370,8 +364,6 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
                        max_restarts: Optional[int] = None,
                        fixed_ell: Optional[int] = None,
                        find_all: bool = False,
-                       checkpoint_path: Optional[str] = None,
-                       g_id: str = "G",
                        stats: Optional[dict] = None):
     """Search for an (n+1)-bit quadratic APN extension of g.
 
@@ -382,7 +374,10 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
     the whole space, that is exactly the APN condition on the extension.
     Aborting at the node budget returns None.
     With ``find_all``, every (L, ell) for the (then mandatory) fixed r goes
-    to a sink list, and that list is returned instead.
+    to a sink list, and that list is returned instead. A ``find_all`` run
+    cut at the budget returns the solutions found so far, a prefix of the
+    full list in the same order; ``stats["nodes"]`` reaching the budget
+    marks the cut (or a search that ended on its last node).
     """
     _require_quadratic_apn(g, "r_extension_search")
     n = g.n
@@ -408,13 +403,10 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
         r_cur = r if r is not None else sample_quadratic_r(g, rng)
         mask = rng.getrandbits(n + 1)
         out0 = g_out | (r_cur.table.astype(np.int32) << n)
-        found, used, partial = _search_one_r(
+        found, used = _search_one_r(
             out0, n, budget - nodes_total, mask, fixed_ell, solutions)
         nodes_total += used
         restarts += 1
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, g_id, r_cur, partial,
-                              nodes_total)
         if found is not None:
             lin, ell = found
             result = build_extension(g, r_cur, lin, ell)
@@ -427,12 +419,3 @@ def r_extension_search(g: VBF, *, r: Optional[VBF] = None,
         return solutions
     return result
 
-
-def _write_checkpoint(path: str, g_id: str, r_cur: VBF,
-                      assignment: list[int], nodes: int) -> None:
-    # bit u of the packed ANF is the coefficient of the monomial u
-    packed = gf2._transpose(_mobius(r_cur.table).tolist(), 1)[0]
-    rec = {"g_id": g_id, "r_anf": f"{packed:x}",
-           "assignment": assignment, "nodes": nodes}
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec) + "\n")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -376,17 +376,6 @@ class AffineSolutionSpace:
     @property
     def size(self) -> int:
         return 0 if self.empty else 1 << len(self.basis)
-
-    def __iter__(self) -> Iterator[int]:
-        """The points in span order, 2^16 at a time: the span of the first
-        16 basis words, offset by each point of the space of the rest."""
-        if self.empty:
-            return
-        low = span(np.array(self.basis[:16], dtype=object)).tolist()
-        offsets = (AffineSolutionSpace(self.particular, self.basis[16:])
-                   if len(self.basis) > 16 else (self.particular,))
-        for offset in offsets:
-            yield from (offset ^ s for s in low)
 
     def __contains__(self, x: int) -> bool:
         return not self.empty and not extend_basis(self.basis, [x ^ self.particular])

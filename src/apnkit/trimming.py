@@ -619,9 +619,9 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
 
 
 def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]], pairs: Optional[np.ndarray]
-                    ) -> Iterator[tuple[TrimDescriptor, VBF, InvariantSignature]]:
+                    ) -> Iterator[tuple[TrimDescriptor, np.ndarray, InvariantSignature]]:
     """The claimed APN trims (alpha, side, beta) ``trims`` in their order,
-    with tables and signatures: classified off the table pairs of
+    with table rows and signatures: classified off the table pairs of
     _apn_claims when there is one, by table otherwise. A claimed trim whose
     table is not APN is an internal error; off pairs, the check on its
     ortho-derivative in signature_keys finds it, which for a table of
@@ -640,7 +640,7 @@ def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]], pairs: Option
         memo = {key: signature_of_key(key) for key in set(keys)}
         sigs = [memo[key] for key in keys]
     for (alpha, side, beta), tab, sig in zip(trims, tabs, sigs):
-        yield TrimDescriptor.canonical(alpha, side, beta), VBF(k, k, tab), sig
+        yield TrimDescriptor.canonical(alpha, side, beta), tab, sig
 
 
 def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:
@@ -675,9 +675,10 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
         claims, pairs = _apn_claims(g)
         hyperplanes = groupby(claims, key=lambda t: t[0])
         trims = (t for _, group in hyperplanes for t in _iter_apn_trims(g, list(group), pairs))
-        for _, t, sig in trims:
+        for _, tab, sig in trims:
             if sig in failed[k - 1]:
                 continue
+            t = VBF(k - 1, k - 1, tab)
             chain.append(t)
             if descend(t):
                 return True

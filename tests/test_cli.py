@@ -281,6 +281,14 @@ def test_r_extend_rejects_negative_budget_or_restarts(capsys):
         assert "must be at least 0" in err and "Traceback" not in err
 
 
+def test_r_extend_has_no_checkpoint_flag(capsys, tmp_path):
+    path = tmp_path / "ckpt.jsonl"
+    code, out, err = run(capsys, "r-extend", "fixture:gold5", "--checkpoint", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "unrecognized arguments" in err
+    assert "Traceback" not in err and not path.exists()
+
+
 def test_convert_without_input_is_a_usage_error(capsys):
     code, out, err = run(capsys, "convert")
     assert code == 1 and out == ""

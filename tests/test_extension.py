@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import random
 
 import numpy as np
@@ -95,6 +94,13 @@ def test_zero_ext_agrees_with_direct_ddt():
             is_apn(build_extension(g, None, lin, ell))
 
 
+def _gamma_members(gs, k=None):
+    """The matrices of a Gamma space: the particular solution offset by the
+    span of its kernel basis, or of the first k words of it."""
+    combos = gf2.span(np.array(gs.space.basis[:k], dtype=object)).tolist()
+    return [matrix_from_vec(gs.space.particular ^ c, gs.n) for c in combos]
+
+
 def test_gamma_space_system_shape_and_layout():
     g = catalog.gold(5)
     tr = gf2.trace_form(default_field(5))
@@ -106,7 +112,7 @@ def test_gamma_space_system_shape_and_layout():
     assert matrix_from_vec(vec_from_matrix(m), 5) == m
     # solutions satisfy the defining condition
     pi = ortho_derivative(g).table
-    for lin in list(gs.matrices())[:64]:
+    for lin in _gamma_members(gs, 6):
         for a in range(1, 32):
             if inner_product(tr, a) == 0:
                 assert inner_product(int(pi[a]), lin.mul_vec(a)) == 1
@@ -169,7 +175,7 @@ def test_rank_of_valid_l_is_n_or_n_minus_1():
     tr = gf2.trace_form(default_field(5))
     gs = gamma_space(g, tr)
     rng = random.Random(3)
-    members = list(gs.matrices())
+    members = _gamma_members(gs)
     for lin in rng.sample(members, 50):
         assert rank(lin) in (4, 5)
 
@@ -440,19 +446,6 @@ def test_search_rejects_negative_budget_or_restarts():
     assert stats == {"nodes": 0, "restarts": 0}
 
 
-def test_search_checkpoint_records(tmp_path):
-    g = catalog.gold(5)
-    path = tmp_path / "ckpt.jsonl"
-    r_extension_search(g, rng=random.Random(1), budget=200_000,
-                       checkpoint_path=str(path), g_id="gold5")
-    lines = path.read_text().strip().splitlines()
-    assert lines
-    rec = json.loads(lines[-1])
-    assert rec["g_id"] == "gold5"
-    assert set(rec) == {"g_id", "r_anf", "assignment", "nodes"}
-    int(rec["r_anf"], 16)
-
-
 def test_search_requires_quadratic_apn():
     with pytest.raises(ValueError):
         r_extension_search(VBF.identity(5))
@@ -562,10 +555,9 @@ def _search_one_r_by_sets(out0, n, budget, mask, fixed_ell, sink):
         return None
 
     try:
-        found = dfs(0)
+        return dfs(0), nodes
     except _Exhausted:
-        return None, nodes, list(imgs)
-    return found, nodes, list(imgs)
+        return None, nodes
 
 
 _DFS_INPUTS = ["gold3", "gold4", "gold5", "gold6", "gold7", "G1", "G1-ea"]
@@ -591,9 +583,9 @@ def _dfs_cases(g, seeds):
 def _dfs_outcome(search, g, r, mask, fixed_ell, budget, find_all=False):
     sink = [] if find_all else None
     out0 = g.table.astype(np.int32) | (r.table.astype(np.int32) << g.n)
-    found, nodes, partial = search(out0, g.n, budget, mask, fixed_ell, sink)
+    found, nodes = search(out0, g.n, budget, mask, fixed_ell, sink)
     found = None if found is None else (found[0].rows, found[1])
-    return found, nodes, partial, [(lin.rows, ell) for lin, ell in sink or []]
+    return found, nodes, [(lin.rows, ell) for lin, ell in sink or []]
 
 
 def _is_solution(g, r, found):
@@ -603,15 +595,15 @@ def _is_solution(g, r, found):
 
 # The exact criterion prunes at least as much as the span-wise test of the
 # reference at every level and keeps every complete solution, so both walk
-# the same leaves in the same order; only the node counts (and the
-# assignment where a budget cuts a search) may differ, never upwards.
+# the same leaves in the same order; only the node counts may differ,
+# never upwards.
 
 @pytest.mark.parametrize("name", _DFS_INPUTS)
 def test_dfs_matches_set_search(name):
     for case in _dfs_cases(_dfs_input(name), range(3)):
         for budget in (1_500, 37):
-            found, nodes, _, _ = _dfs_outcome(extension._search_one_r, *case, budget)
-            ref, ref_nodes, _, _ = _dfs_outcome(_search_one_r_by_sets, *case, budget)
+            found, nodes, _ = _dfs_outcome(extension._search_one_r, *case, budget)
+            ref, ref_nodes, _ = _dfs_outcome(_search_one_r_by_sets, *case, budget)
             assert nodes <= budget
             if ref is not None:
                 assert found == ref and nodes <= ref_nodes, (name, case[2:], budget)
@@ -622,10 +614,10 @@ def test_dfs_matches_set_search(name):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_dfs_find_all_matches_set_search(n):
     for case in _dfs_cases(catalog.gold(n), range(2)):
-        _, nodes, _, sols = _dfs_outcome(extension._search_one_r, *case, 20_000,
-                                         find_all=True)
-        _, ref_nodes, _, ref_sols = _dfs_outcome(_search_one_r_by_sets, *case, 20_000,
-                                                 find_all=True)
+        _, nodes, sols = _dfs_outcome(extension._search_one_r, *case, 20_000,
+                                      find_all=True)
+        _, ref_nodes, ref_sols = _dfs_outcome(_search_one_r_by_sets, *case, 20_000,
+                                              find_all=True)
         assert nodes <= ref_nodes, (n, case[2:])
         if ref_nodes < 20_000:
             assert sols == ref_sols, (n, case[2:])
@@ -634,42 +626,69 @@ def test_dfs_find_all_matches_set_search(n):
             assert sols[:len(ref_sols)] == ref_sols, (n, case[2:])
 
 
-def _whole_searches(tmp_path, tag):
-    """Output, stats, budget and checkpoint records of whole
-    r_extension_search runs."""
+def _whole_searches(search, monkeypatch):
+    """Output, stats, budget and, for each restart, (H table, mask, nodes)
+    of whole r_extension_search runs with ``search`` as _search_one_r."""
     g1, g5, g3 = catalog.fixture("G1"), catalog.gold(5), catalog.gold(3)
     runs = [(g5, dict(rng=random.Random(s))) for s in (3, 14)]
     runs += [(g1, dict(rng=random.Random(s), budget=1_000)) for s in (0, 3)]
     runs += [(g5, dict(rng=random.Random(4), budget=20_000, fixed_ell=9)),
              (g3, dict(r=sample_quadratic_r(g3, random.Random(1)), find_all=True))]
+    restarts = []
+
+    def recording(out0, n, budget, mask, fixed_ell, sink):
+        found, nodes = search(out0, n, budget, mask, fixed_ell, sink)
+        restarts.append((out0.tolist(), mask, nodes))
+        return found, nodes
+
+    monkeypatch.setattr(extension, "_search_one_r", recording)
     outs = []
-    for i, (g, kw) in enumerate(runs):
-        path = tmp_path / f"{tag}{i}.jsonl"
+    for g, kw in runs:
+        restarts.clear()
         stats = {}
-        out = r_extension_search(g, checkpoint_path=str(path), stats=stats, **kw)
+        out = r_extension_search(g, stats=stats, **kw)
         if isinstance(out, list):
             out = [(lin.rows, ell) for lin, ell in out]
         elif out is not None:
             out = out.table.tolist()
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        outs.append((out, stats, kw.get("budget", 10_000_000), records))
+        outs.append((out, stats, kw.get("budget", 10_000_000), list(restarts)))
     return outs
 
 
-def test_r_extension_search_matches_set_search(tmp_path, monkeypatch):
-    fast = _whole_searches(tmp_path, "fast")
-    monkeypatch.setattr(extension, "_search_one_r", _search_one_r_by_sets)
-    slow = _whole_searches(tmp_path, "slow")
-    for (out, stats, _, recs), (ref, ref_stats, budget, ref_recs) in zip(fast, slow):
+def test_r_extension_search_matches_set_search(monkeypatch):
+    fast = _whole_searches(extension._search_one_r, monkeypatch)
+    slow = _whole_searches(_search_one_r_by_sets, monkeypatch)
+    for (out, stats, _, recs), (ref, ref_stats, _, ref_recs) in zip(fast, slow):
         assert (out, stats["restarts"]) == (ref, ref_stats["restarts"])
         assert stats["nodes"] <= ref_stats["nodes"] and len(recs) == len(ref_recs)
-        for rec, ref_rec in zip(recs, ref_recs):
-            assert rec["nodes"] <= ref_rec["nodes"]
-            same = ("g_id", "r_anf") if ref_rec["nodes"] == budget else \
-                ("g_id", "r_anf", "assignment")
-            assert [rec[k] for k in same] == [ref_rec[k] for k in same]
+        nodes = ref_nodes = 0
+        for (h, mask, used), (ref_h, ref_mask, ref_used) in zip(recs, ref_recs):
+            # the same r and mask on every restart, and no more nodes so far
+            assert (h, mask) == (ref_h, ref_mask)
+            nodes, ref_nodes = nodes + used, ref_nodes + ref_used
+            assert nodes <= ref_nodes
     assert any(out is not None for out, _, _, _ in fast)
     assert any(ref_stats["nodes"] == budget for _, ref_stats, budget, _ in slow)
+
+
+def test_find_all_cut_by_the_budget_returns_a_prefix():
+    """A find_all run cut at the node budget returns the solutions found so
+    far, in the order of the uncut run, with stats["nodes"] at the budget."""
+    g = catalog.gold(4)
+    r = sample_quadratic_r(g, random.Random(0))
+    stats = {}
+    full = r_extension_search(g, r=r, rng=random.Random(0), find_all=True, stats=stats)
+    total = stats["nodes"]
+    assert len(full) > 1 and total < 10_000_000
+    lengths = []
+    for budget in (total // 3, total // 2, total - 1):
+        cut = r_extension_search(g, r=r, rng=random.Random(0), find_all=True,
+                                 budget=budget, stats=stats)
+        assert stats["nodes"] == budget
+        assert cut == full[:len(cut)], budget
+        lengths.append(len(cut))
+    # the last nodes of the uncut run try failing candidates after its last leaf
+    assert 0 < lengths[0] < lengths[1] < len(full) == lengths[2]
 
 
 def _zero_extensions_by_public_gamma_space(g):

@@ -456,7 +456,7 @@ def _iter_apn_trims_by_table(f, trims):
                              [d.beta for d in ds], [d.gamma for d in ds])
     apn = [i for i, t in enumerate(tabs) if is_apn(VBF(n - 1, n - 1, t))]
     for i, sig in zip(apn, signatures_of_tables(tabs[apn], n - 1)):
-        yield ds[i], VBF(n - 1, n - 1, tabs[i]), sig
+        yield ds[i], tabs[i], sig
 
 
 def _apn_trims_and_witness_by_table(f, apn, monkeypatch):
@@ -615,7 +615,7 @@ def _classified_by_table(g, trims, pairs):
     tabs = trimming._canonical_tables(g, trims)
     for t, tab, sig in zip(trims, tabs, signatures_of_tables(tabs, k)):
         assert sig.apn
-        yield TrimDescriptor.canonical(*t), VBF(k, k, tab), sig
+        yield TrimDescriptor.canonical(*t), tab, sig
 
 
 APN_TRIM_INPUTS = {
@@ -640,6 +640,24 @@ def test_quadratic_apn_trims_match_the_table_path(name, monkeypatch):
     assert fast == apn_trims(f)
     if witness:
         assert fast_chain == recursive_witness(f)
+
+
+def test_apn_trims_build_a_vbf_only_for_a_descent(monkeypatch):
+    """apn_trims of a gold7 copy wraps none of its 127 claimed trims in a
+    VBF, and recursive_witness wraps one trim per link of the chain."""
+    built = []
+
+    class CountingVBF(VBF):
+        def __init__(self, n, m, table):
+            built.append(n)
+            super().__init__(n, m, table)
+
+    monkeypatch.setattr(trimming, "VBF", CountingVBF)
+    f = random_ea_transform(catalog.fixture("gold7"), random.Random(7))
+    assert len(apn_trims(f)) == 1 and built == []
+    chain = recursive_witness(f)
+    assert [g.n for g in chain] == [7, 6, 5, 4, 3, 2]
+    assert built == [6, 5, 4, 3, 2]
 
 
 def test_quadratic_apn_trims_take_one_ddt_histogram_per_trim(by_table):
