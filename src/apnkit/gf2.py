@@ -471,18 +471,19 @@ def _gauss_jordan(aug: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     unused = np.ones((nsys, nrows), dtype=bool)
     pivot_row = np.full((nsys, ncols), -1)
     for col in range(ncols):
-        has = ((aug[:, :, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
+        has = (aug[:, :, col >> 6] & np.uint64(1 << (col & 63))) != 0
         cand = has & unused
         row = cand.argmax(axis=1)
         found = cand[systems, row]
         if not found.any():
             continue
-        # systems without a pivot here leave their rows alone
-        has &= found[:, None]
+        # a system without a pivot here adds a zero word to its rows
+        pivot = aug[systems, row]
+        pivot[~found] = 0
         has[systems, row] = False
-        aug ^= np.where(has[:, :, None], aug[systems, row][:, None, :], np.uint64(0))
-        unused[systems[found], row[found]] = False
-        pivot_row[found, col] = row[found]
+        aug ^= pivot[:, None, :] * has[:, :, None]
+        unused[systems, row] &= ~found
+        pivot_row[:, col] = np.where(found, row, -1)
     return pivot_row, unused
 
 

@@ -41,29 +41,77 @@ def _ortho_cached(g: VBF) -> VBF:
     return VBF(g.n, g.n, _ortho_derivatives(g.table[None, :], g.n)[0])
 
 
+def _derivative_columns(tabs: np.ndarray, k: int) -> np.ndarray:
+    """cols[t, a, i], bit j of which is bit i of B_a(e_j), for every table t
+    of a stack of k-bit tables of degree <= 2 (shape (B, 2^k)) and every
+    point a. B_a(x) is linear in a as well, so cols[t, a] is the XOR of
+    cols[t, e_s] over the bits s of a: only the k^2 words B_{e_s}(e_j) of
+    a table are looked up."""
+    B, size = tabs.shape
+    e = 1 << np.arange(k)
+    # w[t, s, j] = B_{e_s}(e_j) of table t
+    w = vbf_mod.derivative(tabs, (size * np.arange(B))[:, None, None] + e[:, None], e)
+    shifts = np.arange(k, dtype=np.uint16)
+    basis = ((w[:, None] >> shifts[:, None, None]) & 1) @ (1 << shifts)
+    return gf2.span(basis).transpose(0, 2, 1)
+
+
+def _orthogonal(cols: np.ndarray) -> np.ndarray:
+    """orth[r, v], 1 when v is orthogonal to the image of B_a and 0 if not,
+    uint8, for rows cols[r] = cols[t, a] of _derivative_columns: the XOR of
+    cols[r, i] over the bits i of v packs the products <v, B_a(e_j)>. Row r
+    holds 2^(k - rank B_a) = |ker B_a| ones."""
+    return (gf2.span(cols) == 0).view(np.uint8)
+
+
 def _ortho_derivatives(tabs: np.ndarray, k: int) -> np.ndarray:
     """The ortho-derivatives of a stack of k-bit quadratic APN tables (shape
     (B, 2^k)), one row each, computed in chunks of rows (table, a != 0)
     under _BATCH_CELL_LIMIT."""
     B, size = tabs.shape
-    shifts = np.arange(k, dtype=np.uint16)
-    pi = np.zeros(B * size, dtype=np.uint16)
-    for lo, hi in vbf_mod._row_chunks(0, B * (size - 1), size + k * k):
-        # the chunk's rows (table t, a != 0), as indices into the flat stack
-        t, a = np.divmod(np.arange(lo, hi), size - 1)
-        rows = t * size + a + 1
-        # b[r, j] = B_a(e_j) of table t
-        b = vbf_mod.derivative(tabs, rows[:, None], 1 << np.arange(k))
-        # cols[r, i] packs bit i of every b[r, j], so span[r, w], the XOR of
-        # cols[r, i] over the bits i of w, is 0 iff w is orthogonal to every
-        # b[r, j]: to the image of B_a
-        bits = (b[:, None, :] >> shifts[:, None]) & 1
-        cols = (bits << shifts).sum(axis=2, dtype=np.uint16)
-        normal = gf2.span(cols)[:, 1:] == 0
-        if (normal.sum(axis=1) != 1).any():
+    cols = _derivative_columns(tabs, k)[:, 1:].reshape(-1, k)      # rows (t, a != 0)
+    normals = np.empty(len(cols), dtype=np.uint16)
+    for lo, hi in vbf_mod._row_chunks(0, len(cols), size):
+        normal = _orthogonal(cols[lo:hi])[:, 1:]
+        if (normal.sum(axis=1, dtype=np.int32) != 1).any():
             raise ValueError("not APN: derivative images are not hyperplanes")
-        pi[rows] = np.argmax(normal, axis=1) + 1
-    return pi.reshape(B, size)
+        normals[lo:hi] = np.argmax(normal, axis=1) + 1
+    pi = np.zeros((B, size), dtype=np.uint16)
+    pi[:, 1:] = normals.reshape(B, size - 1)
+    return pi
+
+
+def _quadratic_hists(tabs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DDT and |Walsh| histograms of _diff_counts_batch and
+    _batch_walsh_hists for a stack of k-bit tables of degree <= 2, off the
+    ranks of their linearized derivatives, in chunks of rows (table, a)
+    under _BATCH_CELL_LIMIT:
+      - DDT row a holds 2^k / z cells equal to z = |ker B_a|, the rest 0;
+      - component v has |Walsh| 2^((k + d) / 2) on 2^(k - d) points, the
+        rest 0, where 2^d = #{a : v orthogonal to the image of B_a} is the
+        size of the radical of the alternating form v.B."""
+    B, size = tabs.shape
+    cols = _derivative_columns(tabs, k).reshape(B * size, k)
+    kernels = np.empty(B * size, dtype=np.int32)
+    radicals = np.zeros((B, size), dtype=np.int32)
+    # chunks of whole tables, or parts of one table that does not fit
+    for t0, t1 in vbf_mod._row_chunks(0, B, size * size):
+        for lo, hi in vbf_mod._row_chunks(t0 * size, t1 * size, size):
+            orth = _orthogonal(cols[lo:hi])
+            kernels[lo:hi] = orth.sum(axis=1, dtype=np.int32)
+            radicals[t0:t1] += orth.reshape(t1 - t0, -1, size).sum(axis=1, dtype=np.int32)
+    # cells of rows a != 0 equal to |ker B_a| = 2^j, and points of
+    # components v != 0 with d = j, for every j
+    j = np.arange(k + 1)
+    per_a, per_v = (vbf_mod._row_hists(np.bitwise_count(c[:, 1:] - 1), k + 1) * (size >> j)
+                    for c in (kernels.reshape(B, size), radicals))
+    ddt, walsh = (np.zeros((B, size + 1), dtype=np.int64) for _ in range(2))
+    ddt[:, 1 << j] = per_a
+    even = j[(k - j) % 2 == 0]      # k - d is the rank of v.B, even
+    walsh[:, 1 << (k + even) // 2] = per_v[:, even]
+    for hist in (ddt, walsh):
+        hist[:, 0] = size * (size - 1) - hist.sum(axis=1)
+    return ddt, walsh
 
 
 def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
@@ -174,14 +222,23 @@ def _columns(hists: np.ndarray) -> Columns:
 
 def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
     """Signatures for a batch of k-bit tables (shape (B, 2^k)), keyed in
-    stacks; each distinct key is decoded once."""
+    stacks; each distinct key is decoded once. The histograms of tables of
+    degree <= 2 come from _quadratic_hists, those of the others from the
+    DDT and Walsh tables."""
     keys = []
     for lo, hi in vbf_mod._stacks(tabs.shape[0], 1 << (2 * k)):
         stack = tabs[lo:hi]
-        keys += signature_keys(
-            k, vbf_mod._degree_of_tables(stack, k),
-            _columns(vbf_mod._diff_counts_batch(stack, k)),
-            _columns(_batch_walsh_hists(stack, k)), stack.__getitem__)
+        degrees = vbf_mod._degree_of_tables(stack, k)
+        ddt, walsh = (np.empty((stack.shape[0], (1 << k) + 1), dtype=np.int64)
+                      for _ in range(2))
+        quad, general = degrees <= 2, degrees > 2
+        if quad.any():
+            ddt[quad], walsh[quad] = _quadratic_hists(stack[quad], k)
+        if general.any():
+            ddt[general] = vbf_mod._diff_counts_batch(stack[general], k)
+            walsh[general] = _batch_walsh_hists(stack[general], k)
+        keys += signature_keys(k, degrees, _columns(ddt), _columns(walsh),
+                               stack.__getitem__)
     memo = {key: signature_of_key(key) for key in set(keys)}
     return [memo[key] for key in keys]
 

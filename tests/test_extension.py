@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from apnkit import catalog, extension, gf2, vbf
+from apnkit import catalog, extension, gf2, ortho, vbf
 from apnkit.cli import main
 from apnkit.extension import (
     ExtensionSpec, build_extension, canonical_form_check, derivative_matrix,
@@ -707,17 +707,50 @@ def _zero_extensions_by_public_gamma_space(g):
     return out
 
 
+def _no_ddt_apn_test(f):
+    raise AssertionError("the quadratic APN gate built a DDT")
+
+
 @pytest.mark.parametrize("name", ["gold5", "G1", "G2", "G3", "G4"])
 def test_zero_extensions_checks_g_once(name, monkeypatch):
+    """g goes through the ortho-derivative gate once and its ortho-derivative
+    is computed once; no DDT is built for it."""
     g = catalog.fixture(name)
     want = _zero_extensions_by_public_gamma_space(g)
     checked = []
-    real = extension.is_apn
-    monkeypatch.setattr(extension, "is_apn", lambda f: checked.append(f.n) or real(f))
+    real = extension._is_quadratic_apn
+    monkeypatch.setattr(extension, "_is_quadratic_apn",
+                        lambda f: checked.append(f.n) or real(f))
+    monkeypatch.setattr(extension, "is_apn", _no_ddt_apn_test)
+    ortho._ortho_cached.cache_clear()
     got = zero_extensions(g)
     assert [(t.table.tolist(), sig) for t, sig in got] == \
         [(t.table.tolist(), sig) for t, sig in want]
     assert checked.count(g.n) == 1
+    assert ortho._ortho_cached.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", ["gold5", "G1"])
+def test_zero_ext_apn_test_agrees_with_the_ddt_on_gamma_members(name, monkeypatch):
+    """Members of Gamma_{G, l} and matrices one bit away from them, which
+    are not members, against the DDT of the extension they build."""
+    g = catalog.fixture(name)
+    n = g.n
+    rng = random.Random(n)
+    ells = [ell for ell in range(1, 1 << n) if not gamma_space(g, ell).empty]
+    assert ells
+    cases = []
+    for ell in ells[:3] + [rng.randrange(1, 1 << n) for _ in range(3)]:
+        gs = gamma_space(g, ell)
+        members = [gf2.random_matrix(n, n, rng)] if gs.empty else _gamma_members(gs, 2)
+        for lin in members:
+            other = matrix_from_vec(vec_from_matrix(lin) ^ (1 << rng.randrange(n * n)), n)
+            cases += [(lin, ell, lin in gs), (other, ell, other in gs)]
+    assert {member for _, _, member in cases} == {True, False}
+    want = [is_apn(build_extension(g, None, lin, ell)) for lin, ell, _ in cases]
+    monkeypatch.setattr(extension, "is_apn", _no_ddt_apn_test)
+    got = [zero_ext_apn_test(g, lin, ell) for lin, ell, _ in cases]
+    assert got == want == [member for _, _, member in cases]
 
 
 def test_zero_extensions_raise_on_an_extension_that_is_not_apn(monkeypatch, capsys):

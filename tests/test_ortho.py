@@ -10,7 +10,7 @@ from apnkit.gf2 import default_field, inner_product
 from apnkit.ortho import gold_ortho, invariant_signature, ortho_derivative
 from apnkit.vbf import (
     VBF, affine_transform, derivative, is_apn, random_ea_transform,
-    random_quadratic,
+    random_function, random_quadratic,
 )
 
 
@@ -227,25 +227,109 @@ def test_stacked_ortho_derivatives_reject_a_non_apn_row():
         ortho._ortho_derivatives(tabs, 5)
 
 
+def _recording(monkeypatch, module, name, batches):
+    """Replace module.name by a wrapper that appends the number of tables
+    of every call to batches."""
+    real = getattr(module, name)
+
+    def recording(tabs, k):
+        batches.append(tabs.shape[0])
+        return real(tabs, k)
+
+    monkeypatch.setattr(module, name, recording)
+
+
 def test_signatures_of_tables_chunked_path(monkeypatch):
     """With room for 3 tables per stack (2^20 cells each at 6 bits), 8
-    tables go through the DDT histogram in batches of at most 3 and give
+    tables of degree > 2 go through the DDT histogram, and 8 quadratic
+    tables through the derivative ranks, in batches of at most 3, and give
     the same signatures."""
     rng = random.Random(22)
-    tabs = np.stack([random_ea_transform(catalog.t6(), rng).table for _ in range(4)]
-                    + [random_quadratic(6, 6, rng).table for _ in range(4)])
-    want = ortho.signatures_of_tables(tabs, 6)
-    batches = []
-    diff_counts = vbf_mod._diff_counts_batch
+    inverse = VBF.from_univariate(default_field(6), [(1, 62)])
+    general = np.stack([random_ea_transform(inverse, rng).table for _ in range(4)]
+                       + [random_function(6, 6, rng).table for _ in range(4)])
+    quadratic = np.stack([random_ea_transform(catalog.t6(), rng).table for _ in range(4)]
+                         + [random_quadratic(6, 6, rng).table for _ in range(4)])
+    assert (vbf_mod._degree_of_tables(general, 6) > 2).all()
+    assert (vbf_mod._degree_of_tables(quadratic, 6) == 2).all()
+    for tabs, module, name in ((general, vbf_mod, "_diff_counts_batch"),
+                               (quadratic, ortho, "_quadratic_hists")):
+        want = ortho.signatures_of_tables(tabs, 6)
+        batches = []
+        with monkeypatch.context() as patch:
+            _recording(patch, module, name, batches)
+            patch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 20)
+            assert ortho.signatures_of_tables(tabs, 6) == want
+        assert max(batches) == 3 and sum(batches) >= 8, name
 
-    def recording(t, m):
-        batches.append(t.shape[0])
-        return diff_counts(t, m)
 
-    monkeypatch.setattr(vbf_mod, "_diff_counts_batch", recording)
-    monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", 3 << 20)
+def _quadratic_hist_inputs():
+    """Tables of degree <= 2 by width: random quadratics on 2 .. 9 bits
+    (mostly not APN), affine and constant tables, EA-copies of x^3 (APN at
+    every width) and of the other quadratic APN fixtures, and x^3 on 9 bits
+    itself."""
+    rng = random.Random(32)
+    by_n = {n: [random_quadratic(n, n, rng) for _ in range(3)]
+            + [random_quadratic(n, n, rng, homogeneous=True),
+               VBF(n, n, np.array(gf2.random_matrix(n, n, rng).lut()) ^ rng.getrandbits(n)),
+               VBF.constant(n, n, rng.getrandbits(n)),
+               random_ea_transform(catalog.gold(n), rng)]
+            for n in range(2, 10)}
+    by_n[6].append(random_ea_transform(catalog.t6(), rng))
+    by_n[7] += [random_ea_transform(catalog.fixture(f"G{i}"), rng) for i in range(1, 5)]
+    by_n[8].append(random_ea_transform(catalog.t8(1), rng))
+    by_n[9].append(catalog.gold(9))
+    return by_n
+
+
+def _hists_by_oracle(f):
+    """The DDT histogram over rows a != 0 and the |Walsh| histogram over
+    beta != 0 from the dense tables vbf.ddt and vbf.walsh."""
+    size = 1 << f.n
+    return (np.bincount(vbf_mod.ddt(f)[1:].ravel(), minlength=size + 1),
+            np.bincount(np.abs(vbf_mod.walsh(f)[1:]).ravel(), minlength=size + 1))
+
+
+@pytest.mark.parametrize("limit", [None, 1 << 6, 5 << 10])
+def test_quadratic_hists_match_the_table_kernels_and_the_oracles(limit, monkeypatch):
+    """The histograms off the derivative ranks against _diff_counts_batch,
+    _batch_walsh_hists and the dense DDT and Walsh tables, for each table
+    alone and for the stack of one width, at the default limit and under
+    limits that cut chunks inside a table and across tables."""
+    by_n = _quadratic_hist_inputs()
+    kernels = {n: [(vbf_mod._diff_counts_batch(f.table[None, :], n)[0],
+                    vbf_mod._batch_walsh_hists(f.table[None, :], n)[0]) for f in funcs]
+               for n, funcs in by_n.items()}
+    if limit is not None:
+        monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", limit)
+    for n, funcs in by_n.items():
+        assert all(f.degree <= 2 for f in funcs)
+        ddt, walsh = ortho._quadratic_hists(np.stack([f.table for f in funcs]), n)
+        for i, f in enumerate(funcs):
+            one = ortho._quadratic_hists(f.table[None, :], n)
+            for got in ((ddt[i], walsh[i]), (one[0][0], one[1][0])):
+                assert (got[0] == kernels[n][i][0]).all() and (got[1] == kernels[n][i][1]).all()
+            if limit is None:
+                oracle = _hists_by_oracle(f)
+                assert (ddt[i] == oracle[0]).all() and (walsh[i] == oracle[1]).all()
+
+
+def test_signatures_take_quadratic_rows_off_the_ranks(monkeypatch):
+    """In a stack of mixed degrees, only the tables of degree > 2 reach the
+    DDT and Walsh tables (the ortho-derivatives of the quadratic APN ones
+    still do), and the signatures match those of each table alone."""
+    rng = random.Random(33)
+    inverse = VBF.from_univariate(default_field(6), [(1, 62)])
+    funcs = [random_ea_transform(catalog.t6(), rng), random_quadratic(6, 6, rng),
+             random_ea_transform(inverse, rng), VBF.constant(6, 6, 5)]
+    tabs = np.stack([f.table for f in funcs])
+    want = [invariant_signature(f) for f in funcs]
+    ddt_batches, quad_batches = [], []
+    _recording(monkeypatch, vbf_mod, "_diff_counts_batch", ddt_batches)
+    _recording(monkeypatch, ortho, "_quadratic_hists", quad_batches)
     assert ortho.signatures_of_tables(tabs, 6) == want
-    assert max(batches) == 3 and sum(batches) >= 8
+    # one general table, then one ortho-derivative; three quadratic tables
+    assert ddt_batches == [1, 1] and quad_batches == [3]
 
 
 def test_invariant_signature_memory_follows_the_cell_limit(monkeypatch):
