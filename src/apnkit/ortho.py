@@ -81,25 +81,32 @@ def _ortho_derivatives(tabs: np.ndarray, k: int) -> np.ndarray:
     return pi
 
 
-def _quadratic_hists(tabs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The DDT and |Walsh| histograms of _diff_counts_batch and
-    _batch_walsh_hists for a stack of k-bit tables of degree <= 2, off the
-    ranks of their linearized derivatives, in chunks of rows (table, a)
-    under _BATCH_CELL_LIMIT:
+def _quadratic_hists(tabs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ddt, walsh, pi): the DDT and |Walsh| histograms of _diff_counts_batch
+    and _batch_walsh_hists for a stack of k-bit tables of degree <= 2, off
+    the ranks of their linearized derivatives, and the ortho-derivative of
+    each table that is APN (rows of the others mean nothing), in chunks of
+    rows (table, a) under _BATCH_CELL_LIMIT:
       - DDT row a holds 2^k / z cells equal to z = |ker B_a|, the rest 0;
       - component v has |Walsh| 2^((k + d) / 2) on 2^(k - d) points, the
         rest 0, where 2^d = #{a : v orthogonal to the image of B_a} is the
-        size of the radical of the alternating form v.B."""
+        size of the radical of the alternating form v.B;
+      - for an APN table z = 2 at every a != 0, and pi(a) is the one v != 0
+        orthogonal to the image of B_a."""
     B, size = tabs.shape
     cols = _derivative_columns(tabs, k).reshape(B * size, k)
     kernels = np.empty(B * size, dtype=np.int32)
     radicals = np.zeros((B, size), dtype=np.int32)
+    pi = np.empty(B * size, dtype=np.uint16)
     # chunks of whole tables, or parts of one table that does not fit
     for t0, t1 in vbf_mod._row_chunks(0, B, size * size):
         for lo, hi in vbf_mod._row_chunks(t0 * size, t1 * size, size):
             orth = _orthogonal(cols[lo:hi])
             kernels[lo:hi] = orth.sum(axis=1, dtype=np.int32)
             radicals[t0:t1] += orth.reshape(t1 - t0, -1, size).sum(axis=1, dtype=np.int32)
+            pi[lo:hi] = np.argmax(orth[:, 1:], axis=1) + 1
+    pi = pi.reshape(B, size)
+    pi[:, 0] = 0
     # cells of rows a != 0 equal to |ker B_a| = 2^j, and points of
     # components v != 0 with d = j, for every j
     j = np.arange(k + 1)
@@ -111,7 +118,7 @@ def _quadratic_hists(tabs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     walsh[:, 1 << (k + even) // 2] = per_v[:, even]
     for hist in (ddt, walsh):
         hist[:, 0] = size * (size - 1) - hist.sum(axis=1)
-    return ddt, walsh
+    return ddt, walsh, pi
 
 
 def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
@@ -167,14 +174,15 @@ class InvariantSignature:
 
 
 def signature_keys(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
-                   tables: Optional[Callable[[np.ndarray], np.ndarray]]) -> list[bytes]:
+                   ortho_rows: Optional[Callable[[np.ndarray], np.ndarray]]) -> list[bytes]:
     """Keys of k-bit functions b = 0 .. B - 1 from their histogram columns:
     ddt = (values, counts) with counts[b, j] DDT cells a != 0 equal to
     values[j], walsh the same for |Walsh| values over beta != 0, both with
     ascending values, and degrees[b]. The ortho spectra of the rows that
-    are APN of degree 2 come from tables(rows), the tables of those rows,
-    taken in stacks (None when there are no such rows); a table that is not
-    quadratic APN there is an internal error.
+    are APN of degree 2 come from ortho_rows(rows), the ortho-derivatives
+    of those rows, taken in stacks (None when there are no such rows); a
+    ValueError there, a row that is not quadratic APN, is an internal
+    error.
 
     A key is the int64 words (degree, #ddt values, #walsh values, ddt
     values, walsh values, ddt counts, walsh counts), followed for a quadratic
@@ -191,7 +199,7 @@ def signature_keys(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
     quad = np.flatnonzero(~dcounts[:, dvals > 2].any(axis=1) & (degrees == 2))
     for lo, hi in vbf_mod._stacks(quad.size, 1 << (2 * k)):
         try:
-            pis = _ortho_derivatives(tables(quad[lo:hi]), k)
+            pis = ortho_rows(quad[lo:hi])
         except ValueError as exc:
             raise RuntimeError("a function classified as quadratic APN "
                                "has a table that is not") from exc
@@ -223,22 +231,23 @@ def _columns(hists: np.ndarray) -> Columns:
 def signatures_of_tables(tabs: np.ndarray, k: int) -> list[InvariantSignature]:
     """Signatures for a batch of k-bit tables (shape (B, 2^k)), keyed in
     stacks; each distinct key is decoded once. The histograms of tables of
-    degree <= 2 come from _quadratic_hists, those of the others from the
-    DDT and Walsh tables."""
+    degree <= 2, and the ortho-derivatives of the APN ones, come from
+    _quadratic_hists, the histograms of the others from the DDT and Walsh
+    tables."""
     keys = []
     for lo, hi in vbf_mod._stacks(tabs.shape[0], 1 << (2 * k)):
         stack = tabs[lo:hi]
         degrees = vbf_mod._degree_of_tables(stack, k)
         ddt, walsh = (np.empty((stack.shape[0], (1 << k) + 1), dtype=np.int64)
                       for _ in range(2))
+        pis = np.zeros(stack.shape, dtype=np.uint16)
         quad, general = degrees <= 2, degrees > 2
         if quad.any():
-            ddt[quad], walsh[quad] = _quadratic_hists(stack[quad], k)
+            ddt[quad], walsh[quad], pis[quad] = _quadratic_hists(stack[quad], k)
         if general.any():
             ddt[general] = vbf_mod._diff_counts_batch(stack[general], k)
             walsh[general] = _batch_walsh_hists(stack[general], k)
-        keys += signature_keys(k, degrees, _columns(ddt), _columns(walsh),
-                               stack.__getitem__)
+        keys += signature_keys(k, degrees, _columns(ddt), _columns(walsh), pis.__getitem__)
     memo = {key: signature_of_key(key) for key in set(keys)}
     return [memo[key] for key in keys]
 

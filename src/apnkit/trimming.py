@@ -14,10 +14,12 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import ortho
 from .gf2 import inner_product
 from .ortho import (Columns, InvariantSignature, invariant_signature,
                     signature_keys, signature_of_key, signatures_of_tables)
@@ -167,18 +169,19 @@ def _trim_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]], ddt: Columns,
     """Keys (ortho.signature_keys) of the trims (alpha, side, beta) for each
     (alpha, side) of ``hyperplanes`` and beta = 1 .. 2^n - 1, in that order,
     from a kernel's columns and degrees, row (h, beta - 1) each; only the
-    APN trims of degree 2 are built as tables, for their ortho spectra."""
+    APN trims of degree 2 are built as tables, for their ortho-derivatives."""
     per = (1 << f.n) - 1
     (dvals, dcounts), (wvals, wcounts) = ddt, walsh
 
-    def tables(rows: np.ndarray) -> np.ndarray:
+    def ortho_rows(rows: np.ndarray) -> np.ndarray:
         h, b = np.divmod(rows, per)
-        return _canonical_tables(f, [(*hyperplanes[i], j + 1)
+        tabs = _canonical_tables(f, [(*hyperplanes[i], j + 1)
                                      for i, j in zip(h.tolist(), b.tolist())])
+        return ortho._ortho_derivatives(tabs, f.n - 1)
 
     return signature_keys(f.n - 1, degrees.reshape(-1),
                           (dvals, dcounts.reshape(-1, dvals.size)),
-                          (wvals, wcounts.reshape(-1, wvals.size)), tables)
+                          (wvals, wcounts.reshape(-1, wvals.size)), ortho_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +293,13 @@ def _quadratic_columns(f: VBF, alphas: np.ndarray, pairs: np.ndarray,
                                    k + 1)[:, 1:].reshape(impure.size, -1, k)
     j = np.arange(1, k + 1)
     ddt = _zeros_first(per_k * (size >> j), total)
-    comps = _component_ranks(half[alphas], k)[:, :, 1:].transpose(0, 2, 1)
-    return (np.append(0, 1 << j), ddt), _walsh_columns(comps, k)
-
-
-def _component_ranks(half: np.ndarray, k: int) -> np.ndarray:
-    """comps[h, r, beta] = #{v != 0 : v.beta = 0, half[h, v] = r}, the
-    components of trim beta of hyperplane h with rho = 2r, for every beta
-    at once by one Hadamard transform."""
-    return _sums_over_orthogonal(half[:, None, :] == np.arange(k // 2 + 1)[:, None])
-
-
-def _walsh_columns(comps: np.ndarray, k: int) -> Columns:
-    """(wvals, walsh): walsh[..., j] |Walsh| values equal to wvals[j] of the
-    k-bit trims with comps[..., r] components of rho = 2r; such a component
-    has |Walsh| 2^(k - r) on 4^r points."""
-    size = 1 << k
+    # comps[h, i, beta - 1] = #{v != 0 : v.beta = 0, half[h, v] = r[i]}, the
+    # components of trim beta with rho = 2r, for every beta at once by one
+    # Hadamard transform; such a component has |Walsh| 2^(k - r) on 4^r points
     r = np.arange(k // 2, -1, -1)
-    return np.append(0, size >> r), _zeros_first(comps[..., r] << 2 * r, size * (size - 1))
+    comps = _sums_over_orthogonal(half[alphas][:, None, :] == r[:, None])[:, :, 1:]
+    walsh = _zeros_first(comps.transpose(0, 2, 1) << 2 * r, total)
+    return (np.append(0, 1 << j), ddt), (np.append(0, size >> r), walsh)
 
 
 def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
@@ -340,7 +332,7 @@ def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
     rows = np.flatnonzero(flat)
     low_keys = signature_keys(n - 1, degrees("affine").reshape(-1)[rows],
                               (dvals, ddt.reshape(-1, dvals.size)[rows]),
-                              (wvals, walsh.reshape(-1, wvals.size)[rows]), tables=None)
+                              (wvals, walsh.reshape(-1, wvals.size)[rows]), ortho_rows=None)
     for i, key in zip(rows.tolist(), low_keys):
         twins[i] = key
     return keys + twins
@@ -348,37 +340,17 @@ def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
 
 def _quadratic_apn_trims(pairs: np.ndarray) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for a function of
-    degree <= 2, in ascending order, from its table _pair_counts. The
-    affine side is claimed only for n = 2: for n > 2 its APN trims have
-    degree 2 and repeat the signatures of their linear twins."""
+    degree <= 2, in ascending order, from its table _pair_counts, read in
+    one gather. The affine side is claimed only for n = 2, after the linear
+    side of each alpha: for n > 2 its APN trims have degree 2 and repeat the
+    signatures of their linear twins."""
     size = pairs.shape[0]
-    for alpha in np.flatnonzero(pairs[:, 0] == 3 * (size >> 1) - 2).tolist():
-        betas = np.flatnonzero(pairs[alpha] == 0).tolist()
-        for side in SIDES if size == 4 else ("linear",):
-            yield from ((alpha, side, beta) for beta in betas)
-
-
-def _quadratic_apn_keys(pairs: np.ndarray, trims: Sequence[tuple[int, str, int]],
-                        tabs: np.ndarray, n: int) -> list[bytes]:
-    """Keys of the claimed APN trims (alpha, "linear", beta) of a function
-    of degree <= 2 with n > 2, whose tables are tabs, off its table
-    _pair_counts: an APN trim has degree 2 and S1 / 2 DDT cells a != 0
-    equal to 0 and S1 / 2 equal to 2, and its |Walsh| columns come from
-    the restricted ranks of the claimed rows alpha, in stacks of them as
-    _spectrum_share stacks hyperplanes; the tables give only the ortho
-    spectra."""
-    k = n - 1
-    alpha, beta = (np.array([t[i] for t in trims]) for i in (0, 2))
-    alphas, row = np.unique(alpha, return_inverse=True)
-    comps = np.empty((len(trims), k // 2 + 1), dtype=np.int64)
-    for lo, hi in _stacks(alphas.size, 1 << (2 * n - 1)):
-        at = (lo <= row) & (row < hi)
-        half = _restricted_ranks(pairs[alphas[lo:hi]], n)
-        comps[at] = _component_ranks(half, k)[row[at] - lo, :, beta[at]]
-    s1 = (1 << k) * ((1 << k) - 1)
-    ddt = (np.array([0, 2]), np.full((len(trims), 2), s1 >> 1))
-    return signature_keys(k, np.full(len(trims), 2), ddt, _walsh_columns(comps, k),
-                          tabs.__getitem__)
+    pure = np.flatnonzero(pairs[:, 0] == 3 * (size >> 1) - 2)
+    rows, betas = np.nonzero(pairs[pure] == 0)
+    sides = SIDES if size == 4 else ("linear",)
+    claims = groupby(zip(pure[rows].tolist(), betas.tolist()), key=itemgetter(0))
+    return ((alpha, side, beta) for alpha, group in claims
+            for side, (_, beta) in product(sides, list(group)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +487,11 @@ def _general_apn_trims(f: VBF) -> Iterator[tuple[int, str, int]]:
             yield from ((*h, beta) for beta in (np.flatnonzero(row) + 1).tolist())
 
 
-def _apn_claims(f: VBF) -> tuple[Iterator[tuple[int, str, int]], Optional[np.ndarray]]:
-    """(claims, pairs): the trims (alpha, side, beta) the kernel for f's
-    degree claims APN and, for f of degree <= 2 with n > 2, the table
-    _pair_counts they come from, off which _iter_apn_trims classifies them
-    (None otherwise: n = 2 has trims of degree <= 1)."""
+def _apn_claims(f: VBF) -> Iterator[tuple[int, str, int]]:
+    """The trims (alpha, side, beta) the kernel for f's degree claims APN."""
     if f.degree > 2:
-        return _general_apn_trims(f), None
-    pairs = _pair_counts(f)
-    return _quadratic_apn_trims(pairs), (pairs if f.n > 2 else None)
+        return _general_apn_trims(f)
+    return _quadratic_apn_trims(_pair_counts(f))
 
 
 def descriptor_count(n: int, quadratic_reduced: bool = False) -> int:
@@ -618,27 +586,18 @@ def trim_spectrum(f: VBF, quadratic_reduced: bool = False,
     return TrimSpectrum(f.n, quadratic_reduced, dict(counts))
 
 
-def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]], pairs: Optional[np.ndarray]
+def _iter_apn_trims(f: VBF, trims: Sequence[tuple[int, str, int]]
                     ) -> Iterator[tuple[TrimDescriptor, np.ndarray, InvariantSignature]]:
     """The claimed APN trims (alpha, side, beta) ``trims`` in their order,
-    with table rows and signatures: classified off the table pairs of
-    _apn_claims when there is one, by table otherwise. A claimed trim whose
-    table is not APN is an internal error; off pairs, the check on its
-    ortho-derivative in signature_keys finds it, which for a table of
-    degree <= 2 is the APN test."""
+    with table rows and signatures, built and classified by table together.
+    A claimed trim whose table is not APN is an internal error."""
     if not trims:
         return
-    k = f.n - 1
     tabs = _canonical_tables(f, trims)
-    if pairs is None:
-        sigs = signatures_of_tables(tabs, k)
-        bad = [t for t, sig in zip(trims, sigs) if not sig.apn]
-        if bad:
-            raise RuntimeError(f"kernel claims the trim {bad[0]} APN, but its table is not")
-    else:
-        keys = _quadratic_apn_keys(pairs, trims, tabs, f.n)
-        memo = {key: signature_of_key(key) for key in set(keys)}
-        sigs = [memo[key] for key in keys]
+    sigs = signatures_of_tables(tabs, f.n - 1)
+    bad = [t for t, sig in zip(trims, sigs) if not sig.apn]
+    if bad:
+        raise RuntimeError(f"kernel claims the trim {bad[0]} APN, but its table is not")
     for (alpha, side, beta), tab, sig in zip(trims, tabs, sigs):
         yield TrimDescriptor.canonical(alpha, side, beta), tab, sig
 
@@ -647,8 +606,7 @@ def apn_trims(f: VBF) -> list[tuple[TrimDescriptor, InvariantSignature]]:
     """Distinct APN trim signatures with one witness descriptor each."""
     check_trimmable(f)
     seen: dict[InvariantSignature, TrimDescriptor] = {}
-    claims, pairs = _apn_claims(f)
-    for d, _, sig in _iter_apn_trims(f, list(claims), pairs):
+    for d, _, sig in _iter_apn_trims(f, list(_apn_claims(f))):
         if sig not in seen:
             seen[sig] = d
     return [(d, s) for s, d in seen.items()]
@@ -672,9 +630,8 @@ def recursive_witness(f: VBF) -> Optional[list[VBF]]:
         if k == 2:
             return True
         # one hyperplane at a time, so the search stops at the first chain
-        claims, pairs = _apn_claims(g)
-        hyperplanes = groupby(claims, key=lambda t: t[0])
-        trims = (t for _, group in hyperplanes for t in _iter_apn_trims(g, list(group), pairs))
+        hyperplanes = groupby(_apn_claims(g), key=itemgetter(0))
+        trims = (t for _, group in hyperplanes for t in _iter_apn_trims(g, list(group)))
         for _, tab, sig in trims:
             if sig in failed[k - 1]:
                 continue

@@ -293,22 +293,29 @@ def _hists_by_oracle(f):
 @pytest.mark.parametrize("limit", [None, 1 << 6, 5 << 10])
 def test_quadratic_hists_match_the_table_kernels_and_the_oracles(limit, monkeypatch):
     """The histograms off the derivative ranks against _diff_counts_batch,
-    _batch_walsh_hists and the dense DDT and Walsh tables, for each table
-    alone and for the stack of one width, at the default limit and under
-    limits that cut chunks inside a table and across tables."""
+    _batch_walsh_hists and the dense DDT and Walsh tables, and the
+    ortho-derivatives of the APN tables against _ortho_derivatives, for
+    each table alone and for the stack of one width, at the default limit
+    and under limits that cut chunks inside a table and across tables."""
     by_n = _quadratic_hist_inputs()
     kernels = {n: [(vbf_mod._diff_counts_batch(f.table[None, :], n)[0],
                     vbf_mod._batch_walsh_hists(f.table[None, :], n)[0]) for f in funcs]
                for n, funcs in by_n.items()}
+    pis = {(n, i): ortho._ortho_derivatives(f.table[None, :], n)[0]
+           for n, funcs in by_n.items() for i, f in enumerate(funcs)
+           if not kernels[n][i][0][3:].any()}
+    assert {n for n, _ in pis} == set(by_n)
     if limit is not None:
         monkeypatch.setattr(vbf_mod, "_BATCH_CELL_LIMIT", limit)
     for n, funcs in by_n.items():
         assert all(f.degree <= 2 for f in funcs)
-        ddt, walsh = ortho._quadratic_hists(np.stack([f.table for f in funcs]), n)
+        ddt, walsh, pi = ortho._quadratic_hists(np.stack([f.table for f in funcs]), n)
         for i, f in enumerate(funcs):
             one = ortho._quadratic_hists(f.table[None, :], n)
-            for got in ((ddt[i], walsh[i]), (one[0][0], one[1][0])):
+            for got in ((ddt[i], walsh[i], pi[i]), tuple(c[0] for c in one)):
                 assert (got[0] == kernels[n][i][0]).all() and (got[1] == kernels[n][i][1]).all()
+                if (n, i) in pis:
+                    assert (got[2] == pis[n, i]).all()
             if limit is None:
                 oracle = _hists_by_oracle(f)
                 assert (ddt[i] == oracle[0]).all() and (walsh[i] == oracle[1]).all()

@@ -302,7 +302,7 @@ def test_recursive_witness_backtracks_past_a_dead_child(monkeypatch):
         if g.n == 6:
             descents.append(invariant_signature(g))
             if len(descents) == 1:
-                return iter(()), None
+                return iter(())
         return apn_claims(g)
 
     monkeypatch.setattr(trimming, "_apn_claims", first_child_dead_ends)
@@ -465,12 +465,12 @@ def _apn_trims_and_witness_by_table(f, apn, monkeypatch):
     trims through the reference, or fast would be compared with fast."""
     seen = []
 
-    def reference(g, trims, pairs):
+    def reference(g, trims):
         seen.append(g.n)
         return _iter_apn_trims_by_table(g, trims)
 
     with monkeypatch.context() as m:
-        m.setattr(trimming, "_apn_claims", lambda g: (iter(_every_trim(g)), None))
+        m.setattr(trimming, "_apn_claims", lambda g: iter(_every_trim(g)))
         m.setattr(trimming, "_iter_apn_trims", reference)
         trims = apn_trims(f)
         assert seen and set(seen) == {f.n}
@@ -606,16 +606,16 @@ def test_quadratic_trim_spectrum_matches_tables(name, by_table):
     _assert_spectrum_table_work(by_table, want["linear"])
 
 
-def _classified_by_table(g, trims, pairs):
-    """trimming._iter_apn_trims with the claims classified by table, the
-    path of degree > 2 input: the reference for classifying off pairs."""
-    if not trims:
-        return
-    k = g.n - 1
-    tabs = trimming._canonical_tables(g, trims)
-    for t, tab, sig in zip(trims, tabs, signatures_of_tables(tabs, k)):
-        assert sig.apn
-        yield TrimDescriptor.canonical(*t), tab, sig
+def _hists_by_kernels(tabs, k):
+    """ortho._quadratic_hists from the DDT and Walsh tables, with the
+    ortho-derivatives of the APN rows from ortho._ortho_derivatives: the
+    reference for the histograms and normals of the derivative ranks."""
+    ddt = vbf._diff_counts_batch(tabs, k)
+    pis = np.zeros_like(tabs)
+    apn = ~ddt[:, 3:].any(axis=1)
+    if apn.any():
+        pis[apn] = ortho._ortho_derivatives(tabs[apn], k)
+    return ddt, vbf._batch_walsh_hists(tabs, k), pis
 
 
 APN_TRIM_INPUTS = {
@@ -628,18 +628,26 @@ APN_TRIM_INPUTS = {
 
 @pytest.mark.parametrize("name", APN_TRIM_INPUTS)
 def test_quadratic_apn_trims_match_the_table_path(name, monkeypatch):
-    """Claims classified off the pair counts give what the table path gives
-    them: for each signature its first descriptor in claim order, and for
-    the APN inputs with n <= 7 the same recursive chain."""
+    """Claims classified off the derivative ranks give what the DDT and
+    Walsh tables and the stand-alone ortho-derivative give them: for each
+    signature its first descriptor in claim order, and for the APN inputs
+    with n <= 7 the same recursive chain."""
     f = APN_TRIM_INPUTS[name]()
     assert f.degree == 2
     fast = apn_trims(f)
     witness = f.n <= 7 and is_apn(f)
     fast_chain = recursive_witness(f) if witness else None
-    monkeypatch.setattr(trimming, "_iter_apn_trims", _classified_by_table)
+    calls = []
+
+    def reference(tabs, k):
+        calls.append(tabs.shape[0])
+        return _hists_by_kernels(tabs, k)
+
+    monkeypatch.setattr(ortho, "_quadratic_hists", reference)
     assert fast == apn_trims(f)
     if witness:
         assert fast_chain == recursive_witness(f)
+    assert calls or not fast, "the reference classified nothing"
 
 
 def test_apn_trims_build_a_vbf_only_for_a_descent(monkeypatch):
@@ -823,9 +831,9 @@ def test_recursive_witness_takes_one_claim_pass_per_node(monkeypatch):
         passes[g.table.tobytes()] += 1
         return pair_counts(g)
 
-    def recording(g, trims, pairs):
+    def recording(g, trims):
         hyperplanes.append({t[0] for t in trims})
-        return iter_apn_trims(g, trims, pairs)
+        return iter_apn_trims(g, trims)
 
     monkeypatch.setattr(trimming, "_pair_counts", counting_claims)
     monkeypatch.setattr(trimming, "_iter_apn_trims", recording)
@@ -1446,9 +1454,9 @@ def _reference_signatures(f, alpha, sides):
     kernel's columns, with the affine twins' degree replaced, otherwise."""
     n = f.n
 
-    def tables(side):
-        return lambda rows: trimming._canonical_tables(
-            f, [(alpha, side, b + 1) for b in rows.tolist()])
+    def ortho_rows(side):
+        return lambda rows: ortho._ortho_derivatives(trimming._canonical_tables(
+            f, [(alpha, side, b + 1) for b in rows.tolist()]), n - 1)
 
     def values(side):
         return trimming._restricted_values(f, [(alpha, side)])[0]
@@ -1459,11 +1467,11 @@ def _reference_signatures(f, alpha, sides):
     if f.degree > 2:
         return [s for side in sides for s in signatures(
             _degrees_one(values(side), n), _ddt_counts_one(values(side), n),
-            _walsh_counts_one(values(side), n), tables(side))]
+            _walsh_counts_one(values(side), n), ortho_rows(side))]
     ddt, walsh = _quadratic_counts_one(_derivative_table(f, alpha), n)
     flat = ~walsh[1][:, 1:-1].any(axis=1)
     degrees = {side: np.where(flat, _degrees_one(values(side), n), 2) for side in SIDES}
-    sigs = signatures(degrees["linear"], ddt, walsh, tables("linear"))
+    sigs = signatures(degrees["linear"], ddt, walsh, ortho_rows("linear"))
     if "affine" not in sides:
         return sigs
     return sigs + [s if s.degree == 2 else replace(s, degree=int(d))
