@@ -34,7 +34,7 @@ def cmd_analyze(args) -> int:
     ews = sig.walsh_spectrum if sig else extended_walsh_spectrum(f)
     report = {
         "n": f.n, "m": f.m,
-        "degree": sig.degree if sig else f.degree,
+        "degree": f.degree,
         "apn": sig.apn if sig else False,
         "linearity": ews[-1][0],                    # the top |Walsh| value
         "differential_spectrum": spectrum_str(ds),

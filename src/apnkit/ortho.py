@@ -149,9 +149,10 @@ def spectrum_str(s: Optional[Spectrum]) -> str:
 class InvariantSignature:
     """Canonical EA-invariant fingerprint of a function with n = m.
 
-    The ortho spectra are present exactly when the function is quadratic
-    APN; spectra are sorted by value so equal signatures serialize to
-    identical strings.
+    The degree is the algebraic degree, but at least 1: EA-equivalence adds
+    an affine map, so functions of degree 0 and 1 are one class. The ortho
+    spectra are present exactly when the function is quadratic APN; spectra
+    are sorted by value so equal signatures serialize to identical strings.
     """
 
     degree: int
@@ -174,25 +175,25 @@ class InvariantSignature:
 
 
 def signature_keys(k: int, degrees: np.ndarray, ddt: Columns, walsh: Columns,
-                   ortho_rows: Optional[Callable[[np.ndarray], np.ndarray]]) -> list[bytes]:
+                   ortho_rows: Callable[[np.ndarray], np.ndarray]) -> list[bytes]:
     """Keys of k-bit functions b = 0 .. B - 1 from their histogram columns:
     ddt = (values, counts) with counts[b, j] DDT cells a != 0 equal to
     values[j], walsh the same for |Walsh| values over beta != 0, both with
     ascending values, and degrees[b]. The ortho spectra of the rows that
     are APN of degree 2 come from ortho_rows(rows), the ortho-derivatives
-    of those rows, taken in stacks (None when there are no such rows); a
-    ValueError there, a row that is not quadratic APN, is an internal
-    error.
+    of those rows, taken in stacks; a ValueError there, a row that is not
+    quadratic APN, is an internal error.
 
-    A key is the int64 words (degree, #ddt values, #walsh values, ddt
-    values, walsh values, ddt counts, walsh counts), followed for a quadratic
-    APN function by its ortho-derivative's DDT and |Walsh| histograms;
-    signature_of_key decodes it. Keys of equal signatures differ at most in
-    values whose count is 0."""
+    A key is the int64 words (max(degree, 1), #ddt values, #walsh values,
+    ddt values, walsh values, ddt counts, walsh counts), followed for a
+    quadratic APN function by its ortho-derivative's DDT and |Walsh|
+    histograms; signature_of_key decodes it. Degree 0 and 1 share a word:
+    adding an affine map makes them one EA class. Keys of equal signatures
+    differ at most in values whose count is 0."""
     (dvals, dcounts), (wvals, wcounts) = ddt, walsh
     head = np.concatenate([[dvals.size, wvals.size], dvals, wvals])
     rows = np.empty((degrees.size, 1 + head.size + dvals.size + wvals.size), dtype=np.int64)
-    rows[:, 0] = degrees
+    rows[:, 0] = np.maximum(degrees, 1)
     rows[:, 1:1 + head.size] = head
     rows[:, 1 + head.size:] = np.hstack([dcounts, wcounts])
     keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()

@@ -198,13 +198,10 @@ def _trim_keys(f: VBF, hyperplanes: Sequence[tuple[int, str]], ddt: Columns,
 #   - The components of T are v.F|H for v != 0 orthogonal to beta. If the
 #     alternating form v.D has rank rho, the component has |Walsh| 2^(k -
 #     rho/2) on 2^rho points, 0 elsewhere. T has degree 2 iff some such v
-#     has rho > 0.
-#   - A trim of degree <= 1 needs no table: whether it has degree 0 or 1 is
-#     read off the ANF of F on its hyperplane (_trim_degrees), which is
-#     computed only for hyperplanes that have such trims.
+#     has rho > 0; otherwise it has degree <= 1, and degree 0 and 1 are one
+#     EA class (ortho.signature_keys).
 #   - The affine-side trim equals its linear twin plus an affine map, so the
-#     two have the same DDT and |Walsh| histograms and, when T has degree 2,
-#     the same signature.
+#     two are EA-equivalent and have the same signature.
 # Only APN trims of degree 2 are built as tables, for their ortho spectra,
 # and only on the linear side.
 #
@@ -305,52 +302,26 @@ def _quadratic_columns(f: VBF, alphas: np.ndarray, pairs: np.ndarray,
 def _quadratic_keys(f: VBF, alphas: Sequence[int], sides: Sequence[str],
                     pairs: np.ndarray, half: np.ndarray) -> list[bytes]:
     """Keys of the trims (alpha, side, beta) of a function of degree <= 2,
-    beta = 1 .. 2^n - 1, for each alpha of ``alphas`` on the linear side
-    and then, if ``sides`` is SIDES, on the affine side, from the tables
-    _pair_counts and _restricted_ranks."""
-    n = f.n
+    beta = 1 .. 2^n - 1, for each alpha of ``alphas`` on each side of
+    ``sides`` in turn, from the tables _pair_counts and _restricted_ranks:
+    the affine side repeats the keys of the linear one."""
     alphas = np.asarray(alphas, dtype=np.int64)
     (dvals, ddt), (wvals, walsh) = _quadratic_columns(f, alphas, pairs, half)
-    flat = ~walsh[..., 1:-1].any(axis=-1)          # no component with rho > 0
-    low = np.flatnonzero(flat.any(axis=1))
-
-    def degrees(side: str) -> np.ndarray:
-        deg = np.full(flat.shape, 2)
-        if low.size:
-            v = _restricted_values(f, [(alpha, side) for alpha in alphas[low].tolist()])
-            deg[low] = np.where(flat[low], _trim_degrees(v, n), 2)
-        return deg
-
+    degrees = np.where(walsh[..., 1:-1].any(axis=-1), 2, 1)    # 2 iff a component has rho > 0
     keys = _trim_keys(f, [(alpha, "linear") for alpha in alphas.tolist()],
-                      (dvals, ddt), (wvals, walsh), degrees("linear"))
-    if "affine" not in sides:
-        return keys
-    # an affine-side trim differs from its linear twin by an affine map: the
-    # twins share their key where they have degree 2, and below degree 2
-    # only the degree differs and no table is needed
-    twins = list(keys)
-    rows = np.flatnonzero(flat)
-    low_keys = signature_keys(n - 1, degrees("affine").reshape(-1)[rows],
-                              (dvals, ddt.reshape(-1, dvals.size)[rows]),
-                              (wvals, walsh.reshape(-1, wvals.size)[rows]), ortho_rows=None)
-    for i, key in zip(rows.tolist(), low_keys):
-        twins[i] = key
-    return keys + twins
+                      (dvals, ddt), (wvals, walsh), degrees)
+    return keys * len(sides)
 
 
 def _quadratic_apn_trims(pairs: np.ndarray) -> Iterator[tuple[int, str, int]]:
     """The trims (alpha, side, beta) the kernel claims APN for a function of
     degree <= 2, in ascending order, from its table _pair_counts, read in
-    one gather. The affine side is claimed only for n = 2, after the linear
-    side of each alpha: for n > 2 its APN trims have degree 2 and repeat the
-    signatures of their linear twins."""
+    one gather. Only the linear side is claimed: an affine-side trim is its
+    linear twin plus an affine map, so it repeats the twin's signature."""
     size = pairs.shape[0]
     pure = np.flatnonzero(pairs[:, 0] == 3 * (size >> 1) - 2)
     rows, betas = np.nonzero(pairs[pure] == 0)
-    sides = SIDES if size == 4 else ("linear",)
-    claims = groupby(zip(pure[rows].tolist(), betas.tolist()), key=itemgetter(0))
-    return ((alpha, side, beta) for alpha, group in claims
-            for side, (_, beta) in product(sides, list(group)))
+    return ((alpha, "linear", beta) for alpha, beta in zip(pure[rows].tolist(), betas.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,17 @@ def test_analyze_identity_file(capsys, tmp_path):
     assert "apn=false" in out and "degree=1" in out
 
 
+def test_analyze_constant_file(capsys, tmp_path):
+    """degree= is the algebraic degree; the signature puts degree 0 in the
+    EA class of degree 1."""
+    p = tmp_path / "zero3.lut"
+    p.write_text("lut n=3 m=3: 0 0 0 0 0 0 0 0\n")
+    code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0 and out.startswith("n=3 m=3 degree=0 apn=false ")
+    assert out.endswith("\nsignature=sig{deg=1;apn=0;ds=[(0,49)(8,7)];ews=[(0,49)(8,7)];"
+                        "ods=-;oews=-}\n")
+
+
 def test_analyze_json_mode(capsys):
     code, out, _ = run(capsys, "analyze", "--json", "fixture:gold5")
     assert code == 0

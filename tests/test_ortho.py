@@ -84,7 +84,7 @@ def test_signatures_of_g_fixtures_distinct():
 
 def test_signature_is_ea_invariant():
     rng = random.Random(1)
-    for f in (catalog.gold(5), catalog.g7(2)):
+    for f in (catalog.gold(5), catalog.g7(2), VBF.constant(3, 3)):
         base = invariant_signature(f)
         for _ in range(3):
             assert invariant_signature(random_ea_transform(f, rng)) == base

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,27 +219,36 @@ def test_epsilon_gamma_do_not_change_signature():
 
 
 def test_trim_spectrum_is_ea_invariant():
+    """Full and reduced spectra; gold3 and x0*x1 on 4 bits have trims of
+    degree 0 and 1, one EA class, whose count an EA-copy moves between
+    them."""
     rng = random.Random(7)
-    f = catalog.gold(5)
-    base = trim_spectrum(f)
-    for _ in range(3):
-        g = random_ea_transform(f, rng)
-        other = trim_spectrum(g)
-        assert other.counts == base.counts
-        assert other.total == descriptor_count(5)
+    x0x1 = VBF(4, 4, [(x & 1) * ((x >> 1) & 1) for x in range(16)])
+    for f in (catalog.gold(5), catalog.gold(3), x0x1):
+        for reduced in (False, True):
+            base = trim_spectrum(f, reduced)
+            for _ in range(3):
+                other = trim_spectrum(random_ea_transform(f, rng), reduced)
+                assert other.counts == base.counts
+                assert other.total == descriptor_count(f.n, reduced)
 
 
 def test_apn_trims_matches_naive_enumeration():
-    g5 = catalog.gold(5)
-    naive = set()
-    for alpha in range(1, 32):
-        for side in SIDES:
-            for beta in range(1, 32):
-                t = trim(g5, TrimDescriptor.canonical(alpha, side, beta))
-                if is_apn(t):
-                    naive.add(invariant_signature(t))
-    assert naive == {sig for _, sig in apn_trims(g5)}
-    assert len(naive) == 1
+    """gold5 and gold2 and its EA-copies: every 1-bit trim, constant or
+    not, is APN, and all of them are one EA class."""
+    rng = random.Random(5)
+    g2 = catalog.gold(2)
+    for f in (catalog.gold(5), g2, *(random_ea_transform(g2, rng) for _ in range(3))):
+        top = 1 << f.n
+        naive = set()
+        for alpha in range(1, top):
+            for side in SIDES:
+                for beta in range(1, top):
+                    t = trim(f, TrimDescriptor.canonical(alpha, side, beta))
+                    if is_apn(t):
+                        naive.add(invariant_signature(t))
+        assert naive == {sig for _, sig in apn_trims(f)}
+        assert len(naive) == 1
 
 
 def test_apn_trims_witness_descriptors_verify():
@@ -539,7 +547,7 @@ QUADRATIC_INPUTS = {
     "random_quadratic(5, 1) padded": lambda rng: VBF(5, 5, random_quadratic(5, 1, rng).table),
     "random_quadratic(2, 2)": lambda rng: random_quadratic(2, 2, rng),
     # every trim on 1-orthogonal is constant and its first trim of degree 1
-    # is on the affine side
+    # is on the affine side: degree 0 and 1 are one class
     "x0*x1 on 2 bits": lambda rng: VBF(2, 2, [0, 0, 0, 1]),
     "identity": lambda rng: VBF.identity(5),
     "constant": lambda rng: VBF.constant(5, 5, 6),
@@ -735,10 +743,10 @@ CLAIM_INPUTS = {
 
 @pytest.mark.parametrize("name", CLAIM_INPUTS)
 def test_quadratic_claims_match_tables_on_every_hyperplane(name):
-    """The whole-space pass claims exactly the trims that are APN by table:
-    on the linear side, and for n = 2 also on the affine side. An
-    affine-side trim is APN iff its linear twin is, so for n > 2 leaving
-    that side out misses no APN trim class."""
+    """The whole-space pass claims exactly the linear-side trims that are
+    APN by table, at every n. An affine-side trim is APN iff its linear twin
+    is, and the two are EA-equivalent (one class at n = 2, where every trim
+    has degree <= 1), so leaving that side out misses no APN trim class."""
     f = CLAIM_INPUTS[name](random.Random(name))
     assert f.degree <= 2
     n = f.n
@@ -746,10 +754,7 @@ def test_quadratic_claims_match_tables_on_every_hyperplane(name):
                   for beta, t in enumerate(_hyperplane_tables(f, alpha, side))
                   if is_apn(VBF(n - 1, n - 1, t))] for side in SIDES}
     assert apn["affine"] == apn["linear"]
-    sides = SIDES if n == 2 else ("linear",)
-    want = sorted(((alpha, side, beta) for alpha, beta in apn["linear"] for side in sides),
-                  key=lambda t: (t[0], SIDES.index(t[1]), t[2]))
-    assert _quadratic_claims(f) == want
+    assert _quadratic_claims(f) == [(alpha, "linear", beta) for alpha, beta in apn["linear"]]
 
 
 def _apn_betas_of_hyperplane(f, alpha):
@@ -1450,8 +1455,9 @@ def test_general_spectrum_stacks_follow_the_cell_limit(monkeypatch):
 
 def _reference_signatures(f, alpha, sides):
     """The signatures of the trims on hyperplane alpha, one object per trim,
-    from the one-hyperplane kernels for degree > 2 and from the quadratic
-    kernel's columns, with the affine twins' degree replaced, otherwise."""
+    from the one-hyperplane kernels for degree > 2 and otherwise from the
+    quadratic kernel's columns, which an affine-side trim shares with its
+    linear twin, with each side's own degrees and ortho-derivatives."""
     n = f.n
 
     def ortho_rows(side):
@@ -1470,12 +1476,8 @@ def _reference_signatures(f, alpha, sides):
             _walsh_counts_one(values(side), n), ortho_rows(side))]
     ddt, walsh = _quadratic_counts_one(_derivative_table(f, alpha), n)
     flat = ~walsh[1][:, 1:-1].any(axis=1)
-    degrees = {side: np.where(flat, _degrees_one(values(side), n), 2) for side in SIDES}
-    sigs = signatures(degrees["linear"], ddt, walsh, ortho_rows("linear"))
-    if "affine" not in sides:
-        return sigs
-    return sigs + [s if s.degree == 2 else replace(s, degree=int(d))
-                   for s, d in zip(sigs, degrees["affine"])]
+    return [s for side in sides for s in signatures(
+        np.where(flat, _degrees_one(values(side), n), 2), ddt, walsh, ortho_rows(side))]
 
 
 def _reference_spectrum(f, quadratic_reduced):
