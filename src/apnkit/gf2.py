@@ -56,50 +56,13 @@ def poly_mod(a: int, m: int) -> int:
     return a
 
 
-def poly_mulmod(a: int, b: int, m: int) -> int:
-    return poly_mod(poly_mul(a, b), m)
-
-
-def poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly_mod(a, b)
-    return a
-
-
-@lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    out, d, k = [], 2, n
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return tuple(out)
-
-
 def is_irreducible(modulus: int) -> bool:
-    """Rabin irreducibility test for a GF(2) polynomial given as an int."""
+    """Whether a GF(2) polynomial given as an int is irreducible, by trial
+    division by every polynomial of degree 1 .. n/2 (at most 510 divisions
+    at n = 16). Ints below 2, negative ones included, are not."""
     n = modulus.bit_length() - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    # t_k = x^(2^k) mod modulus, by repeated squaring
-    x = 0b10
-    t = x
-    powers = {}
-    for k in range(1, n + 1):
-        t = poly_mulmod(t, t, modulus)
-        powers[k] = t
-    if powers[n] != x:
-        return False
-    for p in _prime_divisors(n):
-        if poly_gcd(modulus, powers[n // p] ^ x) != 1:
-            return False
-    return True
+    return modulus > 1 and all(poly_mod(modulus, d)
+                               for d in range(2, 1 << (n // 2 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +106,7 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_WIDTH:
             raise ValueError(f"field degree {self.n} outside [1, {MAX_WIDTH}]")
-        if self.modulus.bit_length() != self.n + 1:
+        if not 1 << self.n <= self.modulus < 2 << self.n:
             raise ValueError(
                 f"modulus {self.modulus:#x} does not have degree {self.n}")
         if not is_irreducible(self.modulus):

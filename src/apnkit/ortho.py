@@ -127,11 +127,9 @@ def gold_ortho(spec: FieldSpec, i: int = 1) -> VBF:
     n = spec.n
     if n % 2 == 0 or math.gcd(i, n) != 1:
         raise ValueError("Gold function is not APN for these parameters")
+    # the exponent lies in [1, 2^n - 1], so 0 maps to 0 also at n = 1
     order = (1 << n) - 1
-    powers = gf2._primitive_powers(spec)
-    tab = np.zeros(1 << n, dtype=np.uint16)
-    tab[powers] = powers[-np.arange(order) * ((1 << i) + 1) % order]
-    return VBF(n, n, tab)
+    return VBF.from_univariate(spec, [(1, order - ((1 << i) + 1) % order)])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,25 @@ def test_irreducibility_rejects_composites():
     assert not is_irreducible(0b10101)      # (X^2+X+1)^2
     assert is_irreducible(0b111)
     assert is_irreducible(0b100011011)      # X^8+X^4+X^3+X+1
+    for not_a_polynomial in (-11, 0, 1):
+        assert not is_irreducible(not_a_polynomial)
+
+
+def test_irreducible_counts_match_gauss_formula():
+    # Gauss: (1/d) sum_{k | d} mu(k) 2^(d/k) irreducibles of degree d
+    # (OEIS A001037); an int below 2^13 has degree at most 12
+    counts = [0] * 13
+    for p in range(1 << 13):
+        if is_irreducible(p):
+            counts[p.bit_length() - 1] += 1
+    assert counts == [0, 2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+    # composites whose smallest factor has the largest degree trial
+    # division tries
+    for a, b in [(0x11d, 0x11b), (0x83, 0x11d)]:
+        assert is_irreducible(a) and is_irreducible(b)
+        assert not is_irreducible(gf2.poly_mul(a, b))
+    assert gf2.poly_mul(0x11d, 0x11b) == 0x1071f
+    assert gf2.poly_mul(0x83, 0x11d) == 0x8da7
 
 
 def test_fieldspec_validation():
@@ -48,6 +67,9 @@ def test_fieldspec_validation():
         FieldSpec(4, 0b10101)   # reducible
     with pytest.raises(ValueError):
         FieldSpec(17, (1 << 17) | 0b1011)
+    # a negative modulus fails the degree check
+    with pytest.raises(ValueError, match="modulus -0xb does not have degree 3"):
+        FieldSpec(3, -11)
     # X is irreducible, but X = 0 modulo X has no powers to generate F_2*
     with pytest.raises(ValueError, match="generator X zero"):
         FieldSpec(1, 0b10)

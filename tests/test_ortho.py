@@ -18,6 +18,8 @@ def test_gold_ortho_basics():
     spec = default_field(5)
     pi = gold_ortho(spec, 1)
     assert pi(0) == 0
+    # at n = 1, x^-3 = x^0 off 0, and 0 still maps to 0
+    assert gold_ortho(default_field(1), 1).table.tolist() == [0, 1]
     with pytest.raises(ValueError):
         gold_ortho(default_field(6), 1)   # even n
     with pytest.raises(ValueError):
